@@ -47,8 +47,6 @@ from .layers import AttentionHead, BatchNorm, ConvLSTM, Dense, EncoderBlock, Lay
 from .models import (
     ModelConfig,
     ModelGraph,
-    build_model,
-    count_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "LayerNorm",
     "ModelConfig",
     "ModelGraph",
-    "build_model",
-    "count_params",
     "load_checkpoint",
     "save_checkpoint",
     "Adam",

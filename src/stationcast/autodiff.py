@@ -94,9 +94,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Accumulate d self / d t into ``t.grad`` for every tracked tensor.
 
@@ -448,11 +445,6 @@ def reshape(x, new_shape) -> Tensor:
         return (g.reshape(x.shape),)
 
     return _record(data, "reshape", (x,), backward)
-
-
-def flatten(x) -> Tensor:
-    x = as_tensor(x)
-    return reshape(x, (x.size,))
 
 
 def transpose(x, axes) -> Tensor:

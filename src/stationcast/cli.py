@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    VOCABULARIES,
     Scaler,
     emit_csv,
     load_dataset,
@@ -198,16 +197,13 @@ def _write_manifest(run_dir: Path, command: str, details: list[str]) -> None:
 def cmd_ingest(args) -> int:
     cube = load_dataset(args.raw)
     emit_csv(cube, args.out)
-    per_city_days = cube.days * len(cube.cities)
     print(
         f"days: {cube.days} ({cube.dates[0].isoformat()}"
         f"..{cube.dates[-1].isoformat()})"
     )
     print(f"cities: {len(cube.cities)}  features: {len(cube.features)}")
-    print(f"rows emitted: {per_city_days}")
+    print(f"rows emitted: {cube.days * len(cube.cities)}")
     print(f"imputations: {cube.imputed}")
-    for name in VOCABULARIES:
-        print(f"vocabulary hits: {name}: {per_city_days}")
     print(f"canonical csv: {args.out}")
     return 0
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
-from .serialize import load_arrays, save_arrays
+from .serialize import load_arrays, parse_key_values, save_arrays
 
 FEATURES = (
     "high_temp",
@@ -268,21 +269,20 @@ def emit_csv(cube: WeatherCube, path) -> None:
     """Write the canonical long-form CSV; reloading it reproduces the cube.
 
     Floats are written with ``repr`` so the round trip is bitwise; categorical
-    codes are written back as their vocabulary symbols.
+    codes are written back as their vocabulary symbols; NaN cells are left
+    blank.
     """
+    vocabs = [VOCABULARIES.get(feature) for feature in cube.features]
+    days = cube.values.transpose(0, 2, 1).tolist()  # (T, C, F) python floats
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "city", *cube.features])
-        for t, date in enumerate(cube.dates):
-            for j, city in enumerate(cube.cities):
-                cells = []
-                for i, feature in enumerate(cube.features):
-                    value = cube.values[t, i, j]
-                    vocab = VOCABULARIES.get(feature)
-                    if vocab is not None:
-                        cells.append(vocab[int(value)])
-                    else:
-                        cells.append(repr(float(value)))
+        for date, day in zip(cube.dates, days):
+            for city, row in zip(cube.cities, day):
+                cells = [
+                    "" if math.isnan(v) else repr(v) if vocab is None else vocab[int(v)]
+                    for v, vocab in zip(row, vocabs)
+                ]
                 writer.writerow([date.isoformat(), city, *cells])
 
 
@@ -328,11 +328,18 @@ class Scaler:
     @classmethod
     def load(cls, path) -> "Scaler":
         arrays, meta = load_arrays(path)
-        labels = {}
-        for line in meta.splitlines():
-            key, _, value = line.partition("=")
-            labels[key.strip()] = tuple(value.split())
-        return cls(arrays["mins"], arrays["maxs"], labels["features"], labels["cities"])
+        labels = parse_key_values(meta, f"{path} metadata")
+        missing = ({"features", "cities"} - labels.keys()) | (
+            {"mins", "maxs"} - arrays.keys()
+        )
+        if missing:
+            raise ConfigurationError(f"{path}: scaler lacks {sorted(missing)}")
+        return cls(
+            arrays["mins"],
+            arrays["maxs"],
+            tuple(labels["features"].split()),
+            tuple(labels["cities"].split()),
+        )
 
 
 def fit_scaler(cube: WeatherCube, train_days: range | slice) -> Scaler:
@@ -543,7 +550,6 @@ def write_demo_csv(path, days: int = 120, seed: int = 0, missing: int = 0) -> in
     for name, vocab in VOCABULARIES.items():
         i = cube.features.index(name)
         values[:, i, :] = rng.integers(0, len(vocab), size=(days, len(CITIES)))
-    cube = replace(cube, values=values)
     blanked = set()
     if missing:
         numeric = [
@@ -556,19 +562,7 @@ def write_demo_csv(path, days: int = 120, seed: int = 0, missing: int = 0) -> in
                 int(rng.integers(0, len(CITIES))),
             )
             blanked.add(cell)
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "city", *cube.features])
-        for t, date in enumerate(cube.dates):
-            for j, city in enumerate(cube.cities):
-                cells = []
-                for i, feature in enumerate(cube.features):
-                    if (t, i, j) in blanked:
-                        cells.append("")
-                    elif feature in VOCABULARIES:
-                        cells.append(VOCABULARIES[feature][int(values[t, i, j])])
-                    else:
-                        cells.append(repr(float(values[t, i, j])))
-                writer.writerow([date.isoformat(), city, *cells])
+    for cell in blanked:
+        values[cell] = np.nan
+    emit_csv(replace(cube, values=values), path)
     return len(blanked)

@@ -164,17 +164,6 @@ def _block_labels(names: Sequence[str], size: int) -> tuple[str, ...]:
     )
 
 
-def _batched_predict(
-    model: ModelGraph, inputs: np.ndarray, batch_size: int = 64
-) -> np.ndarray:
-    parts = []
-    with no_grad():
-        for start in range(0, inputs.shape[0], batch_size):
-            batch = Tensor(inputs[start : start + batch_size])
-            parts.append(model.forward(batch, mode="infer").data)
-    return np.concatenate(parts, axis=0)
-
-
 def occlusion_map(
     model: ModelGraph,
     spec: OcclusionSpec,
@@ -239,7 +228,7 @@ def occlusion_map(
     else:
         fill_grid = np.zeros((n_feat, n_city))
 
-    ref = per_sample_mse(_batched_predict(model, inputs), truth_block)
+    ref = per_sample_mse(model.predict(inputs), truth_block)
     keep = ref > 0
     skipped = int(n_samples - keep.sum())
     if skipped:
@@ -260,7 +249,7 @@ def occlusion_map(
     for k, index in enumerate(positions):
         masked = kept_inputs.copy()
         masked[index] = fill_grid[index[2], index[3]]
-        current = per_sample_mse(_batched_predict(model, masked), kept_truth)
+        current = per_sample_mse(model.predict(masked), kept_truth)
         deltas[k] = (100.0 * (current - ref) / ref).mean()
 
     target_label = spec.target_city if spec.target_city else "all targets"

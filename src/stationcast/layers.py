@@ -90,6 +90,9 @@ class Layer:
         missing = sorted(set(slots) - set(arrays))
         if missing:
             raise DimensionError(f"missing parameters in container: {missing}")
+        unexpected = sorted(set(arrays) - set(slots))
+        if unexpected:
+            raise DimensionError(f"unexpected arrays in container: {unexpected}")
         for name, target in slots.items():
             source = arrays[name]
             if source.shape != target.shape:

@@ -19,7 +19,6 @@ percent of the same learnable-parameter count (the encoder block is worth
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError, DimensionError
 from .layers import BatchNorm, ConvLSTM, Dense, EncoderBlock, Layer
-from .serialize import load_arrays, save_arrays
+from .serialize import load_arrays, parse_key_values, save_arrays
 
 VARIANTS = ("unistream", "att_unistream", "multistream", "att_multistream")
 
@@ -147,21 +146,13 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text: str) -> tuple["ModelConfig", dict[str, str]]:
         """Parse a config block; unrecognized keys come back as extras."""
-        known: dict[str, str] = {}
-        extras: dict[str, str] = {}
-        for raw in io.StringIO(text):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"malformed config line: {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            target = known if key in cls._FIELD_PARSERS else extras
-            if key in target:
-                raise ConfigurationError(f"duplicate config key {key!r}")
-            target[key] = value
-        kwargs = {k: cls._FIELD_PARSERS[k](v) for k, v in known.items()}
+        pairs = parse_key_values(text, "model config")
+        parsers = cls._FIELD_PARSERS
+        extras = {k: v for k, v in pairs.items() if k not in parsers}
+        try:
+            kwargs = {k: parsers[k](v) for k, v in pairs.items() if k in parsers}
+        except ValueError as exc:
+            raise ConfigurationError(f"model config: bad value ({exc})") from None
         return cls(**kwargs), extras
 
     _FIELD_PARSERS = {
@@ -180,6 +171,20 @@ class ModelConfig:
     }
 
 
+class Stream(Layer):
+    """One multistream branch: two stacked ConvLSTMs over a slice of the lags."""
+
+    def __init__(self, rng: np.random.Generator, filters: int, kernel):
+        self.conv = [
+            ConvLSTM(rng, 1, filters, kernel, return_sequence=True),
+            ConvLSTM(rng, filters, filters, kernel),
+        ]
+
+    def __call__(self, sequence: Tensor) -> Tensor:
+        first, second = self.conv
+        return second(first(sequence))
+
+
 class ModelGraph(Layer):
     """One assembled architecture: layers, config, forward, parameter count."""
 
@@ -188,13 +193,7 @@ class ModelGraph(Layer):
         rng = np.random.default_rng(cfg.seed)
         kernel = cfg.kernel
         if cfg.multistream:
-            self.streams = [
-                [
-                    ConvLSTM(rng, 1, cfg.filters, kernel, return_sequence=True),
-                    ConvLSTM(rng, cfg.filters, cfg.filters, kernel),
-                ]
-                for _ in range(cfg.streams)
-            ]
+            self.streams = [Stream(rng, cfg.filters, kernel) for _ in range(cfg.streams)]
         else:
             self.backbone = ConvLSTM(rng, 1, cfg.filters, kernel)
         if cfg.attention:
@@ -210,18 +209,6 @@ class ModelGraph(Layer):
         head.append(Dense(rng, width, cfg.n_targets))
         self.head = head
 
-    def _children(self):
-        for name, value in vars(self).items():
-            if isinstance(value, (Tensor, Layer)):
-                yield name, value
-            elif isinstance(value, list):
-                for i, v in enumerate(value):
-                    if isinstance(v, Layer):
-                        yield f"{name}{i}", v
-                    else:  # a stream: list of its two ConvLSTM layers
-                        for j, layer in enumerate(v):
-                            yield f"{name}{i}.conv{j}", layer
-
     def _convolve(self, batch: Tensor) -> Tensor:
         """Run the recurrent front end; returns the merged (B, ch, F, C) map."""
         cfg = self.cfg
@@ -229,12 +216,12 @@ class ModelGraph(Layer):
         if cfg.multistream:
             v = cfg.lags_per_stream
             outputs = []
-            for i, (first, second) in enumerate(self.streams):
+            for i, stream in enumerate(self.streams):
                 lag_slice = batch[:, i * v : (i + 1) * v]
                 sequence = ad.reshape(
                     lag_slice, (nb, v, 1, cfg.features, cfg.cities)
                 )
-                outputs.append(second(first(sequence)))
+                outputs.append(stream(sequence))
             return ad.concat(outputs, axis=1)
         sequence = ad.reshape(batch, (nb, cfg.lags, 1, cfg.features, cfg.cities))
         return self.backbone(sequence)
@@ -271,13 +258,18 @@ class ModelGraph(Layer):
     def __call__(self, batch, mode: str = "infer") -> Tensor:
         return self.forward(batch, mode)
 
+    def predict(self, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
+        """Infer-mode predictions ``(N, n)`` for ``(N, L, F, C)`` inputs.
 
-def build_model(cfg: ModelConfig) -> ModelGraph:
-    return ModelGraph(cfg)
-
-
-def count_params(model: ModelGraph) -> int:
-    return model.count_params()
+        The inputs go through :meth:`forward` in slices of ``batch_size``
+        with taping off.
+        """
+        with ad.no_grad():
+            parts = [
+                self.forward(Tensor(inputs[start : start + batch_size]), "infer").data
+                for start in range(0, len(inputs), batch_size)
+            ]
+        return np.concatenate(parts, axis=0)
 
 
 def save_checkpoint(model: ModelGraph, path, extras: Optional[dict] = None):

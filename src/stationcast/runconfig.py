@@ -10,22 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional
 
 from .data import TARGET_CITIES
 from .errors import ConfigurationError
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
+from .serialize import parse_key_values
 
 
 def _optional(parser):
@@ -44,36 +34,27 @@ def _parse_strs(text: str) -> tuple[str, ...]:
 
 
 _PARSERS = {
-    "data": _optional(_parse_str),
-    "lags": _parse_int,
-    "horizon": _parse_int,
-    "target_feature": _parse_str,
+    "data": _optional(str),
+    "lags": int,
+    "horizon": int,
+    "target_feature": str,
     "target_cities": _parse_strs,
-    "split_ratio": _parse_float,
-    "val_fraction": _parse_float,
-    "variant": _parse_str,
-    "filters": _optional(_parse_int),
+    "split_ratio": float,
+    "val_fraction": float,
+    "variant": str,
+    "filters": _optional(int),
     "kernel": _parse_ints,
     "dense": _optional(_parse_ints),
-    "key_dim": _optional(_parse_int),
-    "ff_dim": _optional(_parse_int),
-    "streams": _optional(_parse_int),
-    "lr": _parse_float,
-    "batch_size": _parse_int,
-    "max_epochs": _parse_int,
-    "patience": _parse_int,
-    "seed": _parse_int,
-    "stop_train_mse": _optional(_parse_float),
-    "mode": _parse_str,
-    "patch_size": _parse_int,
-    "fill": _parse_str,
-    "occlude_city": _optional(_parse_str),
-    "samples": _parse_int,
-    "iterations": _parse_int,
-    "ascent_lr": _parse_float,
-    "scoremax_lags": _parse_ints,
-    "sample_index": _parse_int,
-    "out": _parse_str,
+    "key_dim": _optional(int),
+    "ff_dim": _optional(int),
+    "streams": _optional(int),
+    "lr": float,
+    "batch_size": int,
+    "max_epochs": int,
+    "patience": int,
+    "seed": int,
+    "stop_train_mse": _optional(float),
+    "out": str,
 }
 
 
@@ -101,15 +82,6 @@ class RunConfig:
     patience: int = 10
     seed: int = 0
     stop_train_mse: Optional[float] = None
-    mode: str = "feature_row"
-    patch_size: int = 1
-    fill: str = "zero"
-    occlude_city: Optional[str] = None
-    samples: int = 32
-    iterations: int = 100
-    ascent_lr: float = 0.01
-    scoremax_lags: tuple[int, ...] = (1, 5, 10)
-    sample_index: int = 0
     out: str = "runs"
 
     def apply(self, assignments: dict[str, str], source: str) -> None:
@@ -130,24 +102,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         cfg = cls()
-        assignments: dict[str, str] = {}
-        with open(path) as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(
-                        f"{path}:{number}: expected 'key = value', got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in assignments:
-                    raise ConfigurationError(
-                        f"{path}:{number}: duplicate key {key!r}"
-                    )
-                assignments[key] = value.strip()
-        cfg.apply(assignments, str(path))
+        cfg.apply(parse_key_values(Path(path).read_text(), str(path)), str(path))
         return cfg
 
     def _format(self, value) -> str:

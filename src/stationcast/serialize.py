@@ -10,8 +10,8 @@ Layout (all integers little-endian):
                  u32 ndim, then ndim x u64 extents
                  row-major float64 little-endian payload
 
-Entries round-trip bitwise; the metadata block is free-form text (the model
-checkpoint stores its configuration there).
+Entries round-trip bitwise; the metadata block holds ``key = value`` lines
+(see :func:`parse_key_values`).  Nothing may follow the last entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import ConfigurationError, IngestionError
 
 MAGIC = b"WXTN"
 VERSION = 1
@@ -61,6 +61,15 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
         offset += size
         return values
 
+    def text(length, what):
+        nonlocal offset
+        raw = bytes(view[offset : offset + length])
+        offset += length
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise IngestionError(f"{path}: {what} is not valid UTF-8") from None
+
     if bytes(view[:4]) != MAGIC:
         raise IngestionError(f"{path}: not a parameter container (bad magic)")
     offset = 4
@@ -68,14 +77,12 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
     if version != VERSION:
         raise IngestionError(f"{path}: unsupported container version {version}")
     (meta_len,) = unpack("<Q")
-    meta = bytes(view[offset : offset + meta_len]).decode("utf-8")
-    offset += meta_len
+    meta = text(meta_len, "metadata")
     (count,) = unpack("<Q")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = unpack("<I")
-        name = bytes(view[offset : offset + name_len]).decode("utf-8")
-        offset += name_len
+        name = text(name_len, f"entry name #{len(arrays)}")
         (ndim,) = unpack("<I")
         shape = unpack(f"<{ndim}Q") if ndim else ()
         n_values = int(np.prod(shape)) if ndim else 1
@@ -86,4 +93,31 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
         arrays[name] = (
             np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
         )
+    if offset != len(blob):
+        raise IngestionError(
+            f"{path}: {len(blob) - offset} trailing bytes after the last entry"
+        )
     return arrays, meta
+
+
+def parse_key_values(text: str, source: str) -> dict[str, str]:
+    """Parse ``key = value`` lines, skipping blank lines and ``#`` comments.
+
+    Lines without ``=`` and repeated keys raise ConfigurationError naming
+    ``source`` and the line number.  Values come back as stripped strings.
+    """
+    pairs: dict[str, str] = {}
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigurationError(
+                f"{source}:{number}: expected 'key = value', got {line!r}"
+            )
+        if key in pairs:
+            raise ConfigurationError(f"{source}:{number}: duplicate key {key!r}")
+        pairs[key] = value.strip()
+    return pairs

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .data import TABLE_CITY_ORDER, Scaler, WindowedSet, descale_predictions
 from .errors import ConfigurationError, ContractError, DimensionError, NumericalError
 from .models import ModelGraph
@@ -121,16 +121,8 @@ class TrainingLog:
 
 def _epoch_mse(model: ModelGraph, windows: WindowedSet, batch_size: int) -> float:
     """Scaled MSE over a whole set, in fixed order, infer mode, no gradients."""
-    total = 0.0
-    count = 0
-    with no_grad():
-        for start in range(0, len(windows), batch_size):
-            xb = windows.inputs[start : start + batch_size]
-            yb = windows.targets[start : start + batch_size]
-            pred = model.forward(Tensor(xb), mode="infer")
-            total += float(((pred.data - yb) ** 2).sum())
-            count += yb.size
-    return total / count
+    pred = model.predict(windows.inputs, batch_size)
+    return float(((pred - windows.targets) ** 2).mean())
 
 
 def train(
@@ -228,6 +220,16 @@ class EvalTable:
         return dict(self.rows)
 
 
+def _descaled(model, windows, scaler, batch_size):
+    """Descaled (predictions, truths), each ``(N, n)``, in sample order."""
+    feature, cities = windows.target_feature, windows.target_cities
+    pred = model.predict(windows.inputs, batch_size)
+    return (
+        descale_predictions(pred, scaler, feature, cities),
+        descale_predictions(windows.targets, scaler, feature, cities),
+    )
+
+
 def _report_order(cities: Sequence[str]) -> list[str]:
     ordered = [c for c in TABLE_CITY_ORDER if c in cities]
     ordered.extend(c for c in cities if c not in ordered)
@@ -255,20 +257,8 @@ def evaluate(
             f"and cities {list(windows.target_cities)}"
         )
     cities = windows.target_cities
-    totals = np.zeros(len(cities))
-    with no_grad():
-        for start in range(0, len(windows), batch_size):
-            xb = windows.inputs[start : start + batch_size]
-            yb = windows.targets[start : start + batch_size]
-            pred = model.forward(Tensor(xb), mode="infer").data
-            pred_raw = descale_predictions(
-                pred, scaler, windows.target_feature, cities
-            )
-            truth_raw = descale_predictions(
-                yb, scaler, windows.target_feature, cities
-            )
-            totals += ((pred_raw - truth_raw) ** 2).sum(axis=0)
-    per_city = totals / len(windows)
+    pred, truth = _descaled(model, windows, scaler, batch_size)
+    per_city = ((pred - truth) ** 2).sum(axis=0) / len(windows)
     by_name = dict(zip(cities, per_city))
     rows = tuple(
         (city, float(by_name[city])) for city in _report_order(cities)
@@ -283,20 +273,8 @@ def prediction_series(
     batch_size: int = 64,
 ) -> dict[str, np.ndarray]:
     """Descaled (truth, prediction) pairs per target city, in sample order."""
-    chunks = []
-    with no_grad():
-        for start in range(0, len(windows), batch_size):
-            xb = windows.inputs[start : start + batch_size]
-            pred = model.forward(Tensor(xb), mode="infer").data
-            chunks.append(pred)
-    pred = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
-    pred_raw = descale_predictions(
-        pred, scaler, windows.target_feature, windows.target_cities
-    )
-    truth_raw = descale_predictions(
-        windows.targets, scaler, windows.target_feature, windows.target_cities
-    )
+    pred, truth = _descaled(model, windows, scaler, batch_size)
     return {
-        city: np.stack([truth_raw[:, j], pred_raw[:, j]], axis=1)
+        city: np.stack([truth[:, j], pred[:, j]], axis=1)
         for j, city in enumerate(windows.target_cities)
     }

@@ -47,7 +47,7 @@ from stationcast.layers import (
     Layer,
     LayerNorm,
 )
-from stationcast.models import VARIANTS, ModelConfig, build_model, count_params
+from stationcast.models import VARIANTS, ModelConfig, ModelGraph
 from stationcast.training import TrainConfig, mse, train
 
 
@@ -134,7 +134,7 @@ def test_criterion_01_gradient_integrity(capsys):
         check("encoder/input", lambda t: (block(t) * Tensor(w_att)).sum(), tokens)
 
         for variant in VARIANTS:
-            model = build_model(toy_config(variant))
+            model = ModelGraph(toy_config(variant))
             batch = Tensor(rng.uniform(0, 1, (3, 4, 4, 4)))
             truth = rng.uniform(0, 1, (3, 2))
 
@@ -144,7 +144,7 @@ def test_criterion_01_gradient_integrity(capsys):
             model.zero_grad()
             check(f"{variant}/input", loss, batch)
             first_conv = (
-                model.backbone if not model.cfg.multistream else model.streams[0][0]
+                model.backbone if not model.cfg.multistream else model.streams[0].conv[0]
             )
             model.zero_grad()
             check(
@@ -268,7 +268,7 @@ def test_criterion_04_overfit_capacity(capsys):
 
         reached = {}
         for variant in VARIANTS:
-            model = build_model(
+            model = ModelGraph(
                 ModelConfig(
                     variant=variant,
                     lags=lags,
@@ -309,7 +309,7 @@ def test_criterion_04_overfit_capacity(capsys):
 def test_criterion_05_parameter_parity(capsys):
     with verdict(5, "parameter parity", capsys):
         counts = {
-            v: count_params(build_model(ModelConfig(variant=v))) for v in VARIANTS
+            v: ModelGraph(ModelConfig(variant=v)).count_params() for v in VARIANTS
         }
         top, bottom = max(counts.values()), min(counts.values())
         for a in VARIANTS:
@@ -324,7 +324,7 @@ def test_criterion_05_parameter_parity(capsys):
 
 def test_criterion_06_occlusion_oracle(capsys):
     with verdict(6, "occlusion oracle", capsys):
-        model = build_model(toy_config("unistream", seed=6))
+        model = ModelGraph(toy_config("unistream", seed=6))
         rng = np.random.default_rng(6)
         inputs = rng.uniform(0.1, 0.9, (4, 4, 4, 4))
         truths = rng.uniform(0.1, 0.9, (4, 2))
@@ -381,7 +381,7 @@ class ToyLinear(Layer):
 def test_criterion_07_score_maximization_contract(capsys):
     with verdict(7, "score maximization contract", capsys):
         rng = np.random.default_rng(7)
-        model = build_model(toy_config("att_unistream", seed=7))
+        model = ModelGraph(toy_config("att_unistream", seed=7))
         sample = rng.uniform(0.2, 0.8, (4, 4, 4))
         truth = rng.uniform(0, 1, 2)
         frozen = score_maximize(model, sample, truth, iterations=5, lr=0.0)

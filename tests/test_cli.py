@@ -4,6 +4,7 @@ A single small training run (60 synthetic days, 2 epochs) is shared by the
 eval/occlude/scoremax tests; determinism gets its own pair of runs.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 from xml.dom import minidom
@@ -11,9 +12,11 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from stationcast.cli import main
+from stationcast.cli import _TRAIN_OVERRIDES, main
 from stationcast.data import TABLE_CITY_ORDER, write_demo_csv
 from stationcast.models import ModelConfig, ModelGraph, save_checkpoint
+from stationcast.runconfig import RunConfig
+from stationcast.serialize import load_arrays, save_arrays
 
 TRAIN_FLAGS = [
     "--lags", "4", "--horizon", "1", "--variant", "unistream",
@@ -155,6 +158,12 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config key" in err and "lerning_rate" in err
 
 
+def test_config_keys_are_exactly_the_train_flags():
+    """A config key that no train flag mirrors is a key nothing reads."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    assert keys == {dest for _, dest, _ in _TRAIN_OVERRIDES}
+
+
 def test_train_rejects_bad_values(tmp_path, demo, capsys):
     assert main(["train", "--data", str(demo["data"]), "--lags", "many"]) == 1
     assert "bad value" in capsys.readouterr().err
@@ -201,6 +210,40 @@ def test_eval_missing_scaler(demo, tmp_path, capsys):
     stray.write_bytes((demo["run"] / "checkpoint.wxtn").read_bytes())
     assert main(["eval", "--checkpoint", str(stray), "--data", str(demo["data"])]) == 1
     assert "scaler not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("features = a b\n", "lacks ['cities']"),
+        ("features a b\ncities = c\n", "expected 'key = value'"),
+    ],
+)
+def test_eval_rejects_corrupt_scaler_meta(demo, tmp_path, capsys, meta, message):
+    arrays, _ = load_arrays(demo["run"] / "scaler.wxtn")
+    scaler = tmp_path / "scaler.wxtn"
+    save_arrays(scaler, arrays, meta)
+    assert main(["eval", *run_inputs(demo, ["--scaler", str(scaler)])]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: blob.replace(b"variant", b"vari\xffnt", 1),
+        lambda blob: blob.replace(b"backbone.w_xi", b"backbone.w_\xffi", 1),
+        lambda blob: blob + b"\0",
+    ],
+    ids=["meta-not-utf8", "name-not-utf8", "trailing-bytes"],
+)
+def test_eval_rejects_a_corrupt_checkpoint(demo, tmp_path, capsys, corrupt):
+    ckpt = tmp_path / "checkpoint.wxtn"
+    ckpt.write_bytes(corrupt((demo["run"] / "checkpoint.wxtn").read_bytes()))
+    (tmp_path / "scaler.wxtn").write_bytes((demo["run"] / "scaler.wxtn").read_bytes())
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(demo["data"])])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_eval_missing_data_file(demo, capsys):

@@ -27,11 +27,11 @@ from stationcast.explain import (
     score_maximize,
     scoremax_lag_maps,
 )
-from stationcast.models import ModelConfig, build_model
+from stationcast.models import ModelConfig, ModelGraph
 
 
 def tiny_model(seed=3, n_targets=2):
-    return build_model(
+    return ModelGraph(
         ModelConfig(
             variant="unistream",
             lags=2,
@@ -64,9 +64,9 @@ class _PickModel:
         self.cfg = SimpleNamespace(variant="probe")
         self.idx = (lag, feat, city)
 
-    def forward(self, batch, mode="infer"):
+    def predict(self, inputs, batch_size=64):
         t, f, c = self.idx
-        return Tensor(batch.data[:, t, f, c][:, None])
+        return inputs[:, t, f, c][:, None]
 
 
 # -- scalar helpers ----------------------------------------------------------

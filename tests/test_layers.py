@@ -380,6 +380,14 @@ def test_load_rejects_shape_mismatch(tmp_path):
         big.load(path)
 
 
+def test_load_rejects_unexpected_arrays():
+    layer = Dense(rng(18), 2, 2)
+    arrays = {name: value.copy() for name, value in layer.named_state()}
+    arrays["extra"] = np.zeros(1)
+    with pytest.raises(DimensionError, match="extra"):
+        layer.load_state(arrays)
+
+
 def test_freeze_unfreeze():
     layer = Dense(rng(20), 2, 2)
     assert not layer.frozen

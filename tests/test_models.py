@@ -8,8 +8,7 @@ from stationcast.errors import ConfigurationError, DimensionError
 from stationcast.models import (
     VARIANTS,
     ModelConfig,
-    build_model,
-    count_params,
+    ModelGraph,
     load_checkpoint,
     save_checkpoint,
 )
@@ -41,7 +40,7 @@ def batch_for(cfg, n=3, seed=0):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_output_shape(variant):
     cfg = tiny(variant)
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     out = model(batch_for(cfg))
     assert out.shape == (3, cfg.n_targets)
     assert np.isfinite(out.data).all()
@@ -50,7 +49,7 @@ def test_output_shape(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_infer_mode_is_deterministic(variant):
     cfg = tiny(variant)
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     batch = batch_for(cfg)
     np.testing.assert_array_equal(model(batch).data, model(batch).data)
 
@@ -59,7 +58,7 @@ def test_infer_mode_is_deterministic(variant):
 def test_infer_mode_is_batch_independent(variant):
     """Each sample's prediction must not depend on its batch mates."""
     cfg = tiny(variant)
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     batch = batch_for(cfg, n=4)
     together = model(batch).data
     for i in range(4):
@@ -70,20 +69,20 @@ def test_infer_mode_is_batch_independent(variant):
 def test_zero_input_stays_finite():
     for variant in VARIANTS:
         cfg = tiny(variant)
-        out = build_model(cfg)(np.zeros((2, 4, 3, 5)))
+        out = ModelGraph(cfg)(np.zeros((2, 4, 3, 5)))
         assert np.isfinite(out.data).all()
 
 
 def test_train_mode_updates_running_stats():
     cfg = tiny("unistream")
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     before = model.norm.running_mean.copy()
     model(batch_for(cfg), mode="train")
     assert not np.array_equal(model.norm.running_mean, before)
 
 
 def test_forward_rejects_bad_shape_and_mode():
-    model = build_model(tiny("unistream"))
+    model = ModelGraph(tiny("unistream"))
     with pytest.raises(DimensionError):
         model(np.zeros((2, 4, 3, 6)))  # 6 cities instead of 5
     with pytest.raises(DimensionError):
@@ -98,29 +97,29 @@ def test_forward_rejects_bad_shape_and_mode():
 def test_hand_counted_parameters_tiny_unistream():
     # ConvLSTM(1->2, 3x3): 4 gates x (18 + 36 + 2) = 224
     # BatchNorm(2): 4    Dense(30->7): 217    Dense(7->2): 16
-    assert count_params(build_model(tiny("unistream"))) == 224 + 4 + 217 + 16
+    assert ModelGraph(tiny("unistream")).count_params() == 224 + 4 + 217 + 16
 
 
 def test_hand_counted_parameters_tiny_multistream():
     # Per stream: ConvLSTM(1->2) 224 + ConvLSTM(2->2) 296 = 520; two streams.
     # BatchNorm(4): 8    Dense(60->7): 427    Dense(7->2): 16
-    assert count_params(build_model(tiny("multistream"))) == 1040 + 8 + 427 + 16
+    assert ModelGraph(tiny("multistream")).count_params() == 1040 + 8 + 427 + 16
 
 
 def test_hand_counted_parameters_tiny_att_unistream():
     # Encoder on E=6 tokens, d_k=6, d_ff=12: QKV 108 + out 36 + two norms 24
     # + feed-forward 84 + 78 = 330 extra over the plain unistream.
-    assert count_params(build_model(tiny("att_unistream"))) == 461 + 330
+    assert ModelGraph(tiny("att_unistream")).count_params() == 461 + 330
 
 
 def test_attention_adds_exactly_the_encoder_parameters():
-    plain = build_model(tiny("unistream"))
-    att = build_model(tiny("att_unistream"))
-    assert count_params(att) - count_params(plain) == att.encoder.count_params()
+    plain = ModelGraph(tiny("unistream"))
+    att = ModelGraph(tiny("att_unistream"))
+    assert att.count_params() - plain.count_params() == att.encoder.count_params()
 
 
 def test_default_configurations_have_similar_parameter_counts():
-    counts = {v: count_params(build_model(ModelConfig(variant=v))) for v in VARIANTS}
+    counts = {v: ModelGraph(ModelConfig(variant=v)).count_params() for v in VARIANTS}
     assert counts == {
         "unistream": 5_413_574,
         "att_unistream": 5_384_582,
@@ -131,12 +130,12 @@ def test_default_configurations_have_similar_parameter_counts():
 
 
 def test_running_stats_are_saved_but_not_counted():
-    model = build_model(tiny("unistream"))
+    model = ModelGraph(tiny("unistream"))
     state = dict(model.named_state())
     params = dict(model.named_parameters())
     assert "norm.running_mean" in state
     assert "norm.running_mean" not in params
-    assert count_params(model) == sum(p.size for p in params.values())
+    assert model.count_params() == sum(p.size for p in params.values())
 
 
 # -- stream symmetry ---------------------------------------------------------
@@ -146,7 +145,7 @@ def test_streams_are_exchangeable():
     """Swapping the two streams' parameters while swapping the lag halves of
     the input (plus the downstream channel bookkeeping) is a no-op."""
     cfg = tiny("multistream", lags=6)
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     # Give the running stats structure so the swap below is load-bearing.
     stats_rng = np.random.default_rng(99)
     model.norm.running_mean = stats_rng.uniform(-1, 1, 4)
@@ -155,7 +154,7 @@ def test_streams_are_exchangeable():
     batch = batch_for(cfg, n=2)
     reference = model(batch).data
 
-    for a, b in zip(model.streams[0], model.streams[1]):
+    for a, b in zip(model.streams[0].conv, model.streams[1].conv):
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             pa.data[...], pb.data[...] = pb.data.copy(), pa.data.copy()
     f = cfg.filters
@@ -177,7 +176,7 @@ def test_streams_are_exchangeable():
 
 def test_four_streams():
     cfg = tiny("multistream", lags=8, streams=4)
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     assert cfg.lags_per_stream == 2
     assert cfg.merged_channels == 8
     assert model(batch_for(cfg)).shape == (3, 2)
@@ -229,6 +228,8 @@ def test_config_text_extras_and_errors():
         ModelConfig.from_text("variant = unistream\nvariant = unistream\n")
     with pytest.raises(ConfigurationError):
         ModelConfig.from_text("just some words\n")
+    with pytest.raises(ConfigurationError):
+        ModelConfig.from_text("variant = unistream\nlags = many\n")
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_config_text_extras_and_errors():
 @pytest.mark.parametrize("variant", ["unistream", "att_multistream"])
 def test_checkpoint_round_trip_is_bitwise(tmp_path, variant):
     cfg = tiny(variant)
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     model.norm.running_mean[...] = 0.25  # exercise buffer persistence
     path = tmp_path / "model.wxtn"
     save_checkpoint(model, path, extras={"horizon": "2", "target_feature": "wind_speed"})
@@ -250,14 +251,30 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, variant):
     np.testing.assert_array_equal(model(batch).data, clone(batch).data)
 
 
+def test_checkpoint_state_names_are_pinned():
+    """Checkpoints are keyed by these names, in this order; renaming any of
+    them would orphan every checkpoint written before."""
+    gates = [name for g in "ifco" for name in (f"w_x{g}", f"w_h{g}", f"b_{g}")]
+    expected = [
+        f"streams{i}.conv{j}.{gate}"
+        for i in range(2)
+        for j in range(2)
+        for gate in gates
+    ]
+    expected += ["norm.gamma", "norm.beta", "norm.running_mean", "norm.running_var"]
+    expected += ["head0.weight", "head0.bias", "head1.weight", "head1.bias"]
+    model = ModelGraph(tiny("multistream"))
+    assert [name for name, _ in model.named_state()] == expected
+
+
 def test_checkpoint_restores_predictions_after_reinit(tmp_path):
     cfg = tiny("multistream")
-    model = build_model(cfg)
+    model = ModelGraph(cfg)
     batch = batch_for(cfg)
     expected = model(batch).data
     path = tmp_path / "model.wxtn"
     save_checkpoint(model, path)
-    fresh = build_model(tiny("multistream", seed=123))  # different init
+    fresh = ModelGraph(tiny("multistream", seed=123))  # different init
     assert not np.array_equal(fresh(batch).data, expected)
     clone, _ = load_checkpoint(path)
     np.testing.assert_array_equal(clone(batch).data, expected)

@@ -14,7 +14,7 @@ from stationcast.errors import (
     DimensionError,
     NumericalError,
 )
-from stationcast.models import ModelConfig, build_model
+from stationcast.models import ModelConfig, ModelGraph
 from stationcast.training import (
     Adam,
     TrainConfig,
@@ -26,7 +26,7 @@ from stationcast.training import (
 
 
 def tiny_model(n_targets=2, cities=4, seed=1):
-    return build_model(
+    return ModelGraph(
         ModelConfig(
             variant="unistream",
             lags=3,
