@@ -39,7 +39,9 @@ from .explain import OcclusionSpec, occlusion_map, score_maximize, scoremax_lag_
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from .runconfig import RunConfig
-from .training import TrainConfig, evaluate, prediction_series, train
+from .training import (
+    TrainConfig, descaled_predictions, eval_table, evaluate, prediction_series, train
+)
 
 # Training flags that mirror RunConfig keys; values stay raw strings and go
 # through the same parser as config-file lines.
@@ -194,6 +196,16 @@ def _write_manifest(run_dir: Path, command: str, details: list[str]) -> None:
     (run_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _write_map(out_dir: Path, stem: str, saliency, title: str, subtitle: str) -> None:
+    """Write ``<stem>.csv`` and its ``<stem>.svg`` heatmap, and say so."""
+    (out_dir / f"{stem}.csv").write_text(saliency.to_csv())
+    svg = svg_heatmap(
+        saliency.values, saliency.row_labels, saliency.col_labels, title, subtitle
+    )
+    (out_dir / f"{stem}.svg").write_text(svg)
+    print(f"wrote {out_dir / stem}.csv / .svg")
+
+
 def cmd_ingest(args) -> int:
     cube = load_dataset(args.raw)
     emit_csv(cube, args.out)
@@ -331,9 +343,10 @@ def _load_run(args):
 
 def cmd_eval(args) -> int:
     model, scaler, _, windows, _, _, _, out_dir = _load_run(args)
-    table = evaluate(model, windows, scaler)
+    pred, truth = descaled_predictions(model, windows, scaler)
+    table = eval_table(pred, truth, windows)
     (out_dir / "eval_table.csv").write_text(table.to_csv())
-    series = prediction_series(model, windows, scaler)
+    series = prediction_series(pred, truth, windows.target_cities)
     for city, pairs in series.items():
         lines = ["index,actual,predicted"]
         for i, (actual, predicted) in enumerate(pairs):
@@ -359,43 +372,19 @@ def cmd_occlude(args) -> int:
     else:
         requested = list(cities)
 
-    written = []
-    for target in requested:
-        spec = OcclusionSpec(
-            mode=args.mode,
-            patch_size=args.patch_size,
-            target_city=target,
-            fill=args.fill,
-        )
-        saliency = occlusion_map(
-            model,
-            spec,
-            inputs,
-            truths,
-            cube.features,
-            cube.cities,
-            cities,
-            scaler=scaler,
-            target_feature=feature,
-        )
+    spec = OcclusionSpec(mode=args.mode, patch_size=args.patch_size, fill=args.fill)
+    maps = occlusion_map(
+        model, spec, inputs, truths, cube.features, cube.cities, cities,
+        scaler=scaler, target_feature=feature, targets=requested,
+    )
+    title = f"Occlusion analysis ({args.mode})"
+    for target, saliency in zip(requested, maps):
         label = target if target is not None else "all_targets"
-        stem = f"occlusion_{args.mode}_{label}"
-        (out_dir / f"{stem}.csv").write_text(saliency.to_csv())
         subtitle = (
             f"{model.cfg.variant}, target {label}, {feature} +{horizon}d, "
             f"fill {args.fill}, samples {saliency.samples_used}"
         )
-        svg = svg_heatmap(
-            saliency.values,
-            saliency.row_labels,
-            saliency.col_labels,
-            f"Occlusion analysis ({args.mode})",
-            subtitle,
-        )
-        (out_dir / f"{stem}.svg").write_text(svg)
-        written.append(stem)
-    for stem in written:
-        print(f"wrote {out_dir / stem}.csv / .svg")
+        _write_map(out_dir, f"occlusion_{args.mode}_{label}", saliency, title, subtitle)
     return 0
 
 
@@ -422,6 +411,9 @@ def cmd_scoremax(args) -> int:
         raise UsageError(f"--lags must be comma-separated integers: {args.lags!r}")
     if not lag_numbers:
         raise UsageError("--lags selected no lags")
+    for lag in lag_numbers:
+        if not 1 <= lag <= model.cfg.lags:
+            raise UsageError(f"--lags: lag {lag} outside 1..{model.cfg.lags}")
 
     result = score_maximize(
         model,
@@ -439,21 +431,13 @@ def cmd_scoremax(args) -> int:
         meta={"variant": model.cfg.variant, "feature": feature},
     )
     for lag, saliency in zip(lag_numbers, maps):
-        stem = f"scoremax_lag{lag}"
-        (out_dir / f"{stem}.csv").write_text(saliency.to_csv())
         subtitle = (
             f"{model.cfg.variant}, {feature} +{horizon}d, lag {lag}/{model.cfg.lags}, "
             f"{args.iterations} iterations"
         )
-        svg = svg_heatmap(
-            saliency.values,
-            saliency.row_labels,
-            saliency.col_labels,
-            "Score maximization map",
-            subtitle,
+        _write_map(
+            out_dir, f"scoremax_lag{lag}", saliency, "Score maximization map", subtitle
         )
-        (out_dir / f"{stem}.svg").write_text(svg)
-        print(f"wrote {out_dir / stem}.csv / .svg")
     trajectory = ["iteration,h"]
     trajectory.extend(f"{i},{h!r}" for i, h in enumerate(result.scores))
     (out_dir / "scoremax_scores.csv").write_text("\n".join(trajectory) + "\n")

@@ -7,6 +7,8 @@ Two techniques:
   overwrite the masked region with a fill value, and record the percentage
   change of the prediction MSE against the unmasked reference, averaged over
   a set of samples.  Bigger positive change = the region mattered more.
+  One sweep forwards each masked input once and scores every requested
+  target (one city, or the whole output vector) from those predictions.
 * Score maximization: gradient ascent on the input itself to maximize
   h = 1 / MSE against an anchor sample's truth, yielding an input map whose
   bright cells show what the model wants to see.
@@ -60,17 +62,16 @@ def score(pred, truth) -> float:
 
 @dataclass(frozen=True)
 class OcclusionSpec:
-    """What to mask, what to fill with, and which output to score.
+    """What to mask and what to fill it with.
 
-    ``target_city = None`` scores the whole output vector; a city name scores
-    only that city's output (the per-city analysis).  ``fill`` is ``"zero"``
-    (scaled-space 0, the column minimum in raw units) or ``"mean"``
-    (per-column mean of the sample set).
+    ``fill`` is ``"zero"`` (scaled-space 0, the column minimum in raw units)
+    or ``"mean"`` (per-column mean of the sample set).  Which outputs are
+    scored is not part of the spec: :func:`occlusion_map` takes a list of
+    targets and scores them all from one sweep.
     """
 
     mode: str
     patch_size: int = 1
-    target_city: Optional[str] = None
     fill: str = "zero"
 
     def __post_init__(self):
@@ -174,110 +175,119 @@ def occlusion_map(
     target_cities: Sequence[str],
     scaler: Optional[Scaler] = None,
     target_feature: Optional[str] = None,
-) -> SaliencyMap:
-    """Average percentage MSE change per mask position over a sample set.
+    targets: Sequence[Optional[str]] = (None,),
+) -> list[SaliencyMap]:
+    """Average percentage MSE change per mask position, one map per target.
 
     ``inputs`` is the scaled ``(N, L, F, C)`` sample stack with ``truths``
-    ``(N, n)``.  Spatial masks cover all L lags at once; the temporal mask
-    blanks one whole lag.  Passing a scaler computes the MSEs on descaled
-    values (identical Δ for single-city maps, reweighted for aggregate ones).
-    Samples whose reference MSE is exactly zero are skipped with a warning.
+    ``(N, n)``, one column per target city.  Each entry of ``targets`` is a
+    target city scored alone, or ``None`` for the whole output vector; all
+    maps come from one sweep that forwards each masked input once.  Spatial
+    masks cover all L lags at once; the temporal mask blanks one whole lag.
+    Passing a scaler computes the MSEs on descaled values (identical Δ for
+    single-city maps, reweighted for aggregate ones).  Each map skips, with a
+    warning, the samples whose reference MSE for its target is exactly zero.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
-    if inputs.ndim != 4 or truths.ndim != 2 or inputs.shape[0] != truths.shape[0]:
+    target_cities = tuple(target_cities)
+    if inputs.ndim != 4 or truths.shape != (len(inputs), len(target_cities)):
         raise ConfigurationError(
-            f"need (N, L, F, C) inputs and (N, n) truths, "
+            f"need (N, L, F, C) inputs and (N, {len(target_cities)}) truths, "
             f"got {inputs.shape} and {truths.shape}"
         )
     if inputs.shape[0] == 0:
         raise ContractError("occlusion needs at least one sample")
     n_samples, lags, n_feat, n_city = inputs.shape
-    target_cities = tuple(target_cities)
 
-    if spec.target_city is not None:
-        try:
-            out_cols = [target_cities.index(spec.target_city)]
-        except ValueError:
+    columns = []
+    for target in targets:
+        if target is None:
+            columns.append(list(range(len(target_cities))))
+        elif target in target_cities:
+            columns.append([target_cities.index(target)])
+        else:
             raise ConfigurationError(
-                f"{spec.target_city!r} is not a target city "
-                f"({list(target_cities)})"
-            ) from None
-    else:
-        out_cols = list(range(truths.shape[1]))
+                f"{target!r} is not a target city ({list(target_cities)})"
+            )
 
     # Optional raw-unit error weighting: multiply per-column errors by the
     # column spans before squaring (the offset cancels in pred - truth).
     if scaler is not None:
         if target_feature is None:
             raise ConfigurationError("a scaler needs target_feature to descale")
-        _, spans = scaler.target_columns(target_feature, target_cities)
-        weights = spans[out_cols]
+        _, weights = scaler.target_columns(target_feature, target_cities)
     else:
-        weights = np.ones(len(out_cols))
+        weights = np.ones(len(target_cities))
 
-    truth_block = truths[:, out_cols]
+    def squared_errors(batch: np.ndarray) -> np.ndarray:
+        return ((model.predict(batch) - truths) * weights) ** 2
 
-    def per_sample_mse(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-        err = (pred[:, out_cols] - truth) * weights
-        return (err**2).mean(axis=1)
+    ref_errors = squared_errors(inputs)
+    references = []
+    for out_cols in columns:
+        ref = ref_errors[:, out_cols].mean(axis=1)
+        keep = ref > 0
+        skipped = int(n_samples - keep.sum())
+        if skipped:
+            warnings.warn(
+                f"skipped {skipped} of {n_samples} occlusion samples with zero "
+                "reference MSE (perfect predictions)",
+                stacklevel=2,
+            )
+        if not keep.any():
+            raise ContractError(
+                "every sample had zero reference MSE; nothing to occlude"
+            )
+        references.append((ref[keep], keep, skipped))
 
     positions = mask_slices(spec.mode, lags, n_feat, n_city, spec.patch_size)
     if spec.fill == "mean":
         fill_grid = inputs.mean(axis=(0, 1))
     else:
         fill_grid = np.zeros((n_feat, n_city))
-
-    ref = per_sample_mse(model.predict(inputs), truth_block)
-    keep = ref > 0
-    skipped = int(n_samples - keep.sum())
-    if skipped:
-        warnings.warn(
-            f"skipped {skipped} of {n_samples} occlusion samples with zero "
-            "reference MSE (perfect predictions)",
-            stacklevel=2,
-        )
-    if not keep.any():
-        raise ContractError(
-            "every sample had zero reference MSE; nothing to occlude"
-        )
-    ref = ref[keep]
-    kept_inputs = inputs[keep]
-    kept_truth = truth_block[keep]
-
-    deltas = np.zeros(len(positions))
-    for k, index in enumerate(positions):
-        masked = kept_inputs.copy()
+    masked_errors = []
+    for index in positions:
+        masked = inputs.copy()
         masked[index] = fill_grid[index[2], index[3]]
-        current = per_sample_mse(model.predict(masked), kept_truth)
-        deltas[k] = (100.0 * (current - ref) / ref).mean()
+        masked_errors.append(squared_errors(masked))
 
-    target_label = spec.target_city if spec.target_city else "all targets"
-    meta = {
-        "mode": spec.mode,
-        "target": target_label,
-        "fill": spec.fill,
-        "variant": model.cfg.variant,
-    }
+    meta = {"mode": spec.mode, "fill": spec.fill, "variant": model.cfg.variant}
     if spec.mode == "feature_row":
-        values = deltas[:, None]
+        shape = (n_feat, 1)
         rows, cols = tuple(feature_names), ("mean_pct_change",)
     elif spec.mode == "city_column":
-        values = deltas[:, None]
+        shape = (n_city, 1)
         rows, cols = tuple(city_names), ("mean_pct_change",)
     elif spec.mode == "temporal":
-        values = deltas[None, :]
+        shape = (1, lags)
         rows = ("mean_pct_change",)
         cols = tuple(f"lag_{t + 1}" for t in range(lags))
     else:
         p = spec.patch_size
-        values = deltas.reshape(n_feat // p, n_city // p)
+        shape = (n_feat // p, n_city // p)
         rows = _block_labels(feature_names, p)
         cols = _block_labels(city_names, p)
         meta["patch_size"] = str(p)
-    return SaliencyMap(
-        values, rows, cols, spec.mode, int(keep.sum()), skipped, meta
-    )
+
+    maps = []
+    for target, out_cols, (ref, keep, skipped) in zip(
+        targets, columns, references
+    ):
+        # Reduce one position at a time: a mean over the whole (P, N) block
+        # rounds differently in the last digit.
+        deltas = [
+            (100.0 * (err[:, out_cols].mean(axis=1)[keep] - ref) / ref).mean()
+            for err in masked_errors
+        ]
+        target_meta = {**meta, "target": target or "all targets"}
+        maps.append(
+            SaliencyMap(
+                np.reshape(deltas, shape), rows, cols, spec.mode,
+                int(keep.sum()), skipped, target_meta,
+            )
+        )
+    return maps
 
 
 # -- score maximization ------------------------------------------------------

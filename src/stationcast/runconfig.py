@@ -101,8 +101,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"{path}: not UTF-8 text (byte {exc.start})"
+            ) from None
         cfg = cls()
-        cfg.apply(parse_key_values(Path(path).read_text(), str(path)), str(path))
+        cfg.apply(parse_key_values(text, str(path)), str(path))
         return cfg
 
     def _format(self, value) -> str:

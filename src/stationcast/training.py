@@ -176,6 +176,8 @@ def train(
 
         if val_set is not None and len(val_set) > 0:
             val_mse = _epoch_mse(model, val_set, cfg.batch_size)
+            if not np.isfinite(val_mse):
+                raise NumericalError(f"non-finite validation MSE at epoch {epoch}")
             log.entries.append((epoch, train_mse, val_mse))
             if val_mse < log.best_val:
                 log.best_val = val_mse
@@ -220,29 +222,19 @@ class EvalTable:
         return dict(self.rows)
 
 
-def _descaled(model, windows, scaler, batch_size):
-    """Descaled (predictions, truths), each ``(N, n)``, in sample order."""
-    feature, cities = windows.target_feature, windows.target_cities
-    pred = model.predict(windows.inputs, batch_size)
-    return (
-        descale_predictions(pred, scaler, feature, cities),
-        descale_predictions(windows.targets, scaler, feature, cities),
-    )
-
-
 def _report_order(cities: Sequence[str]) -> list[str]:
     ordered = [c for c in TABLE_CITY_ORDER if c in cities]
     ordered.extend(c for c in cities if c not in ordered)
     return ordered
 
 
-def evaluate(
+def descaled_predictions(
     model: ModelGraph,
     windows: WindowedSet,
     scaler: Scaler,
     batch_size: int = 64,
-) -> EvalTable:
-    """Descaled per-city MSE of the frozen model over a windowed set."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Descaled (predictions, truths) of the frozen model, each ``(N, n)``."""
     if len(windows) == 0:
         raise ContractError("evaluation set is empty")
     if model.cfg.n_targets != len(windows.target_cities):
@@ -256,8 +248,17 @@ def evaluate(
             f"scaler does not cover feature {windows.target_feature!r} "
             f"and cities {list(windows.target_cities)}"
         )
+    feature, cities = windows.target_feature, windows.target_cities
+    pred = model.predict(windows.inputs, batch_size)
+    return (
+        descale_predictions(pred, scaler, feature, cities),
+        descale_predictions(windows.targets, scaler, feature, cities),
+    )
+
+
+def eval_table(pred: np.ndarray, truth: np.ndarray, windows: WindowedSet) -> EvalTable:
+    """Per-city MSE of descaled predictions against the windows' truths."""
     cities = windows.target_cities
-    pred, truth = _descaled(model, windows, scaler, batch_size)
     per_city = ((pred - truth) ** 2).sum(axis=0) / len(windows)
     by_name = dict(zip(cities, per_city))
     rows = tuple(
@@ -266,15 +267,22 @@ def evaluate(
     return EvalTable(rows, windows.target_feature, windows.horizon)
 
 
-def prediction_series(
+def evaluate(
     model: ModelGraph,
     windows: WindowedSet,
     scaler: Scaler,
     batch_size: int = 64,
+) -> EvalTable:
+    """Descaled per-city MSE of the frozen model over a windowed set."""
+    pred, truth = descaled_predictions(model, windows, scaler, batch_size)
+    return eval_table(pred, truth, windows)
+
+
+def prediction_series(
+    pred: np.ndarray, truth: np.ndarray, cities: Sequence[str]
 ) -> dict[str, np.ndarray]:
     """Descaled (truth, prediction) pairs per target city, in sample order."""
-    pred, truth = _descaled(model, windows, scaler, batch_size)
     return {
         city: np.stack([truth[:, j], pred[:, j]], axis=1)
-        for j, city in enumerate(windows.target_cities)
+        for j, city in enumerate(cities)
     }

@@ -329,7 +329,7 @@ def test_criterion_06_occlusion_oracle(capsys):
         inputs = rng.uniform(0.1, 0.9, (4, 4, 4, 4))
         truths = rng.uniform(0.1, 0.9, (4, 2))
         spec = OcclusionSpec(mode="patch", patch_size=2)
-        grid = occlusion_map(
+        (grid,) = occlusion_map(
             model, spec, inputs, truths, FEATURES[:4], CITIES[:4], ("a", "b")
         )
 
@@ -346,7 +346,7 @@ def test_criterion_06_occlusion_oracle(capsys):
                 brute[r, c] = (100.0 * (cur - ref) / ref).mean()
         assert np.abs(grid.values - brute).max() < 1e-12
 
-        silent = occlusion_map(
+        (silent,) = occlusion_map(
             model,
             spec,
             np.zeros((4, 4, 4, 4)),

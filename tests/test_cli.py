@@ -158,6 +158,15 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config key" in err and "lerning_rate" in err
 
 
+def test_train_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "latin1.txt"
+    config.write_bytes(b"seed = \xff\n")
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(config) in err
+    assert "not UTF-8" in err
+
+
 def test_config_keys_are_exactly_the_train_flags():
     """A config key that no train flag mirrors is a key nothing reads."""
     keys = {f.name for f in dataclasses.fields(RunConfig)}
@@ -413,6 +422,21 @@ def test_scoremax_lag_outside_window(demo, tmp_path, capsys):
     )
     assert code == 1
     assert "outside" in capsys.readouterr().err
+
+
+def test_scoremax_checks_lags_before_the_ascent(demo, tmp_path, capsys, monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("score_maximize ran before --lags was checked")
+
+    monkeypatch.setattr("stationcast.cli.score_maximize", no_ascent)
+    out = tmp_path / "x"
+    code = main(
+        ["scoremax", *run_inputs(demo, ["--out", str(out)]),
+         "--lags", "1,5", "--iterations", "1"]
+    )
+    assert code == 1
+    assert "outside 1..4" in capsys.readouterr().err
+    assert not list(out.glob("scoremax_*"))
 
 
 # -- parser-level behavior ---------------------------------------------------

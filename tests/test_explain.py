@@ -1,6 +1,7 @@
 """Explainability tests: percentage change and inverse-MSE score, mask
 geometry, occlusion deltas against brute force and a transparent single-cell
-model, and gradient-ascent score maximization."""
+model, one shared sweep for every target, and gradient-ascent score
+maximization."""
 
 import warnings
 from types import SimpleNamespace
@@ -67,6 +68,19 @@ class _PickModel:
     def predict(self, inputs, batch_size=64):
         t, f, c = self.idx
         return inputs[:, t, f, c][:, None]
+
+
+class _CountingModel(_PickModel):
+    """Two outputs (the picked cell and twice it); counts forwarded samples."""
+
+    def __init__(self, lag, feat, city):
+        super().__init__(lag, feat, city)
+        self.forwarded = 0
+
+    def predict(self, inputs, batch_size=64):
+        self.forwarded += len(inputs)
+        cell = super().predict(inputs, batch_size)
+        return np.concatenate([cell, 2.0 * cell], axis=1)
 
 
 # -- scalar helpers ----------------------------------------------------------
@@ -149,7 +163,7 @@ def test_masking_with_the_existing_values_changes_nothing():
     truths = samples()[1]
     zeros = np.zeros((5, 2, 4, 4))
     for mode in OCCLUSION_MODES:
-        out = occlusion_map(
+        (out,) = occlusion_map(
             model, OcclusionSpec(mode=mode), zeros, truths, FEATS, CITY_GRID,
             ("c0", "c1"),
         )
@@ -161,7 +175,7 @@ def test_mean_fill_on_constant_inputs_changes_nothing():
     model = tiny_model()
     truths = samples()[1]
     constant = np.full((5, 2, 4, 4), 0.5)  # dyadic, so the mean is exact
-    out = occlusion_map(
+    (out,) = occlusion_map(
         model,
         OcclusionSpec(mode="city_column", fill="mean"),
         constant, truths, FEATS, CITY_GRID, ("c0", "c1"),
@@ -179,7 +193,7 @@ def test_only_masks_covering_the_used_cell_matter():
         "temporal": 1,
     }
     for mode, hot in cases.items():
-        out = occlusion_map(
+        (out,) = occlusion_map(
             probe, OcclusionSpec(mode=mode), inputs, truths,
             FEATS, CITY_GRID, ("c0",),
         )
@@ -187,7 +201,7 @@ def test_only_masks_covering_the_used_cell_matter():
         assert flat[hot] != 0.0
         cold = np.delete(flat, hot)
         np.testing.assert_array_equal(cold, np.zeros_like(cold))
-    patch = occlusion_map(
+    (patch,) = occlusion_map(
         probe, OcclusionSpec(mode="patch", patch_size=2), inputs, truths,
         FEATS, CITY_GRID, ("c0",),
     )
@@ -199,7 +213,7 @@ def test_only_masks_covering_the_used_cell_matter():
 def test_patch_deltas_match_brute_force():
     model = tiny_model()
     inputs, truths = samples(seed=4)
-    out = occlusion_map(
+    (out,) = occlusion_map(
         model, OcclusionSpec(mode="patch", patch_size=2), inputs, truths,
         FEATS, CITY_GRID, ("c0", "c1"),
     )
@@ -223,7 +237,7 @@ def test_patch_deltas_match_brute_force():
 def test_stacked_equals_per_sample_averaging():
     model = tiny_model()
     inputs, truths = samples(seed=5)
-    out = occlusion_map(
+    (out,) = occlusion_map(
         model, OcclusionSpec(mode="feature_row"), inputs, truths,
         FEATS, CITY_GRID, ("c0", "c1"),
     )
@@ -251,17 +265,101 @@ def test_per_city_target_selects_one_output():
     truths = np.stack(
         [inputs[:, 0, 1, 1] + 0.5, np.zeros(5)], axis=1
     )  # second column is a decoy
-    spec = OcclusionSpec(mode="feature_row", target_city="here")
+    spec = OcclusionSpec(mode="feature_row")
     with pytest.raises(ConfigurationError, match="not a target city"):
-        occlusion_map(probe, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"))
+        occlusion_map(
+            probe, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
+            targets=("here",),
+        )
     # probe output has one column; score only city c0 of a 1-target setup
-    out = occlusion_map(
-        probe,
-        OcclusionSpec(mode="feature_row", target_city="c0"),
-        inputs, truths[:, :1], FEATS, CITY_GRID, ("c0",),
+    (out,) = occlusion_map(
+        probe, spec, inputs, truths[:, :1], FEATS, CITY_GRID, ("c0",),
+        targets=("c0",),
     )
     assert out.meta["target"] == "c0"
     assert out.values[1, 0] != 0.0
+
+
+def test_one_sweep_maps_equal_single_target_calls():
+    model = tiny_model()
+    inputs, truths = samples(seed=13)
+    scaler = Scaler(
+        mins=np.array([[0.0, -1.0]]), maxs=np.array([[3.0, 4.0]]),
+        features=("wind",), cities=("c0", "c1"),
+    )
+    targets = ("c0", "c1", None)
+    for spec in (
+        OcclusionSpec(mode="feature_row"),
+        OcclusionSpec(mode="city_column", fill="mean"),
+        OcclusionSpec(mode="patch", patch_size=2),
+        OcclusionSpec(mode="temporal", fill="mean"),
+    ):
+        shared = occlusion_map(
+            model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
+            scaler=scaler, target_feature="wind", targets=targets,
+        )
+        assert len(shared) == len(targets)
+        for target, grid in zip(targets, shared):
+            (alone,) = occlusion_map(
+                model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
+                scaler=scaler, target_feature="wind", targets=(target,),
+            )
+            np.testing.assert_array_equal(grid.values, alone.values)
+            assert grid.meta == alone.meta
+            assert grid.meta["target"] == (target or "all targets")
+            assert (grid.row_labels, grid.col_labels) == (
+                alone.row_labels, alone.col_labels
+            )
+
+
+def test_every_target_shares_one_forward_pass_per_position():
+    inputs, _ = samples()
+    cell = inputs[:, 0, 1, 1]
+    truths = np.stack([cell + 0.5, 2.0 * cell - 0.25], axis=1)
+    spec = OcclusionSpec(mode="feature_row")  # 4 positions
+    for targets in (("c0",), ("c0", "c1", None)):
+        probe = _CountingModel(lag=0, feat=1, city=1)
+        maps = occlusion_map(
+            probe, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
+            targets=targets,
+        )
+        assert len(maps) == len(targets)
+        assert probe.forwarded == 5 * (4 + 1)  # N x (P + 1)
+
+
+def test_unknown_target_fails_before_any_forward_pass():
+    inputs, truths = samples()
+    probe = _CountingModel(lag=0, feat=1, city=1)
+    with pytest.raises(ConfigurationError, match="not a target city"):
+        occlusion_map(
+            probe, OcclusionSpec(mode="temporal"), inputs, truths,
+            FEATS, CITY_GRID, ("c0", "c1"), targets=("c0", "Atlantis"),
+        )
+    assert probe.forwarded == 0
+
+
+def test_zero_reference_samples_are_dropped_per_target():
+    inputs, _ = samples()
+    cell = inputs[:, 0, 1, 1]
+    truths = np.stack([cell + 0.5, 2.0 * cell - 0.25], axis=1)
+    truths[2, 0] = cell[2]  # sample 2 is perfect for c0 only
+    targets = ("c0", "c1", None)
+    with pytest.warns(UserWarning, match="skipped 1 of 5"):
+        shared = occlusion_map(
+            _CountingModel(lag=0, feat=1, city=1), OcclusionSpec(mode="feature_row"),
+            inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=targets,
+        )
+    assert [grid.samples_skipped for grid in shared] == [1, 0, 0]
+    assert [grid.samples_used for grid in shared] == [4, 5, 5]
+    for target, grid in zip(targets, shared):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (alone,) = occlusion_map(
+                _CountingModel(lag=0, feat=1, city=1),
+                OcclusionSpec(mode="feature_row"),
+                inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=(target,),
+            )
+        np.testing.assert_array_equal(grid.values, alone.values)
 
 
 def test_zero_reference_samples_are_skipped_with_warning():
@@ -270,7 +368,7 @@ def test_zero_reference_samples_are_skipped_with_warning():
     truths = inputs[:, 0, 0, 0][:, None] + 0.1
     truths[2, 0] = inputs[2, 0, 0, 0]  # sample 2 is predicted perfectly
     with pytest.warns(UserWarning, match="skipped 1 of 5"):
-        out = occlusion_map(
+        (out,) = occlusion_map(
             probe, OcclusionSpec(mode="temporal"), inputs, truths,
             FEATS, CITY_GRID, ("c0",),
         )
@@ -299,13 +397,13 @@ def test_scaler_weighting_is_invariant_for_single_city_maps():
         mins=np.array([[5.0]]), maxs=np.array([[12.0]]),  # span 7
         features=("wind",), cities=("c0",),
     )
-    spec = OcclusionSpec(mode="city_column", target_city="c0")
-    scaled_units = occlusion_map(
-        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0",)
+    spec = OcclusionSpec(mode="city_column")
+    (scaled_units,) = occlusion_map(
+        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0",), targets=("c0",)
     )
-    raw_units = occlusion_map(
+    (raw_units,) = occlusion_map(
         model, spec, inputs, truths, FEATS, CITY_GRID, ("c0",),
-        scaler=scaler, target_feature="wind",
+        scaler=scaler, target_feature="wind", targets=("c0",),
     )
     assert np.abs(scaled_units.values - raw_units.values).max() < 1e-12
 
@@ -318,8 +416,8 @@ def test_scaler_weighting_changes_aggregate_maps():
         features=("wind",), cities=("c0", "c1"),
     )
     spec = OcclusionSpec(mode="feature_row")
-    plain = occlusion_map(model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"))
-    weighted = occlusion_map(
+    (plain,) = occlusion_map(model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"))
+    (weighted,) = occlusion_map(
         model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
         scaler=scaler, target_feature="wind",
     )

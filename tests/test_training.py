@@ -196,6 +196,17 @@ def test_non_finite_loss_is_reported_with_location():
         train(model, windows, None, TrainConfig(batch_size=12, max_epochs=1))
 
 
+def test_non_finite_validation_mse_is_reported_with_location():
+    model = tiny_model()
+    val = toy_windows(n=4, seed=3)
+    val.inputs[1, 0, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="validation MSE at epoch 1"):
+        train(
+            model, toy_windows(), val,
+            TrainConfig(batch_size=4, max_epochs=3, patience=1),
+        )
+
+
 def test_trailing_single_sample_batch_is_dropped():
     model = tiny_model()
     # 5 samples, batch 4: the leftover singleton would break batch norm.
@@ -362,7 +373,10 @@ def test_evaluate_validates_its_inputs():
 
 def test_prediction_series_layout():
     windows = toy_windows(n=9, seed=9)
-    series = prediction_series(tiny_model(), windows, identity_scaler())
+    pred, truth = training.descaled_predictions(
+        tiny_model(), windows, identity_scaler()
+    )
+    series = prediction_series(pred, truth, windows.target_cities)
     assert set(series) == {"c0", "c1"}
     for j, city in enumerate(("c0", "c1")):
         assert series[city].shape == (9, 2)
