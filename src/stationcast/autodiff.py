@@ -313,6 +313,16 @@ def matmul(a, b) -> Tensor:
     return _record(a.data @ b.data, "matmul", (a, b), backward)
 
 
+def _correlate(xb: Array, kernel: Array) -> tuple[Array, Array]:
+    """Same-padded correlation of ``(B, Cin, H, W)`` with ``(Cout, Cin, Kh, Kw)``;
+    returns the padded input's zero-copy ``(B, Cin, H, W, Kh, Kw)`` windows too."""
+    kh, kw = kernel.shape[2:]
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return windows, np.einsum("bchwij,ocij->bohw", windows, kernel, optimize=True)
+
+
 def conv2d(x, kernel) -> Tensor:
     """Same-padded 2-D cross-correlation.
 
@@ -325,23 +335,18 @@ def conv2d(x, kernel) -> Tensor:
         raise DimensionError(f"conv2d kernel must be 4-D, got shape {kernel.shape}")
     if x.ndim not in (3, 4):
         raise DimensionError(f"conv2d input must be 3-D or 4-D, got shape {x.shape}")
-    cout, cin_k, kh, kw = kernel.shape
+    kh, kw = kernel.shape[2:]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(
             f"conv2d kernel extents must be odd for same padding, got {kh}x{kw}"
         )
     batched = x.ndim == 4
     xb = x.data if batched else x.data[np.newaxis]
-    nb, cin, h, w = xb.shape
-    if cin != cin_k:
+    if xb.shape[1] != kernel.shape[1]:
         raise DimensionError(
             f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}"
         )
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # (B, Cin, H, W, Kh, Kw) zero-copy view of the padded input.
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out = np.einsum("bchwij,ocij->bohw", windows, kernel.data, optimize=True)
+    windows, out = _correlate(xb, kernel.data)
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward(g):
@@ -350,13 +355,10 @@ def conv2d(x, kernel) -> Tensor:
         if need_k:
             gk = np.einsum("bohw,bchwij->ocij", gb, windows, optimize=True)
         if need_x:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + h, j : j + w] += np.einsum(
-                        "bohw,oc->bchw", gb, kernel.data[:, :, i, j], optimize=True
-                    )
-            gx = gxp[:, :, ph : ph + h, pw : pw + w]
+            # The same correlation of g with the kernel flipped in space and
+            # contracted over the output channels.
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            _, gx = _correlate(gb, flipped)
             if not batched:
                 gx = gx[0]
         return gx, gk

@@ -349,7 +349,7 @@ def cmd_eval(args) -> int:
     series = prediction_series(pred, truth, windows.target_cities)
     for city, pairs in series.items():
         lines = ["index,actual,predicted"]
-        for i, (actual, predicted) in enumerate(pairs):
+        for i, (actual, predicted) in enumerate(pairs.tolist()):
             lines.append(f"{i},{actual!r},{predicted!r}")
         (out_dir / f"predictions_{city}.csv").write_text("\n".join(lines) + "\n")
     sys.stdout.write(table.to_csv())

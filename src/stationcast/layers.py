@@ -15,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .serialize import load_arrays, save_arrays
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
@@ -25,7 +24,7 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
 
 
 class Layer:
-    """Base class providing parameter traversal, freezing, and serialization."""
+    """Base class providing parameter traversal, freezing, and state loading."""
 
     def _children(self) -> Iterator[tuple[str, object]]:
         for name, value in vars(self).items():
@@ -76,14 +75,6 @@ class Layer:
     @property
     def frozen(self) -> bool:
         return all(not p.requires_grad for p in self.parameters())
-
-    def save(self, path, meta: str = "") -> None:
-        save_arrays(path, dict(self.named_state()), meta)
-
-    def load(self, path) -> str:
-        arrays, meta = load_arrays(path)
-        self.load_state(arrays)
-        return meta
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         slots = dict(self.named_state())
@@ -259,27 +250,28 @@ class ConvLSTM(Layer):
             setattr(self, f"w_h{gate}", conv_kernel(filters))
             setattr(self, f"b_{gate}", Tensor(np.zeros(filters), requires_grad=True))
 
-    def _gate_pre(self, gate: str, x_t: Tensor, h_prev: Tensor) -> Tensor:
-        wx = getattr(self, f"w_x{gate}")
-        wh = getattr(self, f"w_h{gate}")
-        b = getattr(self, f"b_{gate}")
-        bias = ad.reshape(b, (self.filters, 1, 1))
-        return ad.conv2d(x_t, wx) + ad.conv2d(h_prev, wh) + bias
-
     def step(self, x_t, h_prev, c_prev) -> tuple[Tensor, Tensor]:
-        """One recurrence step; inputs may carry a leading batch axis."""
+        """One recurrence step; inputs may carry a leading batch axis.
+
+        The gate kernels are stacked at call time (gates on the output axis,
+        x | h on the input axis) so all four gates are one convolution.
+        """
         x_t, h_prev, c_prev = map(ad.as_tensor, (x_t, h_prev, c_prev))
         if x_t.shape[-2:] != h_prev.shape[-2:] or h_prev.shape != c_prev.shape:
             raise DimensionError(
                 f"convlstm state shapes disagree: x {x_t.shape}, "
                 f"h {h_prev.shape}, c {c_prev.shape}"
             )
-        i = ad.sigmoid(self._gate_pre("i", x_t, h_prev))
-        f = ad.sigmoid(self._gate_pre("f", x_t, h_prev))
-        o = ad.sigmoid(self._gate_pre("o", x_t, h_prev))
-        candidate = ad.tanh(self._gate_pre("c", x_t, h_prev))
-        c_new = f * c_prev + i * candidate
-        h_new = o * ad.tanh(c_new)
+        n = self.filters
+        wx = ad.concat([self.w_xi, self.w_xf, self.w_xc, self.w_xo])
+        wh = ad.concat([self.w_hi, self.w_hf, self.w_hc, self.w_ho])
+        bias = ad.concat([self.b_i, self.b_f, self.b_c, self.b_o])
+        xh = ad.concat([x_t, h_prev], axis=-3)
+        pre = ad.conv2d(xh, ad.concat([wx, wh], axis=1))
+        pre = pre + ad.reshape(bias, (4 * n, 1, 1))
+        i, f, candidate, o = (pre[..., k * n : (k + 1) * n, :, :] for k in range(4))
+        c_new = ad.sigmoid(f) * c_prev + ad.sigmoid(i) * ad.tanh(candidate)
+        h_new = ad.sigmoid(o) * ad.tanh(c_new)
         return h_new, c_new
 
     def __call__(self, sequence) -> Tensor:

@@ -260,14 +260,19 @@ def test_gradients_match_finite_differences(name):
 
 
 def test_conv2d_gradient_both_arguments():
-    k = Tensor(rand(2, 3, 3, 3, seed=61), requires_grad=True)
-    x = Tensor(rand(3, 4, 5, seed=62))
-    err_x = grad_check(lambda t: weighted_sum(ad.conv2d(t, k)), x)
-    assert err_x < 1e-6
-    k.zero_grad()
-    anchor = Tensor(rand(3, 4, 5, seed=63))
-    err_k = grad_check(lambda t: weighted_sum(ad.conv2d(anchor, t)), k)
-    assert err_k < 1e-6
+    # Rectangular kernels on a batched input: the input gradient flips the
+    # kernel in space, where a kh/kw mix-up would show.
+    cases = [((3, 4, 5), (3, 3)), ((2, 3, 4, 5), (1, 3)),
+             ((2, 3, 4, 5), (3, 1)), ((2, 3, 6, 5), (5, 3))]
+    for x_shape, extent in cases:
+        k = Tensor(rand(2, x_shape[-3], *extent, seed=61), requires_grad=True)
+        x = Tensor(rand(*x_shape, seed=62))
+        err_x = grad_check(lambda t: weighted_sum(ad.conv2d(t, k)), x)
+        assert err_x < 1e-6, (x_shape, extent, err_x)
+        k.zero_grad()
+        anchor = Tensor(rand(*x_shape, seed=63))
+        err_k = grad_check(lambda t: weighted_sum(ad.conv2d(anchor, t)), k)
+        assert err_k < 1e-6, (x_shape, extent, err_k)
 
 
 def test_grad_check_restores_tensor_state():

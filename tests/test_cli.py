@@ -203,6 +203,10 @@ def test_eval_reproduces_the_training_table(demo, tmp_path, capsys):
     lines = (out / predictions[0]).read_text().splitlines()
     assert lines[0] == "index,actual,predicted"
     assert len(lines) == 3  # two test windows
+    for name in predictions:
+        for line in (out / name).read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                float(cell)  # np.float64(...) reprs raise ValueError
     assert "city,mse" in capsys.readouterr().out
 
 

@@ -18,6 +18,7 @@ from stationcast.layers import (
     EncoderBlock,
     LayerNorm,
 )
+from stationcast.serialize import load_arrays, save_arrays
 
 
 def rng(seed=0):
@@ -266,9 +267,63 @@ def test_convlstm_rejects_empty_and_misshaped_input():
 def test_convlstm_gradient():
     layer = ConvLSTM(rng(13), 1, 2)
     seq = Tensor(rng(14).uniform(-1, 1, (3, 1, 3, 3)))
-    w = rng(15).standard_normal((2, 3, 3))
-    err = grad_check(lambda t: (layer(t) * Tensor(w)).sum(), seq)
+    w = Tensor(rng(15).standard_normal((2, 3, 3)))
+    err = grad_check(lambda t: (layer(t) * w).sum(), seq)
     assert err < 1e-6
+    # w_ho and b_c reach the loss only as slices of the stacked gate conv.
+    for param in (layer.w_ho, layer.b_c):
+        layer.zero_grad()
+        err = grad_check(lambda _: (layer(seq) * w).sum(), param)
+        assert err < 1e-6
+
+
+def explicit_gate_step(layer, x, h, c):
+    """The ConvLSTM equations written out gate by gate: 8 convolutions."""
+
+    def pre(gate):
+        bias = ad.reshape(getattr(layer, f"b_{gate}"), (layer.filters, 1, 1))
+        return (
+            ad.conv2d(x, getattr(layer, f"w_x{gate}"))
+            + ad.conv2d(h, getattr(layer, f"w_h{gate}"))
+            + bias
+        )
+
+    i, f, o = ad.sigmoid(pre("i")), ad.sigmoid(pre("f")), ad.sigmoid(pre("o"))
+    c_new = f * c + i * ad.tanh(pre("c"))
+    return o * ad.tanh(c_new), c_new
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 3)])
+def test_convlstm_step_matches_explicit_gate_formula(kernel):
+    layer = ConvLSTM(rng(21), 2, 3, kernel=kernel)
+    draws = rng(22)
+    for p in layer.parameters():  # distinct gates and nonzero biases
+        p.data[...] = draws.uniform(-1, 1, p.shape)
+    x = Tensor(rng(23).uniform(-1, 1, (4, 2, 5, 6)))
+    h = Tensor(rng(24).uniform(-1, 1, (4, 3, 5, 6)))
+    c = Tensor(rng(25).uniform(-1, 1, (4, 3, 5, 6)))
+    got_h, got_c = layer.step(x, h, c)
+    want_h, want_c = explicit_gate_step(layer, x, h, c)
+    np.testing.assert_allclose(got_h.data, want_h.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_c.data, want_c.data, rtol=0, atol=1e-12)
+
+
+def test_convlstm_step_is_one_convolution(monkeypatch):
+    layer = ConvLSTM(rng(26), 2, 3)
+    calls = []
+    conv2d = ad.conv2d
+
+    def counting(*args):
+        calls.append(args)
+        return conv2d(*args)
+
+    monkeypatch.setattr(ad, "conv2d", counting)
+    x = Tensor(rng(27).uniform(-1, 1, (2, 2, 4, 4)))
+    state = Tensor(np.zeros((2, 3, 4, 4)))
+    layer.step(x, state, state)
+    assert len(calls) == 1
+    layer(Tensor(rng(28).uniform(-1, 1, (2, 5, 2, 4, 4))))
+    assert len(calls) == 1 + 5
 
 
 # -- attention ---------------------------------------------------------------
@@ -365,8 +420,10 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     layer = ConvLSTM(rng(16), 2, 3)
     reloaded = ConvLSTM(rng(17), 2, 3)  # different init
     path = tmp_path / "cell.wxtn"
-    layer.save(path, meta="cell")
-    assert reloaded.load(path) == "cell"
+    save_arrays(path, dict(layer.named_state()), "cell")
+    arrays, meta = load_arrays(path)
+    assert meta == "cell"
+    reloaded.load_state(arrays)
     for (_, a), (_, b) in zip(layer.named_state(), reloaded.named_state()):
         np.testing.assert_array_equal(a, b)
 
@@ -375,9 +432,10 @@ def test_load_rejects_shape_mismatch(tmp_path):
     small = Dense(rng(18), 2, 2)
     big = Dense(rng(19), 3, 3)
     path = tmp_path / "dense.wxtn"
-    small.save(path)
-    with pytest.raises(DimensionError):
-        big.load(path)
+    save_arrays(path, dict(small.named_state()))
+    arrays, _ = load_arrays(path)
+    with pytest.raises(DimensionError, match="shape"):
+        big.load_state(arrays)
 
 
 def test_load_rejects_unexpected_arrays():
