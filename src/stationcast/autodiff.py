@@ -3,11 +3,14 @@
 Every forward operation optionally records a :class:`TapeNode` on its output.
 Calling :meth:`Tensor.backward` on a scalar loss replays the recorded tape in
 reverse creation order and accumulates ``d loss / d t`` into ``t.grad`` for
-every tracked tensor that the loss was computed from.  Gradients keep
-accumulating across calls until cleared with :meth:`Tensor.zero_grad`.
+every tracked leaf that the loss was computed from: a tensor with no tape
+node, such as a parameter or an input.  Gradients of intermediate tensors
+flow through the walk and are dropped; their ``.grad`` stays ``None``.  Leaf
+gradients keep accumulating across calls until cleared with
+:meth:`Tensor.zero_grad`.
 
 All data is stored as float64; convolution is cross-correlation with zero
-same-padding.
+same-padding, computed as one matrix product with a column matrix.
 """
 
 from __future__ import annotations
@@ -44,13 +47,28 @@ class TapeNode:
 
     ``backward`` maps the gradient at the node's output to a sequence of
     gradients aligned with ``parents`` (``None`` for inputs that do not need
-    one).  Nodes are implicitly topologically ordered by the creation ids of
-    the tensors that own them.
+    one, a :class:`SliceGrad` for one that is zero off a basic index).  Nodes
+    are implicitly topologically ordered by the creation ids of the tensors
+    that own them.
     """
 
     op: str
     parents: tuple["Tensor", ...]
-    backward: Callable[[Array], Sequence[Optional[Array]]]
+    backward: Callable[[Array], Sequence[Optional[Array | SliceGrad]]]
+
+
+class SliceGrad:
+    """A gradient equal to ``values`` on ``parent[index]`` and zero elsewhere.
+
+    The tape walk adds ``values`` into the parent's pending gradient in
+    place, so slices of one tensor share one buffer.
+    """
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, index, values: Array):
+        self.index = index
+        self.values = values
 
 
 class Tensor:
@@ -95,10 +113,12 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d self / d t into ``t.grad`` for every tracked tensor.
+        """Accumulate d self / d t into ``t.grad`` for every tracked leaf.
 
         ``self`` must be a scalar reached from at least one tensor with
-        ``requires_grad`` set.  Repeating the call adds the same gradients
+        ``requires_grad`` set.  Only leaves (tensors without a tape node:
+        parameters and inputs) receive ``.grad``; intermediate gradients are
+        dropped once propagated.  Repeating the call adds the same gradients
         again.
         """
         if self.data.size != 1:
@@ -125,21 +145,40 @@ class Tensor:
         reachable.sort(key=lambda t: t._id, reverse=True)
 
         flow: dict[int, Array] = {self._id: np.ones_like(self.data)}
+        # Pending gradients this walk allocated itself; only these may be
+        # added to in place, since a backward rule may return views or
+        # hand one array to several parents.
+        owned: set[int] = set()
         for t in reachable:
             g = flow.pop(t._id, None)
             if g is None:
                 continue
-            t.grad = g.copy() if t.grad is None else t.grad + g
             if t.node is None:
+                if t.grad is None:
+                    t.grad = g if t._id in owned else g.copy()
+                else:
+                    t.grad = t.grad + g
                 continue
             parent_grads = t.node.backward(g)
             for p, gp in zip(t.node.parents, parent_grads):
                 if gp is None or not p.requires_grad:
                     continue
-                if p._id in flow:
-                    flow[p._id] = flow[p._id] + gp
+                pid = p._id
+                if isinstance(gp, SliceGrad):
+                    if pid not in owned:
+                        pending = flow.get(pid)
+                        flow[pid] = (
+                            np.zeros(p.shape) if pending is None else pending.copy()
+                        )
+                        owned.add(pid)
+                    flow[pid][gp.index] += gp.values
+                elif pid in owned:
+                    flow[pid] += gp
+                elif pid in flow:
+                    flow[pid] = flow[pid] + gp
+                    owned.add(pid)
                 else:
-                    flow[p._id] = gp
+                    flow[pid] = gp
 
     # -- operator sugar ------------------------------------------------------
 
@@ -290,7 +329,11 @@ def sqrt(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product ``a @ b``; the left operand may carry batch axes."""
+    """Matrix product ``a @ b``; the left operand may carry batch axes.
+
+    With a 2-D right operand the left operand's batch axes fold into rows,
+    so the product and both gradients are single 2-D matrix products.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
@@ -301,6 +344,18 @@ def matmul(a, b) -> Tensor:
             f"matmul inner extents differ: {a.shape} @ {b.shape}"
         )
     need_a, need_b = a.requires_grad, b.requires_grad
+
+    if b.ndim == 2:
+        k, n = b.shape
+        out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+
+        def backward(g):
+            g_rows = g.reshape(-1, n)
+            ga = (g_rows @ b.data.T).reshape(a.shape) if need_a else None
+            gb = a.data.reshape(-1, k).T @ g_rows if need_b else None
+            return ga, gb
+
+        return _record(out, "matmul", (a, b), backward)
 
     def backward(g):
         ga = gb = None
@@ -313,14 +368,34 @@ def matmul(a, b) -> Tensor:
     return _record(a.data @ b.data, "matmul", (a, b), backward)
 
 
-def _correlate(xb: Array, kernel: Array) -> tuple[Array, Array]:
-    """Same-padded correlation of ``(B, Cin, H, W)`` with ``(Cout, Cin, Kh, Kw)``;
-    returns the padded input's zero-copy ``(B, Cin, H, W, Kh, Kw)`` windows too."""
-    kh, kw = kernel.shape[2:]
+def _columns(xb: Array, kh: int, kw: int) -> Array:
+    """The same-padded column matrix of ``(B, Cin, H, W)``.
+
+    Row ``(c, i, j)`` and column ``(b, y, x)`` hold the padded input at
+    ``(b, c, y + i, x + j)``; the shape is ``(Cin*Kh*Kw, B*H*W)``.
+    """
+    nb, cin, h, w = xb.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return windows, np.einsum("bchwij,ocij->bohw", windows, kernel, optimize=True)
+    padded = np.zeros((cin, nb, h + 2 * ph, w + 2 * pw))
+    padded[:, :, ph : ph + h, pw : pw + w] = xb.transpose(1, 0, 2, 3)
+    cols = np.empty((cin, kh, kw, nb, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = padded[:, :, i : i + h, j : j + w]
+    return cols.reshape(cin * kh * kw, nb * h * w)
+
+
+def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int) -> Array:
+    """Adjoint of :func:`_columns`: sum column-matrix entries back onto the
+    ``(B, Cin, H, W)`` input, one shifted add per kernel tap."""
+    nb, cin, h, w = shape
+    ph, pw = kh // 2, kw // 2
+    gcols = gcols.reshape(cin, kh, kw, nb, h, w)
+    padded = np.zeros((cin, nb, h + 2 * ph, w + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i : i + h, j : j + w] += gcols[:, i, j]
+    return padded[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
 
 
 def conv2d(x, kernel) -> Tensor:
@@ -328,37 +403,40 @@ def conv2d(x, kernel) -> Tensor:
 
     ``x`` is ``(Cin, H, W)`` or batched ``(B, Cin, H, W)``; ``kernel`` is
     ``(Cout, Cin, Kh, Kw)`` with odd spatial extents.  Output spatial extents
-    equal the input's; padding is zeros.
+    equal the input's; padding is zeros.  The forward pass is one matrix
+    product of the flattened kernel with the input's column matrix; the
+    backward pass rebuilds the columns instead of keeping them on the tape.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if kernel.ndim != 4:
         raise DimensionError(f"conv2d kernel must be 4-D, got shape {kernel.shape}")
     if x.ndim not in (3, 4):
         raise DimensionError(f"conv2d input must be 3-D or 4-D, got shape {x.shape}")
-    kh, kw = kernel.shape[2:]
+    cout, cin, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(
             f"conv2d kernel extents must be odd for same padding, got {kh}x{kw}"
         )
     batched = x.ndim == 4
     xb = x.data if batched else x.data[np.newaxis]
-    if xb.shape[1] != kernel.shape[1]:
+    if xb.shape[1] != cin:
         raise DimensionError(
             f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}"
         )
-    windows, out = _correlate(xb, kernel.data)
+    nb, _, h, w = xb.shape
+    flat_kernel = kernel.data.reshape(cout, -1)
+    out = (flat_kernel @ _columns(xb, kh, kw)).reshape(cout, nb, h, w)
+    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward(g):
         gb = g if batched else g[np.newaxis]
+        g_rows = gb.transpose(1, 0, 2, 3).reshape(cout, -1)
         gx = gk = None
         if need_k:
-            gk = np.einsum("bohw,bchwij->ocij", gb, windows, optimize=True)
+            gk = (g_rows @ _columns(xb, kh, kw).T).reshape(kernel.shape)
         if need_x:
-            # The same correlation of g with the kernel flipped in space and
-            # contracted over the output channels.
-            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _, gx = _correlate(gb, flipped)
+            gx = _col2im(flat_kernel.T @ g_rows, xb.shape, kh, kw)
             if not batched:
                 gx = gx[0]
         return gx, gk
@@ -496,16 +574,10 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def take(x, index) -> Tensor:
-    """Basic (slice/integer) indexing; the backward pass scatters into zeros."""
+    """Basic (slice/integer) indexing; the gradient lands on the same index."""
     x = as_tensor(x)
     data = x.data[index]
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[index] += g
-        return (gx,)
-
-    return _record(data, "take", (x,), backward)
+    return _record(data, "take", (x,), lambda g: (SliceGrad(index, g),))
 
 
 # -- reductions --------------------------------------------------------------

@@ -16,6 +16,7 @@ Entries round-trip bitwise; the metadata block holds ``key = value`` lines
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -29,21 +30,29 @@ VERSION = 1
 
 
 def save_arrays(path, arrays: Mapping[str, np.ndarray], meta: str = "") -> None:
-    """Write ``arrays`` (in mapping order) and ``meta`` to ``path``."""
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
+    """Write ``arrays`` (in mapping order) and ``meta`` to ``path``.
+
+    The container is streamed into a temporary file beside ``path`` and then
+    renamed over it, so a failed write leaves any earlier file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     meta_bytes = meta.encode("utf-8")
-    chunks.append(struct.pack("<Q", len(meta_bytes)))
-    chunks.append(meta_bytes)
-    chunks.append(struct.pack("<Q", len(arrays)))
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.astype("<f8", copy=False).tobytes(order="C"))
-    Path(path).write_bytes(b"".join(chunks))
+    try:
+        with open(tmp, "wb") as out:
+            out.write(MAGIC + struct.pack("<I", VERSION))
+            out.write(struct.pack("<Q", len(meta_bytes)) + meta_bytes)
+            out.write(struct.pack("<Q", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                name_bytes = name.encode("utf-8")
+                out.write(struct.pack("<I", len(name_bytes)) + name_bytes)
+                out.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+                out.write(arr.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:

@@ -56,8 +56,12 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # Two scratch buffers shared by all parameters, sized to the largest.
+        self._scratch = np.empty((2, max(p.size for p in self.params)))
 
     def step(self) -> None:
+        # In place, in the operation order of the formula above, so the
+        # update is bitwise what the out-of-place expression gives.
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
@@ -65,12 +69,20 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
+            a, b = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            step = (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-            p.data -= self.lr * step
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(v, correct2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, correct1, out=b)
+            b /= a
+            b *= self.lr
+            p.data -= b
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -85,6 +85,15 @@ def test_conv2d_matches_loop_oracle():
     np.testing.assert_allclose(got, conv_reference(x, k), atol=1e-12)
 
 
+@pytest.mark.parametrize("extent", [(1, 3), (3, 1), (5, 3)])
+def test_conv2d_batched_rectangular_kernels_match_loop_oracle(extent):
+    x = rand(2, 3, 5, 6, seed=15)
+    k = rand(4, 3, *extent, seed=16)
+    got = ad.conv2d(Tensor(x), Tensor(k)).data
+    for b in range(2):
+        np.testing.assert_allclose(got[b], conv_reference(x[b], k), atol=1e-12)
+
+
 def test_conv2d_batched_equals_per_sample():
     xs = rand(2, 3, 4, 4, seed=12)
     k = rand(2, 3, 1, 3, seed=13)
@@ -215,6 +224,20 @@ class TestBackward:
         with pytest.raises(ContractError):
             Tensor(np.array(1.0)).sum().backward()
 
+    def test_only_leaves_keep_gradients(self):
+        w = Tensor(rand(3, 4, seed=28), requires_grad=True)
+        x = Tensor(rand(2, 3, seed=29), requires_grad=True)
+        hidden = ad.matmul(x, w)
+        act = ad.tanh(hidden)
+        loss = (act * act).sum()
+        loss.backward()
+        assert hidden.grad is None and act.grad is None and loss.grad is None
+        first_w, first_x = w.grad.copy(), x.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, 2 * first_w)
+        np.testing.assert_array_equal(x.grad, 2 * first_x)
+        assert hidden.grad is None and act.grad is None
+
     def test_no_grad_suppresses_taping(self):
         x = Tensor(rand(2, 2), requires_grad=True)
         with no_grad():
@@ -257,6 +280,50 @@ def test_gradients_match_finite_differences(name):
     x = Tensor(rand(3, 4, seed=60))
     err = grad_check(lambda t: weighted_sum(op(t)), x)
     assert err < 1e-6, f"{name}: rel error {err}"
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((2, 3, 4), (4, 5)), ((2, 2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))],
+    ids=["3d-by-2d", "4d-by-2d", "batched-by-batched"],
+)
+def test_matmul_gradient_both_arguments(a_shape, b_shape):
+    a = Tensor(rand(*a_shape, seed=65))
+    b = Tensor(rand(*b_shape, seed=66))
+    np.testing.assert_allclose(
+        ad.matmul(a, b).data, np.matmul(a.data, b.data), rtol=1e-12
+    )
+    err_a = grad_check(lambda t: weighted_sum(ad.matmul(t, b)), a)
+    assert err_a < 1e-6, err_a
+    err_b = grad_check(lambda t: weighted_sum(ad.matmul(a, t)), b)
+    assert err_b < 1e-6, err_b
+
+
+def _shared_by_add(second_use):
+    # add hands one gradient array to both parents; the later gradient for
+    # ``a`` must not be summed into that array, or ``b`` would see it too.
+    def f(x):
+        a, b = x * 2.0, x * x
+        again = second_use(a)
+        return weighted_sum(a + b) + weighted_sum(again, seed=97)
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # The dense use is walked first: slices add into a copy of it.
+        lambda x: weighted_sum(x[:, :2] * x[:, 2:]) + weighted_sum(x * 1.5, seed=98),
+        # The slices are walked first: dense uses add into their buffer.
+        lambda x: weighted_sum(x * x) + weighted_sum(x[:, 1:3] * x[:, :2]),
+        _shared_by_add(lambda a: a * 1.5),
+        _shared_by_add(lambda a: a[:, 1:]),
+    ],
+    ids=["dense-first", "slices-first", "add-shared-dense", "add-shared-slice"],
+)
+def test_pending_gradients_accumulate_without_aliasing(f):
+    assert grad_check(f, Tensor(rand(3, 4, seed=67))) < 1e-6
 
 
 def test_conv2d_gradient_both_arguments():

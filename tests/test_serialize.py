@@ -1,10 +1,16 @@
 """Container and ``key = value`` parsing: strict loading, loud failures."""
 
+import builtins
+import errno
+import io
+
 import numpy as np
 import pytest
 
 from stationcast.errors import ConfigurationError, IngestionError
 from stationcast.serialize import load_arrays, parse_key_values, save_arrays
+
+_real_open = io.open
 
 
 def test_round_trip(tmp_path):
@@ -34,6 +40,42 @@ def test_corrupt_containers_raise_ingestion_errors(tmp_path, corrupt, message):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(IngestionError, match=message):
         load_arrays(path)
+
+
+class _DiskFull:
+    """A binary file that takes ``room`` bytes, then fails as a full disk does."""
+
+    room = 100
+
+    def __init__(self, *args, **kwargs):
+        self.file = _real_open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.file.write(data[: self.room])
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return len(data)
+
+
+def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.wxtn"
+    save_arrays(path, {"old": np.ones(3)}, "v = 1\n")
+    before = path.read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", _DiskFull)
+        patch.setattr(io, "open", _DiskFull)
+        with pytest.raises(OSError, match="No space left"):
+            save_arrays(path, {"a": np.zeros(1000), "b": np.zeros(1000)}, "v = 2\n")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.wxtn"]
 
 
 def test_parse_key_values_skips_blanks_and_comments():

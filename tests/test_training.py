@@ -132,6 +132,29 @@ def test_adam_descends_a_quadratic():
     assert abs(p.data[0]) < 0.05
 
 
+def test_adam_update_is_bitwise_the_written_out_formula():
+    rng = np.random.default_rng(5)
+    # The largest parameter is not first, so the shared scratch is sliced.
+    shapes = [(3,), (4, 5), (2, 1, 3)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    expected = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 7):
+        for i, p in enumerate(params):
+            p.grad = None if (t, i) == (3, 1) else rng.normal(size=p.shape)
+            g = np.zeros(p.shape) if p.grad is None else p.grad
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+            step = (m[i] / (1.0 - b1**t)) / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+            expected[i] = expected[i] - lr * step
+        opt.step()
+        for p, e in zip(params, expected):
+            np.testing.assert_array_equal(p.data, e)
+
+
 def test_adam_requires_parameters():
     with pytest.raises(ContractError):
         Adam([])
