@@ -39,8 +39,6 @@ from .explain import (
     SaliencyMap,
     ScoreMaxResult,
     occlusion_map,
-    percentage_change,
-    score,
     score_maximize,
 )
 from .layers import AttentionHead, BatchNorm, ConvLSTM, Dense, EncoderBlock, LayerNorm
@@ -82,8 +80,6 @@ __all__ = [
     "SaliencyMap",
     "ScoreMaxResult",
     "occlusion_map",
-    "percentage_change",
-    "score",
     "score_maximize",
     "AttentionHead",
     "BatchNorm",

@@ -401,47 +401,42 @@ def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int) -> Array:
 def conv2d(x, kernel) -> Tensor:
     """Same-padded 2-D cross-correlation.
 
-    ``x`` is ``(Cin, H, W)`` or batched ``(B, Cin, H, W)``; ``kernel`` is
-    ``(Cout, Cin, Kh, Kw)`` with odd spatial extents.  Output spatial extents
-    equal the input's; padding is zeros.  The forward pass is one matrix
-    product of the flattened kernel with the input's column matrix; the
-    backward pass rebuilds the columns instead of keeping them on the tape.
+    ``x`` is ``(B, Cin, H, W)``; ``kernel`` is ``(Cout, Cin, Kh, Kw)`` with
+    odd spatial extents.  Output spatial extents equal the input's; padding
+    is zeros.  The forward pass is one matrix product of the flattened kernel
+    with the input's column matrix; the backward pass rebuilds the columns
+    instead of keeping them on the tape.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if kernel.ndim != 4:
         raise DimensionError(f"conv2d kernel must be 4-D, got shape {kernel.shape}")
-    if x.ndim not in (3, 4):
-        raise DimensionError(f"conv2d input must be 3-D or 4-D, got shape {x.shape}")
+    if x.ndim != 4:
+        raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
     cout, cin, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError(
             f"conv2d kernel extents must be odd for same padding, got {kh}x{kw}"
         )
-    batched = x.ndim == 4
-    xb = x.data if batched else x.data[np.newaxis]
-    if xb.shape[1] != cin:
+    if x.shape[1] != cin:
         raise DimensionError(
             f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}"
         )
-    nb, _, h, w = xb.shape
+    nb, _, h, w = x.shape
     flat_kernel = kernel.data.reshape(cout, -1)
-    out = (flat_kernel @ _columns(xb, kh, kw)).reshape(cout, nb, h, w)
+    out = (flat_kernel @ _columns(x.data, kh, kw)).reshape(cout, nb, h, w)
     out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward(g):
-        gb = g if batched else g[np.newaxis]
-        g_rows = gb.transpose(1, 0, 2, 3).reshape(cout, -1)
+        g_rows = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         gx = gk = None
         if need_k:
-            gk = (g_rows @ _columns(xb, kh, kw).T).reshape(kernel.shape)
+            gk = (g_rows @ _columns(x.data, kh, kw).T).reshape(kernel.shape)
         if need_x:
-            gx = _col2im(flat_kernel.T @ g_rows, xb.shape, kh, kw)
-            if not batched:
-                gx = gx[0]
+            gx = _col2im(flat_kernel.T @ g_rows, x.shape, kh, kw)
         return gx, gk
 
-    return _record(out if batched else out[0], "conv2d", (x, kernel), backward)
+    return _record(out, "conv2d", (x, kernel), backward)
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -449,10 +444,9 @@ def conv2d(x, kernel) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    # Split by sign so exp never overflows.
-    pos = x.data >= 0
-    z = np.exp(np.where(pos, -x.data, x.data))
-    s = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    # exp(-|x|) never overflows; the sign picks the matching form.
+    z = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
     def backward(g):
         return (g * s * (1.0 - s),)

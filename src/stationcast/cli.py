@@ -311,7 +311,6 @@ def _load_run(args):
     if not ckpt.is_file():
         raise UsageError(f"checkpoint not found: {ckpt}")
     model, extras = load_checkpoint(ckpt)
-    model.freeze()
     scaler_name = extras.get("scaler_file", "scaler.wxtn")
     scaler_path = Path(args.scaler) if args.scaler else ckpt.parent / scaler_name
     if not scaler_path.is_file():

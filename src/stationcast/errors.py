@@ -25,10 +25,6 @@ class NumericalError(StationcastError):
     """A computation produced a non-finite or degenerate value."""
 
 
-class DegenerateReferenceError(NumericalError):
-    """A reference MSE of zero makes a percentage change undefined."""
-
-
 class InfiniteScoreError(NumericalError):
     """A perfect prediction makes the inverse-MSE score infinite."""
 

@@ -28,36 +28,12 @@ from .data import Scaler
 from .errors import (
     ConfigurationError,
     ContractError,
-    DegenerateReferenceError,
     InfiniteScoreError,
     NumericalError,
 )
 from .models import ModelGraph
 
 OCCLUSION_MODES = ("feature_row", "city_column", "patch", "temporal")
-
-
-def percentage_change(mse_ref: float, mse_masked: float) -> float:
-    """100 * (masked - ref) / ref; positive when masking hurt the prediction."""
-    if mse_ref == 0:
-        raise DegenerateReferenceError(
-            "reference MSE is zero (perfect prediction); percentage change undefined"
-        )
-    return 100.0 * (mse_masked - mse_ref) / mse_ref
-
-
-def score(pred, truth) -> float:
-    """Inverse mean squared error h = 1 / MSE over the target vector."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ConfigurationError(
-            f"score shapes differ: {pred.shape} vs {truth.shape}"
-        )
-    value = float(((pred - truth) ** 2).mean())
-    if value == 0:
-        raise InfiniteScoreError("prediction equals truth exactly; h is infinite")
-    return 1.0 / value
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
 
 
 class Layer:
-    """Base class providing parameter traversal, freezing, and state loading."""
+    """Base class providing parameter traversal and state loading."""
 
     def _children(self) -> Iterator[tuple[str, object]]:
         for name, value in vars(self).items():
@@ -63,18 +63,6 @@ class Layer:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-    def freeze(self) -> None:
-        for p in self.parameters():
-            p.requires_grad = False
-
-    def unfreeze(self) -> None:
-        for p in self.parameters():
-            p.requires_grad = True
-
-    @property
-    def frozen(self) -> bool:
-        return all(not p.requires_grad for p in self.parameters())
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         slots = dict(self.named_state())
@@ -147,8 +135,8 @@ class LayerNorm(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics.
 
-    Accepts ``(B, C)`` or ``(B, C, H, W)``; channels are axis 1.  Train mode
-    normalizes over the batch (and spatial axes) and updates the running
+    Accepts ``(B, C, H, W)``; channels are axis 1.  Train mode normalizes
+    over the batch and spatial axes and updates the running
     mean/variance with the configured momentum; infer mode applies the frozen
     affine map derived from the running statistics.
     """
@@ -168,17 +156,17 @@ class BatchNorm(Layer):
 
     def __call__(self, x, training: bool = False) -> Tensor:
         x = ad.as_tensor(x)
-        if x.ndim not in (2, 4):
+        if x.ndim != 4:
             raise DimensionError(
-                f"batchnorm expects (B, C) or (B, C, H, W), got shape {x.shape}"
+                f"batchnorm expects (B, C, H, W), got shape {x.shape}"
             )
         channels = x.shape[1]
         if channels != self.gamma.size:
             raise DimensionError(
                 f"batchnorm has {self.gamma.size} channels, input has {channels}"
             )
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        param_shape = (1, channels) + (1,) * (x.ndim - 2)
+        axes = (0, 2, 3)
+        param_shape = (1, channels, 1, 1)
 
         if training:
             if x.shape[0] < 2:
@@ -251,7 +239,8 @@ class ConvLSTM(Layer):
             setattr(self, f"b_{gate}", Tensor(np.zeros(filters), requires_grad=True))
 
     def step(self, x_t, h_prev, c_prev) -> tuple[Tensor, Tensor]:
-        """One recurrence step; inputs may carry a leading batch axis.
+        """One recurrence step over ``(B, Cin, F, C)`` input and
+        ``(B, filters, F, C)`` states.
 
         The gate kernels are stacked at call time (gates on the output axis,
         x | h on the input axis) so all four gates are one convolution.
@@ -266,10 +255,10 @@ class ConvLSTM(Layer):
         wx = ad.concat([self.w_xi, self.w_xf, self.w_xc, self.w_xo])
         wh = ad.concat([self.w_hi, self.w_hf, self.w_hc, self.w_ho])
         bias = ad.concat([self.b_i, self.b_f, self.b_c, self.b_o])
-        xh = ad.concat([x_t, h_prev], axis=-3)
+        xh = ad.concat([x_t, h_prev], axis=1)
         pre = ad.conv2d(xh, ad.concat([wx, wh], axis=1))
         pre = pre + ad.reshape(bias, (4 * n, 1, 1))
-        i, f, candidate, o = (pre[..., k * n : (k + 1) * n, :, :] for k in range(4))
+        i, f, candidate, o = (pre[:, k * n : (k + 1) * n] for k in range(4))
         c_new = ad.sigmoid(f) * c_prev + ad.sigmoid(i) * ad.tanh(candidate)
         h_new = ad.sigmoid(o) * ad.tanh(c_new)
         return h_new, c_new
@@ -277,18 +266,14 @@ class ConvLSTM(Layer):
     def __call__(self, sequence) -> Tensor:
         """Run the cell over a lag sequence from zero initial states.
 
-        ``sequence`` is ``(V, Cin, F, C)`` or batched ``(B, V, Cin, F, C)``.
-        Returns the final hidden state, or the stacked hidden sequence when
-        ``return_sequence`` is set.
+        ``sequence`` is ``(B, V, Cin, F, C)``.  Returns the final hidden state,
+        or the stacked hidden sequence when ``return_sequence`` is set.
         """
         sequence = ad.as_tensor(sequence)
-        if sequence.ndim not in (4, 5):
+        if sequence.ndim != 5:
             raise DimensionError(
-                f"convlstm sequence must be 4-D or 5-D, got shape {sequence.shape}"
+                f"convlstm sequence must be 5-D, got shape {sequence.shape}"
             )
-        batched = sequence.ndim == 5
-        if not batched:
-            sequence = ad.reshape(sequence, (1,) + sequence.shape)
         nb, steps = sequence.shape[0], sequence.shape[1]
         if steps == 0:
             raise ContractError("convlstm requires a non-empty sequence")
@@ -300,8 +285,7 @@ class ConvLSTM(Layer):
             h, c = self.step(sequence[:, t], h, c)
             if self.return_sequence:
                 outputs.append(ad.reshape(h, (nb, 1) + h.shape[1:]))
-        out = ad.concat(outputs, axis=1) if self.return_sequence else h
-        return out if batched else out[0]
+        return ad.concat(outputs, axis=1) if self.return_sequence else h
 
 
 class AttentionHead(Layer):

@@ -16,6 +16,7 @@ Entries round-trip bitwise; the metadata block holds ``key = value`` lines
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -94,10 +95,15 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
         name = text(name_len, f"entry name #{len(arrays)}")
         (ndim,) = unpack("<I")
         shape = unpack(f"<{ndim}Q") if ndim else ()
-        n_values = int(np.prod(shape)) if ndim else 1
-        payload = view[offset : offset + 8 * n_values]
-        if len(payload) != 8 * n_values:
+        # Extents are Python integers here, so no product can overflow.
+        n_values = math.prod(shape)
+        if 8 * n_values > len(blob) - offset:
             raise IngestionError(f"{path}: truncated payload for entry {name!r}")
+        if 8 * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max:
+            raise IngestionError(
+                f"{path}: entry {name!r} has extents {shape} beyond any array"
+            )
+        payload = view[offset : offset + 8 * n_values]
         offset += 8 * n_values
         arrays[name] = (
             np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)

@@ -232,13 +232,13 @@ def test_criterion_03_convlstm_oracle(capsys):
             ]
             xs = np.random.default_rng(seed + 50).uniform(-2, 2, 5)
             want_h, want_c = scalar_lstm(weights, xs)
-            got_h = float(layer(Tensor(xs.reshape(5, 1, 1, 1))).data[0, 0, 0])
+            got_h = float(layer(Tensor(xs.reshape(1, 5, 1, 1, 1))).data[0, 0, 0, 0])
             assert abs(got_h - want_h) < 1e-12, f"seed {seed}"
-            h = Tensor(np.zeros((1, 1, 1)))
-            c = Tensor(np.zeros((1, 1, 1)))
+            h = Tensor(np.zeros((1, 1, 1, 1)))
+            c = Tensor(np.zeros((1, 1, 1, 1)))
             for x in xs:
-                h, c = layer.step(Tensor(np.full((1, 1, 1), x)), h, c)
-            assert abs(float(c.data[0, 0, 0]) - want_c) < 1e-12, f"seed {seed}"
+                h, c = layer.step(Tensor(np.full((1, 1, 1, 1), x)), h, c)
+            assert abs(float(c.data[0, 0, 0, 0]) - want_c) < 1e-12, f"seed {seed}"
 
 
 # -- 4: overfit capacity -----------------------------------------------------

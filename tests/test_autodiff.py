@@ -79,10 +79,10 @@ def conv_reference(x, k):
 
 
 def test_conv2d_matches_loop_oracle():
-    x = rand(3, 5, 6, seed=10)
+    x = rand(1, 3, 5, 6, seed=10)
     k = rand(4, 3, 3, 3, seed=11)
     got = ad.conv2d(Tensor(x), Tensor(k)).data
-    np.testing.assert_allclose(got, conv_reference(x, k), atol=1e-12)
+    np.testing.assert_allclose(got[0], conv_reference(x[0], k), atol=1e-12)
 
 
 @pytest.mark.parametrize("extent", [(1, 3), (3, 1), (5, 3)])
@@ -99,12 +99,12 @@ def test_conv2d_batched_equals_per_sample():
     k = rand(2, 3, 1, 3, seed=13)
     batched = ad.conv2d(Tensor(xs), Tensor(k)).data
     for b in range(2):
-        single = ad.conv2d(Tensor(xs[b]), Tensor(k)).data
-        np.testing.assert_array_equal(batched[b], single)
+        single = ad.conv2d(Tensor(xs[b : b + 1]), Tensor(k)).data
+        np.testing.assert_array_equal(batched[b : b + 1], single)
 
 
 def test_conv2d_identity_kernel_is_identity():
-    x = rand(1, 4, 4, seed=14)
+    x = rand(1, 1, 4, 4, seed=14)
     k = np.zeros((1, 1, 3, 3))
     k[0, 0, 1, 1] = 1.0
     np.testing.assert_allclose(ad.conv2d(Tensor(x), Tensor(k)).data, x, atol=0)
@@ -112,11 +112,13 @@ def test_conv2d_identity_kernel_is_identity():
 
 def test_conv2d_rejects_even_kernels_and_bad_channels():
     with pytest.raises(ConfigurationError):
-        ad.conv2d(Tensor(rand(1, 4, 4)), Tensor(rand(1, 1, 2, 3)))
+        ad.conv2d(Tensor(rand(1, 1, 4, 4)), Tensor(rand(1, 1, 2, 3)))
     with pytest.raises(DimensionError):
-        ad.conv2d(Tensor(rand(2, 4, 4)), Tensor(rand(1, 3, 3, 3)))
+        ad.conv2d(Tensor(rand(1, 2, 4, 4)), Tensor(rand(1, 3, 3, 3)))
     with pytest.raises(DimensionError):
         ad.conv2d(Tensor(rand(4, 4)), Tensor(rand(1, 1, 3, 3)))
+    with pytest.raises(DimensionError):  # unbatched (Cin, H, W)
+        ad.conv2d(Tensor(rand(1, 4, 4)), Tensor(rand(1, 1, 3, 3)))
 
 
 # -- activations and softmax -------------------------------------------------
@@ -126,6 +128,12 @@ def test_sigmoid_is_stable_at_extremes():
     t = Tensor(np.array([-1000.0, 0.0, 1000.0]))
     s = ad.sigmoid(t).data
     assert s[0] == 0.0 and s[1] == 0.5 and s[2] == 1.0
+    # Bitwise the sign-split formula, where exp takes -x or x by sign.
+    x = np.array([-1e308, -745.0, -1.0, -0.0, 0.0, 1e-300, 1.0, 745.0, 1e308])
+    pos = x >= 0
+    z = np.exp(np.where(pos, -x, x))
+    split = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, split)
 
 
 def test_activation_dispatch_and_unknown_name():
@@ -329,7 +337,7 @@ def test_pending_gradients_accumulate_without_aliasing(f):
 def test_conv2d_gradient_both_arguments():
     # Rectangular kernels on a batched input: the input gradient flips the
     # kernel in space, where a kh/kw mix-up would show.
-    cases = [((3, 4, 5), (3, 3)), ((2, 3, 4, 5), (1, 3)),
+    cases = [((1, 3, 4, 5), (3, 3)), ((2, 3, 4, 5), (1, 3)),
              ((2, 3, 4, 5), (3, 1)), ((2, 3, 6, 5), (5, 3))]
     for x_shape, extent in cases:
         k = Tensor(rand(2, x_shape[-3], *extent, seed=61), requires_grad=True)

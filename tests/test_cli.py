@@ -6,6 +6,7 @@ eval/occlude/scoremax tests; determinism gets its own pair of runs.
 
 import dataclasses
 import re
+import struct
 from pathlib import Path
 from xml.dom import minidom
 
@@ -241,14 +242,22 @@ def test_eval_rejects_corrupt_scaler_meta(demo, tmp_path, capsys, meta, message)
     assert "configuration error" in err and message in err
 
 
+def _overflowing_extents(blob):
+    """The first two extents of ``backbone.w_xi`` set to 2**32: their product
+    wraps to 0 in int64 arithmetic."""
+    at = blob.index(b"backbone.w_xi") + len(b"backbone.w_xi") + 4  # past ndim
+    return blob[:at] + struct.pack("<2Q", 2**32, 2**32) + blob[at + 16 :]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda blob: blob.replace(b"variant", b"vari\xffnt", 1),
         lambda blob: blob.replace(b"backbone.w_xi", b"backbone.w_\xffi", 1),
         lambda blob: blob + b"\0",
+        _overflowing_extents,
     ],
-    ids=["meta-not-utf8", "name-not-utf8", "trailing-bytes"],
+    ids=["meta-not-utf8", "name-not-utf8", "trailing-bytes", "extents-overflow"],
 )
 def test_eval_rejects_a_corrupt_checkpoint(demo, tmp_path, capsys, corrupt):
     ckpt = tmp_path / "checkpoint.wxtn"

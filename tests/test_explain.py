@@ -1,7 +1,6 @@
-"""Explainability tests: percentage change and inverse-MSE score, mask
-geometry, occlusion deltas against brute force and a transparent single-cell
-model, one shared sweep for every target, and gradient-ascent score
-maximization."""
+"""Explainability tests: mask geometry, occlusion deltas against brute force
+and a transparent single-cell model, one shared sweep for every target, and
+gradient-ascent score maximization."""
 
 import warnings
 from types import SimpleNamespace
@@ -14,7 +13,6 @@ from stationcast.data import Scaler
 from stationcast.errors import (
     ConfigurationError,
     ContractError,
-    DegenerateReferenceError,
     InfiniteScoreError,
 )
 from stationcast.explain import (
@@ -23,8 +21,6 @@ from stationcast.explain import (
     SaliencyMap,
     mask_slices,
     occlusion_map,
-    percentage_change,
-    score,
     score_maximize,
     scoremax_lag_maps,
 )
@@ -81,38 +77,6 @@ class _CountingModel(_PickModel):
         self.forwarded += len(inputs)
         cell = super().predict(inputs, batch_size)
         return np.concatenate([cell, 2.0 * cell], axis=1)
-
-
-# -- scalar helpers ----------------------------------------------------------
-
-
-def test_percentage_change_hand_values():
-    assert percentage_change(2.0, 3.0) == 50.0
-    assert percentage_change(2.0, 2.0) == 0.0
-    assert percentage_change(2.0, 1.0) == -50.0
-
-
-def test_percentage_change_zero_reference():
-    with pytest.raises(DegenerateReferenceError):
-        percentage_change(0.0, 1.0)
-
-
-def test_score_hand_values():
-    assert score([1.0, 3.0], [0.0, 2.0]) == 1.0  # mse 1
-    assert score([1.0], [0.0]) == 1.0
-    assert score([2.0], [0.0]) == 0.25
-    # worse predictions score lower
-    assert score([0.5], [0.0]) > score([0.9], [0.0])
-
-
-def test_score_perfect_prediction_is_infinite():
-    with pytest.raises(InfiniteScoreError):
-        score([1.0, 2.0], [1.0, 2.0])
-
-
-def test_score_shape_mismatch():
-    with pytest.raises(ConfigurationError):
-        score([1.0, 2.0], [1.0])
 
 
 # -- mask geometry -----------------------------------------------------------

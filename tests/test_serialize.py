@@ -3,6 +3,7 @@
 import builtins
 import errno
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ def test_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded[name], value)
 
 
+def _extents(*shape):
+    """Give the ``(3,)`` entry ``weights`` the extents ``shape`` instead."""
+    old = b"weights" + struct.pack("<IQ", 1, 3)
+    new = b"weights" + struct.pack(f"<I{len(shape)}Q", len(shape), *shape)
+    return lambda blob: blob.replace(old, new)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -31,8 +39,14 @@ def test_round_trip(tmp_path):
         (lambda blob: blob.replace(b"weights", b"weig\xffts"), "entry name #0"),
         (lambda blob: blob + b"\0\0\0", "3 trailing bytes"),
         (lambda blob: blob[:-1], "truncated payload"),
+        (_extents(2**32, 2**32), "truncated payload"),
+        (_extents(0, 2**63), "beyond any array"),
+        (_extents(2**63, 0), "beyond any array"),
     ],
-    ids=["meta-not-utf8", "name-not-utf8", "trailing-bytes", "truncated"],
+    ids=[
+        "meta-not-utf8", "name-not-utf8", "trailing-bytes", "truncated",
+        "extents-overflow-int64", "zero-size-huge-last", "zero-size-huge-first",
+    ],
 )
 def test_corrupt_containers_raise_ingestion_errors(tmp_path, corrupt, message):
     path = tmp_path / "c.wxtn"
