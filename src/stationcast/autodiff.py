@@ -234,10 +234,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def _record(data: Array, op: str, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -368,21 +364,24 @@ def matmul(a, b) -> Tensor:
     return _record(a.data @ b.data, "matmul", (a, b), backward)
 
 
-def _columns(xb: Array, kh: int, kw: int) -> Array:
+def _columns(xb: Array, kh: int, kw: int, out: Optional[Array] = None) -> Array:
     """The same-padded column matrix of ``(B, Cin, H, W)``.
 
     Row ``(c, i, j)`` and column ``(b, y, x)`` hold the padded input at
-    ``(b, c, y + i, x + j)``; the shape is ``(Cin*Kh*Kw, B*H*W)``.
+    ``(b, c, y + i, x + j)``; the shape is ``(Cin*Kh*Kw, B*H*W)``.  It is
+    written into ``out`` when one is given.
     """
     nb, cin, h, w = xb.shape
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((cin, nb, h + 2 * ph, w + 2 * pw))
     padded[:, :, ph : ph + h, pw : pw + w] = xb.transpose(1, 0, 2, 3)
-    cols = np.empty((cin, kh, kw, nb, h, w))
+    if out is None:
+        out = np.empty((cin * kh * kw, nb * h * w))
+    cols = out.reshape(cin, kh, kw, nb, h, w)
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = padded[:, :, i : i + h, j : j + w]
-    return cols.reshape(cin * kh * kw, nb * h * w)
+    return out
 
 
 def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int) -> Array:
@@ -403,9 +402,10 @@ def conv2d(x, kernel) -> Tensor:
 
     ``x`` is ``(B, Cin, H, W)``; ``kernel`` is ``(Cout, Cin, Kh, Kw)`` with
     odd spatial extents.  Output spatial extents equal the input's; padding
-    is zeros.  The forward pass is one matrix product of the flattened kernel
-    with the input's column matrix; the backward pass rebuilds the columns
-    instead of keeping them on the tape.
+    is zeros.  The forward pass multiplies the flattened kernel with each
+    image's block of the input's column matrix, which writes the output in
+    its ``(B, Cout, H, W)`` order directly; the backward pass rebuilds the
+    columns instead of keeping them on the tape.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if kernel.ndim != 4:
@@ -423,8 +423,8 @@ def conv2d(x, kernel) -> Tensor:
         )
     nb, _, h, w = x.shape
     flat_kernel = kernel.data.reshape(cout, -1)
-    out = (flat_kernel @ _columns(x.data, kh, kw)).reshape(cout, nb, h, w)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    per_image = _columns(x.data, kh, kw).reshape(-1, nb, h * w).transpose(1, 0, 2)
+    out = np.matmul(flat_kernel, per_image).reshape(nb, cout, h, w)
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward(g):
@@ -437,6 +437,136 @@ def conv2d(x, kernel) -> Tensor:
         return gx, gk
 
     return _record(out, "conv2d", (x, kernel), backward)
+
+
+def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
+    """The recurrence of a ConvLSTM over ``steps`` lags, as one tape node.
+
+    ``xpre`` is ``(steps*B, 4n, H, W)``, lag-major: the input-to-gate
+    pre-activations of every lag, gate blocks in the order i, f, o, c.
+    ``w_h`` holds the four ``(n, n, Kh, Kw)`` hidden-to-gate kernels and
+    ``bias`` the four ``(n,)`` biases, in the same order.  ``state`` is the
+    initial ``(h, c)``, each ``(B, n, H, W)``; ``None`` means zeros, so the
+    first lag needs no hidden-to-gate convolution.
+
+    Returns ``(B, steps + 1, n, H, W)``: the hidden state after every lag,
+    then the final cell state.  Gates and cell states are kept
+    channel-major, ``(channels, B*H*W)``, so each hidden-to-gate convolution
+    is one matrix product whose output is the gate block itself; hidden
+    states go straight into the output, where the next lag's columns are
+    read from.  One ``tanh`` covers the whole gate block, with
+    ``sigmoid(x) = (1 + tanh(x/2)) / 2`` on the i, f, o rows.  Backward is
+    backpropagation through time over the saved gates and states; the
+    gradient it returns for ``xpre`` is the gate-gradient block.
+    """
+    xpre = as_tensor(xpre)
+    w_h = [as_tensor(w) for w in w_h]
+    bias = [as_tensor(b) for b in bias]
+    n, _, kh, kw = w_h[0].shape
+    nvb, rows, h, w = xpre.shape
+    if steps < 1 or nvb % steps or rows != 4 * n:
+        raise DimensionError(
+            f"convlstm pre-activations {xpre.shape} do not hold {steps} lags "
+            f"of 4 x {n} gate channels"
+        )
+    nb = nvb // steps
+    m = nb * h * w
+    shape = (nb, n, h, w)
+    if state is not None:
+        state = tuple(as_tensor(s) for s in state)
+        if any(s.shape != shape for s in state):
+            raise DimensionError(
+                f"convlstm state shapes {[s.shape for s in state]} do not "
+                f"match the {shape} the input implies"
+            )
+
+    def grid(a: Array) -> Array:
+        """A channel-major ``(C, B*H*W)`` array seen as ``(B, C, H, W)``."""
+        return a.reshape(-1, nb, h, w).transpose(1, 0, 2, 3)
+
+    def channel_major(a: Array) -> Array:
+        """A new ``(C, B*H*W)`` copy of a ``(B, C, H, W)`` array."""
+        out = np.empty((a.shape[1], m))
+        grid(out)[...] = a
+        return out
+
+    parents = (xpre, *w_h, *bias, *(state or ()))
+    # Only a tape node needs every lag's gates and cell states; without one,
+    # each lag's arrays are dropped once the next lag has used them.
+    record = _grad_enabled and any(p.requires_grad for p in parents)
+    wh = np.concatenate([k.data for k in w_h]).reshape(4 * n, -1)
+    bias_column = np.concatenate([b.data for b in bias])[:, np.newaxis, np.newaxis]
+    xpre_lags = xpre.data.reshape(steps, nb, 4 * n, h * w)
+    out = np.empty((nb, steps + 1, n, h, w))
+    c = np.zeros((n, m)) if state is None else channel_major(state[1].data)
+
+    def h_before(t: int) -> Array:
+        """The hidden state lag ``t`` starts from, as ``(B, n, H, W)``."""
+        return out[:, t - 1] if t else state[0].data
+
+    saved = []  # per lag: activated gates, c_{t-1}, tanh(c_t)
+    # One column buffer and one product buffer serve every lag.
+    cols = np.empty((wh.shape[1], m))
+    product = np.empty((4 * n, m))
+    for t in range(steps):
+        a = np.empty((4 * n, m))
+        np.add(
+            xpre_lags[t].transpose(1, 0, 2),
+            bias_column,
+            out=a.reshape(4 * n, nb, h * w),
+        )
+        if t > 0 or state is not None:
+            _columns(h_before(t), kh, kw, out=cols)
+            a += np.matmul(wh, cols, out=product)
+        a[: 3 * n] *= 0.5
+        np.tanh(a, out=a)
+        a[: 3 * n] += 1.0
+        a[: 3 * n] *= 0.5
+        i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+        c_new = f * c
+        c_new += i * g
+        tanh_c = np.tanh(c_new)
+        np.multiply(grid(o), grid(tanh_c), out=out[:, t])
+        if record:
+            saved.append((a, c, tanh_c))
+        c = c_new
+    out[:, steps] = grid(c)
+    need_w = any(k.requires_grad for k in w_h)
+
+    def backward(gout):
+        dpre = np.empty((4 * n, steps * m))
+        dw = np.zeros_like(wh) if need_w else None
+        dc = channel_major(gout[:, steps])
+        dh = None  # gradient reaching h_t from lag t + 1, as (B, n, H, W)
+        cols = np.empty((wh.shape[1], m))  # columns of h_t, then their gradient
+        for t in reversed(range(steps)):
+            a, c_prev, tanh_c = saved[t]
+            i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+            d = dpre[:, t * m : (t + 1) * m]
+            dht = channel_major(gout[:, t])
+            if dh is not None:
+                grid(dht)[...] += dh
+            np.multiply(dht, tanh_c, out=d[2 * n : 3 * n])
+            dht *= o
+            dht *= 1.0 - tanh_c * tanh_c
+            dc += dht
+            np.multiply(dc, g, out=d[:n])
+            np.multiply(dc, c_prev, out=d[n : 2 * n])
+            np.multiply(dc, i, out=d[3 * n :])
+            dc *= f
+            d[: 3 * n] *= a[: 3 * n] * (1.0 - a[: 3 * n])
+            d[3 * n :] *= 1.0 - g * g
+            if t > 0 or state is not None:
+                if need_w:
+                    dw += d @ _columns(h_before(t), kh, kw, out=cols).T
+                dh = _col2im(np.matmul(wh.T, d, out=cols), shape, kh, kw)
+        dxpre = dpre.reshape(4 * n, steps * nb, h, w).transpose(1, 0, 2, 3)
+        dws = [None] * 4 if dw is None else list(dw.reshape((4,) + w_h[0].shape))
+        dbs = list(dpre.sum(axis=1).reshape(4, n))
+        dstate = () if state is None else (dh, grid(dc))
+        return (dxpre, *dws, *dbs, *dstate)
+
+    return _record(out, "conv_lstm", parents, backward)
 
 
 # -- nonlinearities ----------------------------------------------------------

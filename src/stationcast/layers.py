@@ -238,30 +238,28 @@ class ConvLSTM(Layer):
             setattr(self, f"w_h{gate}", conv_kernel(filters))
             setattr(self, f"b_{gate}", Tensor(np.zeros(filters), requires_grad=True))
 
+    def _run(self, x, steps: int, state=None) -> Tensor:
+        """Input convolution of all lags at once, then the recurrence.
+
+        ``x`` is ``(steps*B, Cin, F, C)``, lag-major, so that each lag's
+        gate block is one contiguous column slab of the recurrence's gate
+        gradient.  The kernels are stacked at call time in the gate order
+        i, f, o, c.
+        """
+        w_x = ad.concat([self.w_xi, self.w_xf, self.w_xo, self.w_xc])
+        return ad.conv_lstm(
+            ad.conv2d(x, w_x),
+            steps,
+            [self.w_hi, self.w_hf, self.w_ho, self.w_hc],
+            [self.b_i, self.b_f, self.b_o, self.b_c],
+            state,
+        )
+
     def step(self, x_t, h_prev, c_prev) -> tuple[Tensor, Tensor]:
         """One recurrence step over ``(B, Cin, F, C)`` input and
-        ``(B, filters, F, C)`` states.
-
-        The gate kernels are stacked at call time (gates on the output axis,
-        x | h on the input axis) so all four gates are one convolution.
-        """
-        x_t, h_prev, c_prev = map(ad.as_tensor, (x_t, h_prev, c_prev))
-        if x_t.shape[-2:] != h_prev.shape[-2:] or h_prev.shape != c_prev.shape:
-            raise DimensionError(
-                f"convlstm state shapes disagree: x {x_t.shape}, "
-                f"h {h_prev.shape}, c {c_prev.shape}"
-            )
-        n = self.filters
-        wx = ad.concat([self.w_xi, self.w_xf, self.w_xc, self.w_xo])
-        wh = ad.concat([self.w_hi, self.w_hf, self.w_hc, self.w_ho])
-        bias = ad.concat([self.b_i, self.b_f, self.b_c, self.b_o])
-        xh = ad.concat([x_t, h_prev], axis=1)
-        pre = ad.conv2d(xh, ad.concat([wx, wh], axis=1))
-        pre = pre + ad.reshape(bias, (4 * n, 1, 1))
-        i, f, candidate, o = (pre[:, k * n : (k + 1) * n] for k in range(4))
-        c_new = ad.sigmoid(f) * c_prev + ad.sigmoid(i) * ad.tanh(candidate)
-        h_new = ad.sigmoid(o) * ad.tanh(c_new)
-        return h_new, c_new
+        ``(B, filters, F, C)`` states; returns the new ``(h, c)``."""
+        out = self._run(x_t, 1, (h_prev, c_prev))
+        return out[:, 0], out[:, 1]
 
     def __call__(self, sequence) -> Tensor:
         """Run the cell over a lag sequence from zero initial states.
@@ -277,15 +275,11 @@ class ConvLSTM(Layer):
         nb, steps = sequence.shape[0], sequence.shape[1]
         if steps == 0:
             raise ContractError("convlstm requires a non-empty sequence")
-        grid = sequence.shape[-2:]
-        h = ad.zeros((nb, self.filters) + grid)
-        c = ad.zeros((nb, self.filters) + grid)
-        outputs = []
-        for t in range(steps):
-            h, c = self.step(sequence[:, t], h, c)
-            if self.return_sequence:
-                outputs.append(ad.reshape(h, (nb, 1) + h.shape[1:]))
-        return ad.concat(outputs, axis=1) if self.return_sequence else h
+        lag_major = ad.transpose(sequence, (1, 0, 2, 3, 4))
+        out = self._run(
+            ad.reshape(lag_major, (steps * nb,) + sequence.shape[2:]), steps
+        )
+        return out[:, :steps] if self.return_sequence else out[:, steps - 1]
 
 
 class AttentionHead(Layer):

@@ -28,6 +28,8 @@ from .errors import ConfigurationError, IngestionError
 
 MAGIC = b"WXTN"
 VERSION = 1
+# numpy's limit on the number of axes of an array.
+MAX_NDIM = 64
 
 
 def save_arrays(path, arrays: Mapping[str, np.ndarray], meta: str = "") -> None:
@@ -94,6 +96,10 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
         (name_len,) = unpack("<I")
         name = text(name_len, f"entry name #{len(arrays)}")
         (ndim,) = unpack("<I")
+        if ndim > MAX_NDIM:
+            raise IngestionError(
+                f"{path}: entry {name!r} has {ndim} axes, more than {MAX_NDIM}"
+            )
         shape = unpack(f"<{ndim}Q") if ndim else ()
         # Extents are Python integers here, so no product can overflow.
         n_values = math.prod(shape)

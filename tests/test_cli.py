@@ -249,6 +249,16 @@ def _overflowing_extents(blob):
     return blob[:at] + struct.pack("<2Q", 2**32, 2**32) + blob[at + 16 :]
 
 
+def _too_many_axes(blob):
+    """``backbone.w_xi`` given 65 axes: its own extents, then ones, so the
+    payload size still matches."""
+    at = blob.index(b"backbone.w_xi") + len(b"backbone.w_xi")
+    (ndim,) = struct.unpack_from("<I", blob, at)
+    shape = struct.unpack_from(f"<{ndim}Q", blob, at + 4)
+    axes = struct.pack("<I65Q", 65, *shape, *[1] * (65 - ndim))
+    return blob[:at] + axes + blob[at + 4 + 8 * ndim :]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -256,8 +266,12 @@ def _overflowing_extents(blob):
         lambda blob: blob.replace(b"backbone.w_xi", b"backbone.w_\xffi", 1),
         lambda blob: blob + b"\0",
         _overflowing_extents,
+        _too_many_axes,
     ],
-    ids=["meta-not-utf8", "name-not-utf8", "trailing-bytes", "extents-overflow"],
+    ids=[
+        "meta-not-utf8", "name-not-utf8", "trailing-bytes", "extents-overflow",
+        "too-many-axes",
+    ],
 )
 def test_eval_rejects_a_corrupt_checkpoint(demo, tmp_path, capsys, corrupt):
     ckpt = tmp_path / "checkpoint.wxtn"

@@ -320,7 +320,106 @@ def test_convlstm_step_matches_explicit_gate_formula(kernel):
     np.testing.assert_allclose(got_c.data, want_c.data, rtol=0, atol=1e-12)
 
 
-def test_convlstm_step_is_one_convolution(monkeypatch):
+def explicit_sequence(layer, seq):
+    """Run ``explicit_gate_step`` over every lag from zero states."""
+    nb, steps = seq.shape[:2]
+    h = c = Tensor(np.zeros((nb, layer.filters) + seq.shape[-2:]))
+    hs = []
+    for t in range(steps):
+        h, c = explicit_gate_step(layer, seq[:, t], h, c)
+        hs.append(ad.reshape(h, (nb, 1) + h.shape[1:]))
+    return ad.concat(hs, axis=1) if layer.return_sequence else h
+
+
+def random_gate_layer(kernel, return_sequence=False):
+    layer = ConvLSTM(rng(31), 2, 3, kernel=kernel, return_sequence=return_sequence)
+    draws = rng(32)
+    for p in layer.parameters():  # distinct gates and nonzero biases
+        p.data[...] = draws.uniform(-1, 1, p.shape)
+    return layer
+
+
+def value_and_gradients(loss_fn, layer, inputs):
+    """The loss-producing outputs plus d loss / d every input and parameter."""
+    layer.zero_grad()
+    for t in inputs:
+        t.zero_grad()
+    outputs, loss = loss_fn()
+    loss.backward()
+    tracked = list(inputs) + list(layer.parameters())
+    return [o.data for o in outputs] + [t.grad for t in tracked]
+
+
+def assert_close_to_scale(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("return_sequence", [False, True])
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 3)])
+def test_convlstm_sequence_and_gradients_match_explicit_gates(kernel, return_sequence):
+    layer = random_gate_layer(kernel, return_sequence)
+    seq = Tensor(rng(33).uniform(-1, 1, (4, 3, 2, 5, 6)), requires_grad=True)
+    shape = (4, 3, 3, 5, 6) if return_sequence else (4, 3, 5, 6)
+    w = Tensor(rng(34).standard_normal(shape))
+
+    def loss_of(run):
+        def loss_fn():
+            out = run(seq)
+            return [out], (out * w).sum()
+
+        return loss_fn
+
+    got = value_and_gradients(loss_of(layer), layer, [seq])
+    want = value_and_gradients(
+        loss_of(lambda s: explicit_sequence(layer, s)), layer, [seq]
+    )
+    assert len(got) == 2 + 12
+    assert_close_to_scale(got, want)
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 3)])
+def test_chained_steps_carry_cell_gradients(kernel):
+    layer = random_gate_layer(kernel)
+    draws = rng(35)
+
+    def tracked(channels):
+        return Tensor(draws.uniform(-1, 1, (4, channels, 5, 6)), requires_grad=True)
+
+    x1, x2, h0, c0 = tracked(2), tracked(2), tracked(3), tracked(3)
+    wh, wc = (Tensor(draws.standard_normal((4, 3, 5, 6))) for _ in range(2))
+
+    def loss_of(step):
+        def loss_fn():
+            h1, c1 = step(layer, x1, h0, c0)
+            h2, c2 = step(layer, x2, h1, c1)
+            return [h2, c2], (h2 * wh).sum() + (c2 * wc).sum()
+
+        return loss_fn
+
+    inputs = [x1, x2, h0, c0]
+    got = value_and_gradients(loss_of(ConvLSTM.step), layer, inputs)
+    want = value_and_gradients(loss_of(explicit_gate_step), layer, inputs)
+    assert_close_to_scale(got, want)
+
+
+def tape_nodes(out):
+    """Number of recorded operations ``out`` was computed through."""
+    seen, stack, nodes = {id(out)}, [out], 0
+    while stack:
+        node = stack.pop().node
+        if node is None:
+            continue
+        nodes += 1
+        for parent in node.parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+def test_convlstm_is_one_input_convolution_and_one_recurrence(monkeypatch):
     layer = ConvLSTM(rng(26), 2, 3)
     calls = []
     conv2d = ad.conv2d
@@ -334,8 +433,13 @@ def test_convlstm_step_is_one_convolution(monkeypatch):
     state = Tensor(np.zeros((2, 3, 4, 4)))
     layer.step(x, state, state)
     assert len(calls) == 1
-    layer(Tensor(rng(28).uniform(-1, 1, (2, 5, 2, 4, 4))))
-    assert len(calls) == 1 + 5
+    nodes = []
+    for steps in (2, 5):
+        calls.clear()
+        seq = Tensor(rng(28).uniform(-1, 1, (2, steps, 2, 4, 4)), requires_grad=True)
+        nodes.append(tape_nodes(layer(seq)))
+        assert len(calls) == 1
+    assert nodes[0] == nodes[1]
 
 
 # -- attention ---------------------------------------------------------------

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stationcast.errors import ConfigurationError, IngestionError
 from stationcast.serialize import load_arrays, parse_key_values, save_arrays
@@ -42,10 +44,12 @@ def _extents(*shape):
         (_extents(2**32, 2**32), "truncated payload"),
         (_extents(0, 2**63), "beyond any array"),
         (_extents(2**63, 0), "beyond any array"),
+        (_extents(3, *[1] * 64), "65 axes"),
     ],
     ids=[
         "meta-not-utf8", "name-not-utf8", "trailing-bytes", "truncated",
         "extents-overflow-int64", "zero-size-huge-last", "zero-size-huge-first",
+        "too-many-axes",
     ],
 )
 def test_corrupt_containers_raise_ingestion_errors(tmp_path, corrupt, message):
@@ -54,6 +58,46 @@ def test_corrupt_containers_raise_ingestion_errors(tmp_path, corrupt, message):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(IngestionError, match=message):
         load_arrays(path)
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """A valid container with 0-d, empty and multi-axis entries; and a path
+    the mutated copies are written to."""
+    path = tmp_path_factory.mktemp("fuzz") / "c.wxtn"
+    arrays = {
+        "w": np.arange(24.0).reshape(2, 3, 4),
+        "s": np.array(2.5),
+        "e": np.zeros((0, 3)),
+        "v": np.linspace(-1.0, 1.0, 5),
+    }
+    save_arrays(path, arrays, "key = value\nother = 1\n")
+    return path.read_bytes(), path
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_containers_load_or_raise_ingestion_errors(container, data):
+    valid, path = container
+    blob = bytearray(valid)
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        kind = data.draw(st.sampled_from(["truncate", "flip-bit", "set-byte"]))
+        if not blob:
+            break
+        at = data.draw(st.integers(0, len(blob) - 1), label=kind)
+        if kind == "truncate":
+            del blob[at:]
+        elif kind == "flip-bit":
+            blob[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        else:
+            blob[at] = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(bytes(blob))
+    try:
+        arrays, meta = load_arrays(path)
+    except IngestionError:
+        return
+    assert isinstance(meta, str)
+    assert all(a.dtype == np.float64 for a in arrays.values())
 
 
 class _DiskFull:
