@@ -39,6 +39,7 @@ from .explain import OcclusionSpec, occlusion_map, score_maximize, scoremax_lag_
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from .runconfig import RunConfig
+from .serialize import write_text
 from .training import (
     TrainConfig, descaled_predictions, eval_table, evaluate, prediction_series, train
 )
@@ -193,16 +194,16 @@ def _write_manifest(run_dir: Path, command: str, details: list[str]) -> None:
         if artifact.name == "manifest.txt" or artifact.is_dir():
             continue
         lines.append(f"artifact = {artifact.name} sha256={_sha256(artifact)}")
-    (run_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    write_text(run_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _write_map(out_dir: Path, stem: str, saliency, title: str, subtitle: str) -> None:
     """Write ``<stem>.csv`` and its ``<stem>.svg`` heatmap, and say so."""
-    (out_dir / f"{stem}.csv").write_text(saliency.to_csv())
+    write_text(out_dir / f"{stem}.csv", saliency.to_csv())
     svg = svg_heatmap(
         saliency.values, saliency.row_labels, saliency.col_labels, title, subtitle
     )
-    (out_dir / f"{stem}.svg").write_text(svg)
+    write_text(out_dir / f"{stem}.svg", svg)
     print(f"wrote {out_dir / stem}.csv / .svg")
 
 
@@ -271,9 +272,9 @@ def cmd_train(args) -> int:
 
     run_dir = Path(cfg.out) / f"run-{cfg.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(cfg.to_text())
-    (run_dir / "training_log.csv").write_text(log.to_text())
-    (run_dir / "eval_table.csv").write_text(table.to_csv())
+    write_text(run_dir / "config.txt", cfg.to_text())
+    write_text(run_dir / "training_log.csv", log.to_text())
+    write_text(run_dir / "eval_table.csv", table.to_csv())
     bundle.scaler.save(run_dir / "scaler.wxtn")
     save_checkpoint(
         model,
@@ -344,13 +345,13 @@ def cmd_eval(args) -> int:
     model, scaler, _, windows, _, _, _, out_dir = _load_run(args)
     pred, truth = descaled_predictions(model, windows, scaler)
     table = eval_table(pred, truth, windows)
-    (out_dir / "eval_table.csv").write_text(table.to_csv())
+    write_text(out_dir / "eval_table.csv", table.to_csv())
     series = prediction_series(pred, truth, windows.target_cities)
     for city, pairs in series.items():
         lines = ["index,actual,predicted"]
         for i, (actual, predicted) in enumerate(pairs.tolist()):
             lines.append(f"{i},{actual!r},{predicted!r}")
-        (out_dir / f"predictions_{city}.csv").write_text("\n".join(lines) + "\n")
+        write_text(out_dir / f"predictions_{city}.csv", "\n".join(lines) + "\n")
     sys.stdout.write(table.to_csv())
     print(f"artifacts in: {out_dir}")
     return 0
@@ -439,7 +440,7 @@ def cmd_scoremax(args) -> int:
         )
     trajectory = ["iteration,h"]
     trajectory.extend(f"{i},{h!r}" for i, h in enumerate(result.scores))
-    (out_dir / "scoremax_scores.csv").write_text("\n".join(trajectory) + "\n")
+    write_text(out_dir / "scoremax_scores.csv", "\n".join(trajectory) + "\n")
     print(
         f"score: {result.initial_score!r} -> {result.final_score!r} "
         f"({args.iterations} iterations)"

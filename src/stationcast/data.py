@@ -166,11 +166,17 @@ def _parse_cell(feature: str, text: str, line: int) -> float:
                 f"line {line}: unknown {feature} symbol {text!r}"
             ) from None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise IngestionError(
             f"line {line}: non-numeric {feature} value {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise IngestionError(
+            f"line {line}: non-finite {feature} value {text!r} "
+            "(a missing cell is left blank)"
+        )
+    return value
 
 
 def _fill_forward(flat: np.ndarray) -> np.ndarray:
@@ -180,6 +186,20 @@ def _fill_forward(flat: np.ndarray) -> np.ndarray:
     index = np.where(missing, 0, rows)
     np.maximum.accumulate(index, axis=0, out=index)
     return flat[index, np.arange(flat.shape[1])[None, :]]
+
+
+def _missing_dates_message(seen: list[datetime.date], span: int) -> str:
+    """Name the first few calendar days absent between sorted ``seen`` dates."""
+    shown = []
+    for before, after in zip(seen, seen[1:]):
+        day = before + datetime.timedelta(days=1)
+        while day < after and len(shown) < 10:
+            shown.append(day.isoformat())
+            day += datetime.timedelta(days=1)
+    more = span - len(seen) - len(shown)
+    return "missing dates (non-daily gap): " + ", ".join(shown) + (
+        f" and {more} more" if more else ""
+    )
 
 
 def load_dataset(
@@ -200,46 +220,49 @@ def load_dataset(
     city_pos = {name: j for j, name in enumerate(cities)}
 
     rows: dict[tuple[datetime.date, str], list[float]] = {}
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected_header:
+        try:
+            header = next(reader, None)
+            if header != expected_header:
+                raise IngestionError(
+                    f"bad header: expected {expected_header}, got {header}"
+                )
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise IngestionError(
+                        f"line {line}: expected {len(expected_header)} fields, "
+                        f"got {len(row)}"
+                    )
+                date = _parse_date(row[0], line)
+                city = row[1]
+                if city not in city_pos:
+                    raise IngestionError(f"line {line}: unknown city {city!r}")
+                key = (date, city)
+                if key in rows:
+                    raise IngestionError(
+                        f"line {line}: duplicate row for {date} / {city}"
+                    )
+                rows[key] = [
+                    _parse_cell(f, cell, line) for f, cell in zip(features, row[2:])
+                ]
+        except UnicodeDecodeError as exc:
             raise IngestionError(
-                f"bad header: expected {expected_header}, got {header}"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise IngestionError(
-                    f"line {line}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
-                )
-            date = _parse_date(row[0], line)
-            city = row[1]
-            if city not in city_pos:
-                raise IngestionError(f"line {line}: unknown city {city!r}")
-            key = (date, city)
-            if key in rows:
-                raise IngestionError(
-                    f"line {line}: duplicate row for {date} / {city}"
-                )
-            rows[key] = [
-                _parse_cell(f, cell, line) for f, cell in zip(features, row[2:])
-            ]
+                f"{path}: not UTF-8 text (byte {exc.start} of a read block)"
+            ) from None
+        except csv.Error as exc:
+            raise IngestionError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
 
     seen_dates = sorted({date for date, _ in rows})
     first, last = seen_dates[0], seen_dates[-1]
     span = (last - first).days + 1
+    if len(seen_dates) < span:
+        raise IngestionError(_missing_dates_message(seen_dates, span))
     dates = tuple(first + datetime.timedelta(days=i) for i in range(span))
-    missing_dates = sorted(set(dates) - set(seen_dates))
-    if missing_dates:
-        raise IngestionError(
-            "missing dates (non-daily gap): "
-            + ", ".join(d.isoformat() for d in missing_dates)
-        )
 
     values = np.full((span, len(features), len(cities)), np.nan)
     for (date, city), cells in rows.items():

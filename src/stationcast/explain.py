@@ -9,6 +9,8 @@ Two techniques:
   a set of samples.  Bigger positive change = the region mattered more.
   One sweep forwards each masked input once and scores every requested
   target (one city, or the whole output vector) from those predictions.
+  The temporal sweep reruns only the ConvLSTM steps a masked lag changes:
+  the steps before it and the other streams come from the unmasked pass.
 * Score maximization: gradient ascent on the input itself to maximize
   h = 1 / MSE against an anchor sample's truth, yielding an input map whose
   bright cells show what the model wants to see.
@@ -141,6 +143,13 @@ def _block_labels(names: Sequence[str], size: int) -> tuple[str, ...]:
     )
 
 
+def _masked(inputs: np.ndarray, index: tuple, fill_grid: np.ndarray) -> np.ndarray:
+    """A copy of ``inputs`` with the region ``index`` set to the fill."""
+    masked = inputs.copy()
+    masked[index] = fill_grid[index[2], index[3]]
+    return masked
+
+
 def occlusion_map(
     model: ModelGraph,
     spec: OcclusionSpec,
@@ -159,7 +168,8 @@ def occlusion_map(
     ``(N, n)``, one column per target city.  Each entry of ``targets`` is a
     target city scored alone, or ``None`` for the whole output vector; all
     maps come from one sweep that forwards each masked input once.  Spatial
-    masks cover all L lags at once; the temporal mask blanks one whole lag.
+    masks cover all L lags at once; the temporal mask blanks one whole lag,
+    and its predictions come from ``model.predict_masked_lags``.
     Passing a scaler computes the MSEs on descaled values (identical Δ for
     single-city maps, reweighted for aggregate ones).  Each map skips, with a
     warning, the samples whose reference MSE for its target is exactly zero.
@@ -196,10 +206,25 @@ def occlusion_map(
     else:
         weights = np.ones(len(target_cities))
 
-    def squared_errors(batch: np.ndarray) -> np.ndarray:
-        return ((model.predict(batch) - truths) * weights) ** 2
+    positions = mask_slices(spec.mode, lags, n_feat, n_city, spec.patch_size)
+    if spec.fill == "mean":
+        fill_grid = inputs.mean(axis=(0, 1))
+    else:
+        fill_grid = np.zeros((n_feat, n_city))
+    if spec.mode == "temporal":
+        # A masked lag leaves every ConvLSTM step before it unchanged; the
+        # model reuses the unmasked steps, so all predictions come at once.
+        reference, masked_preds = model.predict_masked_lags(inputs, fill_grid)
+    else:
+        reference = model.predict(inputs)
+        masked_preds = (
+            model.predict(_masked(inputs, index, fill_grid)) for index in positions
+        )
 
-    ref_errors = squared_errors(inputs)
+    def squared_errors(pred: np.ndarray) -> np.ndarray:
+        return ((pred - truths) * weights) ** 2
+
+    ref_errors = squared_errors(reference)
     references = []
     for out_cols in columns:
         ref = ref_errors[:, out_cols].mean(axis=1)
@@ -216,17 +241,7 @@ def occlusion_map(
                 "every sample had zero reference MSE; nothing to occlude"
             )
         references.append((ref[keep], keep, skipped))
-
-    positions = mask_slices(spec.mode, lags, n_feat, n_city, spec.patch_size)
-    if spec.fill == "mean":
-        fill_grid = inputs.mean(axis=(0, 1))
-    else:
-        fill_grid = np.zeros((n_feat, n_city))
-    masked_errors = []
-    for index in positions:
-        masked = inputs.copy()
-        masked[index] = fill_grid[index[2], index[3]]
-        masked_errors.append(squared_errors(masked))
+    masked_errors = [squared_errors(pred) for pred in masked_preds]
 
     meta = {"mode": spec.mode, "fill": spec.fill, "variant": model.cfg.variant}
     if spec.mode == "feature_row":

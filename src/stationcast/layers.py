@@ -255,17 +255,21 @@ class ConvLSTM(Layer):
             state,
         )
 
-    def step(self, x_t, h_prev, c_prev) -> tuple[Tensor, Tensor]:
+    def step(self, x_t, h_prev=None, c_prev=None) -> tuple[Tensor, Tensor]:
         """One recurrence step over ``(B, Cin, F, C)`` input and
-        ``(B, filters, F, C)`` states; returns the new ``(h, c)``."""
-        out = self._run(x_t, 1, (h_prev, c_prev))
+        ``(B, filters, F, C)`` states; returns the new ``(h, c)``.  Without
+        states the step starts from zeros and skips the recurrent product."""
+        state = None if h_prev is None else (h_prev, c_prev)
+        out = self._run(x_t, 1, state)
         return out[:, 0], out[:, 1]
 
-    def __call__(self, sequence) -> Tensor:
-        """Run the cell over a lag sequence from zero initial states.
+    def __call__(self, sequence, state=None) -> Tensor:
+        """Run the cell over a lag sequence from ``state``, zeros by default.
 
-        ``sequence`` is ``(B, V, Cin, F, C)``.  Returns the final hidden state,
-        or the stacked hidden sequence when ``return_sequence`` is set.
+        ``sequence`` is ``(B, V, Cin, F, C)`` and ``state`` an initial
+        ``(h, c)`` pair of ``(B, filters, F, C)`` maps.  Returns the final
+        hidden state, or the stacked hidden sequence when ``return_sequence``
+        is set.
         """
         sequence = ad.as_tensor(sequence)
         if sequence.ndim != 5:
@@ -277,7 +281,7 @@ class ConvLSTM(Layer):
             raise ContractError("convlstm requires a non-empty sequence")
         lag_major = ad.transpose(sequence, (1, 0, 2, 3, 4))
         out = self._run(
-            ad.reshape(lag_major, (steps * nb,) + sequence.shape[2:]), steps
+            ad.reshape(lag_major, (steps * nb,) + sequence.shape[2:]), steps, state
         )
         return out[:, :steps] if self.return_sequence else out[:, steps - 1]
 

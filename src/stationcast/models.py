@@ -180,10 +180,6 @@ class Stream(Layer):
             ConvLSTM(rng, filters, filters, kernel),
         ]
 
-    def __call__(self, sequence: Tensor) -> Tensor:
-        first, second = self.conv
-        return second(first(sequence))
-
 
 class ModelGraph(Layer):
     """One assembled architecture: layers, config, forward, parameter count."""
@@ -209,22 +205,37 @@ class ModelGraph(Layer):
         head.append(Dense(rng, width, cfg.n_targets))
         self.head = head
 
+    def _stack(self, stream: int) -> list[ConvLSTM]:
+        """The ConvLSTMs of one stream, input side first."""
+        return self.streams[stream].conv if self.cfg.multistream else [self.backbone]
+
+    def _front(self, stream: int, lags, states=None) -> Tensor:
+        """Run one stream over ``(B, V', F, C)`` lags; returns its final map.
+
+        ``states`` holds each ConvLSTM's initial ``(h, c)``; ``None`` starts
+        every layer from zeros, as a whole-window pass does.
+        """
+        layers = self._stack(stream)
+        nb, steps, nf, nc = lags.shape
+        x = ad.reshape(lags, (nb, steps, 1, nf, nc))
+        for layer, state in zip(layers, states or [None] * len(layers)):
+            x = layer(x, state)
+        return x
+
+    @staticmethod
+    def _merge(maps: list[Tensor]) -> Tensor:
+        """The streams' final maps stacked on the channel axis."""
+        return maps[0] if len(maps) == 1 else ad.concat(maps, axis=1)
+
     def _convolve(self, batch: Tensor) -> Tensor:
         """Run the recurrent front end; returns the merged (B, ch, F, C) map."""
-        cfg = self.cfg
-        nb = batch.shape[0]
-        if cfg.multistream:
-            v = cfg.lags_per_stream
-            outputs = []
-            for i, stream in enumerate(self.streams):
-                lag_slice = batch[:, i * v : (i + 1) * v]
-                sequence = ad.reshape(
-                    lag_slice, (nb, v, 1, cfg.features, cfg.cities)
-                )
-                outputs.append(stream(sequence))
-            return ad.concat(outputs, axis=1)
-        sequence = ad.reshape(batch, (nb, cfg.lags, 1, cfg.features, cfg.cities))
-        return self.backbone(sequence)
+        if not self.cfg.multistream:
+            return self._front(0, batch)
+        v = self.cfg.lags_per_stream
+        return self._merge([
+            self._front(s, batch[:, s * v : (s + 1) * v])
+            for s in range(len(self.streams))
+        ])
 
     def _attend(self, grid: Tensor) -> Tensor:
         """Encoder block over city tokens: (B, ch, F, C) -> same shape."""
@@ -235,25 +246,30 @@ class ModelGraph(Layer):
             ad.reshape(attended, (nb, nc, ch, nf)), (0, 2, 3, 1)
         )
 
+    def _back(self, grid: Tensor, training: bool = False) -> Tensor:
+        """The shared back end: attention (att_*), batch norm, the dense head."""
+        if self.cfg.attention:
+            grid = self._attend(grid)
+        x = ad.reshape(self.norm(grid, training=training), (grid.shape[0], -1))
+        for layer in self.head:
+            x = layer(x)
+        return x
+
     def forward(self, batch, mode: str = "infer") -> Tensor:
         if mode not in ("train", "infer"):
             raise ConfigurationError(f"mode must be train or infer, got {mode!r}")
         batch = ad.as_tensor(batch)
+        self._check_batch(batch.shape)
+        return self._back(self._convolve(batch), training=mode == "train")
+
+    def _check_batch(self, shape: tuple[int, ...]) -> None:
+        """Reject inputs that are not ``(B, L, F, C)`` for this model."""
         cfg = self.cfg
-        expected = (cfg.lags, cfg.features, cfg.cities)
-        if batch.ndim != 4 or batch.shape[1:] != expected:
+        if len(shape) != 4 or shape[1:] != (cfg.lags, cfg.features, cfg.cities):
             raise DimensionError(
                 f"expected batch of shape (B, {cfg.lags}, {cfg.features}, "
-                f"{cfg.cities}), got {batch.shape}"
+                f"{cfg.cities}), got {shape}"
             )
-        grid = self._convolve(batch)
-        if cfg.attention:
-            grid = self._attend(grid)
-        grid = self.norm(grid, training=mode == "train")
-        x = ad.reshape(grid, (batch.shape[0], -1))
-        for layer in self.head:
-            x = layer(x)
-        return x
 
     def __call__(self, batch, mode: str = "infer") -> Tensor:
         return self.forward(batch, mode)
@@ -270,6 +286,71 @@ class ModelGraph(Layer):
                 for start in range(0, len(inputs), batch_size)
             ]
         return np.concatenate(parts, axis=0)
+
+    def predict_masked_lags(
+        self, inputs: np.ndarray, fill: np.ndarray, batch_size: int = 64
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions for ``inputs`` and for each copy with one lag masked.
+
+        ``inputs`` is ``(N, L, F, C)`` and ``fill`` the ``(F, C)`` grid that
+        overwrites the masked lag.  Returns the unmasked predictions
+        ``(N, n)`` and the masked ones ``(L, N, n)``, lag ``t`` masked in
+        entry ``t``; each equals :meth:`predict` of that input at the same
+        ``batch_size`` bitwise, since every product keeps its shape.
+
+        Each slice of ``batch_size`` samples is run once lag by lag, keeping
+        every ConvLSTM's ``(h, c)`` after each lag.  A mask on lag ``t`` of
+        stream ``s`` then reruns only stream ``s``, from its states before
+        ``t``; the other streams' final maps come from the unmasked run.
+        """
+        cfg = self.cfg
+        self._check_batch(inputs.shape)
+        if fill.shape != inputs.shape[2:]:
+            raise DimensionError(
+                f"fill {fill.shape} does not match the {inputs.shape[2:]} grid"
+            )
+        v = cfg.lags_per_stream
+        reference, masked = [], []
+        with ad.no_grad():
+            for start in range(0, len(inputs), batch_size):
+                chunk = inputs[start : start + batch_size]
+                finals, histories = [], []
+                for s in range(cfg.streams):
+                    final, history = self._stepwise(s, chunk[:, s * v : (s + 1) * v])
+                    finals.append(final)
+                    histories.append(history)
+                reference.append(self._back(self._merge(finals)).data)
+                rows = []
+                for t in range(cfg.lags):
+                    s, u = divmod(t, v)
+                    lags = chunk[:, t : (s + 1) * v].copy()
+                    lags[:, 0] = fill
+                    maps = list(finals)
+                    maps[s] = self._front(
+                        s, Tensor(lags), histories[s][u - 1] if u else None
+                    )
+                    rows.append(self._back(self._merge(maps)).data)
+                masked.append(rows)
+        return np.concatenate(reference), np.concatenate(masked, axis=1)
+
+    def _stepwise(self, stream: int, lags: np.ndarray) -> tuple[Tensor, list]:
+        """Run one stream over ``(B, V, F, C)`` lags one step at a time.
+
+        Returns the final map and, for every lag but the last, each layer's
+        ``(h, c)`` after it.  The first step starts from zeros, so every
+        state is bitwise that of a whole-window pass.
+        """
+        layers = self._stack(stream)
+        states = [(None, None)] * len(layers)
+        history = []
+        for u in range(lags.shape[1]):
+            x = Tensor(lags[:, u : u + 1])
+            for k, layer in enumerate(layers):
+                states[k] = layer.step(x, *states[k])
+                x = states[k][0]
+            if u < lags.shape[1] - 1:
+                history.append(list(states))
+        return x, history
 
 
 def save_checkpoint(model: ModelGraph, path, extras: Optional[dict] = None):

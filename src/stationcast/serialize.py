@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -32,30 +33,50 @@ VERSION = 1
 MAX_NDIM = 64
 
 
-def save_arrays(path, arrays: Mapping[str, np.ndarray], meta: str = "") -> None:
-    """Write ``arrays`` (in mapping order) and ``meta`` to ``path``.
+@contextmanager
+def atomic_open(path, mode: str = "w") -> Iterator:
+    """Open a temporary file beside ``path``; rename it over ``path`` on exit.
 
-    The container is streamed into a temporary file beside ``path`` and then
-    renamed over it, so a failed write leaves any earlier file intact.
+    ``mode`` is ``"w"`` (UTF-8 text) or ``"wb"``.  If the body or the write
+    fails, the temporary file is removed and any earlier file at ``path`` is
+    left intact.  There is no ``fsync``: this guards against failed and
+    interrupted writes, not against power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    meta_bytes = meta.encode("utf-8")
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with open(tmp, "wb") as out:
-            out.write(MAGIC + struct.pack("<I", VERSION))
-            out.write(struct.pack("<Q", len(meta_bytes)) + meta_bytes)
-            out.write(struct.pack("<Q", len(arrays)))
-            for name, arr in arrays.items():
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                name_bytes = name.encode("utf-8")
-                out.write(struct.pack("<I", len(name_bytes)) + name_bytes)
-                out.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-                out.write(arr.data)
+        with open(tmp, mode, encoding=encoding) as out:
+            yield out
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` through :func:`atomic_open`."""
+    with atomic_open(path) as out:
+        out.write(text)
+
+
+def save_arrays(path, arrays: Mapping[str, np.ndarray], meta: str = "") -> None:
+    """Write ``arrays`` (in mapping order) and ``meta`` to ``path``.
+
+    The container is streamed through :func:`atomic_open`, so a failed write
+    leaves any earlier file intact.
+    """
+    meta_bytes = meta.encode("utf-8")
+    with atomic_open(path, "wb") as out:
+        out.write(MAGIC + struct.pack("<I", VERSION))
+        out.write(struct.pack("<Q", len(meta_bytes)) + meta_bytes)
+        out.write(struct.pack("<Q", len(arrays)))
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            name_bytes = name.encode("utf-8")
+            out.write(struct.pack("<I", len(name_bytes)) + name_bytes)
+            out.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            out.write(arr.data)
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:

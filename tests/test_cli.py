@@ -326,6 +326,37 @@ def test_occlude_aggregate_temporal(demo, tmp_path, capsys):
     assert "Occlusion analysis (temporal)" in svg
 
 
+def test_failed_map_write_keeps_earlier_maps_and_leaves_no_temp_file(
+    demo, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "occ"
+    argv = ["occlude", *run_inputs(demo, ["--out", str(out)]),
+            "--mode", "temporal", "--aggregate", "--samples", "2"]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_open = open
+
+    def full_disk_on_svg(path, *args, **kwargs):
+        handle = real_open(path, *args, **kwargs)
+        if ".svg." in Path(path).name:  # the SVG's temporary file
+            handle.write("<svg")
+            handle.close()
+            raise OSError(28, "No space left on device")
+        return handle
+
+    monkeypatch.setattr("builtins.open", full_disk_on_svg)
+    assert main([*argv, "--fill", "mean"]) == 2
+    monkeypatch.undo()
+    assert "No space left" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(before)  # no temporary file left behind
+    svg = "occlusion_temporal_all_targets.svg"
+    assert after[svg] == before[svg]
+    # The CSV went through before the SVG failed: it holds the mean-fill map.
+    csv = "occlusion_temporal_all_targets.csv"
+    assert after[csv] != before[csv]
+
+
 def test_occlude_single_city_feature_rows(demo, tmp_path):
     out = tmp_path / "occ"
     code = main(

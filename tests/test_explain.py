@@ -8,11 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stationcast import autodiff as ad
 from stationcast.autodiff import Tensor
 from stationcast.data import Scaler
 from stationcast.errors import (
     ConfigurationError,
     ContractError,
+    DimensionError,
     InfiniteScoreError,
 )
 from stationcast.explain import (
@@ -24,14 +26,14 @@ from stationcast.explain import (
     score_maximize,
     scoremax_lag_maps,
 )
-from stationcast.models import ModelConfig, ModelGraph
+from stationcast.models import VARIANTS, ModelConfig, ModelGraph
 
 
-def tiny_model(seed=3, n_targets=2):
+def tiny_model(seed=3, n_targets=2, variant="unistream", lags=2):
     return ModelGraph(
         ModelConfig(
-            variant="unistream",
-            lags=2,
+            variant=variant,
+            lags=lags,
             features=4,
             cities=4,
             n_targets=n_targets,
@@ -64,6 +66,15 @@ class _PickModel:
     def predict(self, inputs, batch_size=64):
         t, f, c = self.idx
         return inputs[:, t, f, c][:, None]
+
+    def predict_masked_lags(self, inputs, fill, batch_size=64):
+        """Brute force: one :meth:`predict` per lag-masked copy."""
+        masked = []
+        for t in range(inputs.shape[1]):
+            copy = inputs.copy()
+            copy[:, t] = fill
+            masked.append(self.predict(copy, batch_size))
+        return self.predict(inputs, batch_size), np.stack(masked)
 
 
 class _CountingModel(_PickModel):
@@ -386,6 +397,101 @@ def test_scaler_weighting_changes_aggregate_maps():
         scaler=scaler, target_feature="wind",
     )
     assert np.abs(plain.values - weighted.values).max() > 1e-6
+
+
+class _WholeWindowModel:
+    """A real model whose predictions all come from whole-window forward
+    passes, 64 samples at a time: the brute-force temporal oracle."""
+
+    predict_masked_lags = _PickModel.predict_masked_lags
+
+    def __init__(self, model):
+        self.model = model
+        self.cfg = model.cfg
+
+    def predict(self, inputs, batch_size=64):
+        with ad.no_grad():
+            return np.concatenate([
+                self.model.forward(Tensor(inputs[s : s + batch_size])).data
+                for s in range(0, len(inputs), batch_size)
+            ])
+
+
+@pytest.mark.parametrize("n", [1, 70])
+@pytest.mark.parametrize("fill", ["zero", "mean"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
+    model = tiny_model(seed=7, variant=variant, lags=4)
+    channels = model.cfg.merged_channels
+    model.norm.running_mean[:] = np.random.default_rng(8).normal(0.0, 0.1, channels)
+    inputs, truths = samples(n=n, seed=9, lags=4)
+    spec = OcclusionSpec(mode="temporal", fill=fill)
+    targets = ("c0", None, "c1")
+    fill_grid = inputs.mean(axis=(0, 1)) if fill == "mean" else np.zeros((4, 4))
+
+    got = model.predict_masked_lags(inputs, fill_grid)
+    want = _WholeWindowModel(model).predict_masked_lags(inputs, fill_grid)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+    shared = occlusion_map(
+        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=targets
+    )
+    brute = occlusion_map(
+        _WholeWindowModel(model), spec, inputs, truths, FEATS, CITY_GRID,
+        ("c0", "c1"), targets=targets,
+    )
+    assert len(shared) == len(targets)
+    for grid, oracle in zip(shared, brute):
+        assert grid.values.shape == (1, 4)
+        np.testing.assert_array_equal(grid.values, oracle.values)
+        assert grid.meta == oracle.meta
+
+
+@pytest.mark.parametrize(
+    "variant, lags, per_chunk",
+    [
+        # unistream: L reference steps, then L - t steps for a mask on lag t.
+        ("unistream", 4, 4 + 10),
+        ("unistream", 10, 10 + 55),
+        # two streams of two ConvLSTMs over v = L/2 lags each: per stream
+        # and layer, v reference steps plus v - u steps for local lag u.
+        ("att_multistream", 4, 2 * 2 * (2 + 3)),
+        ("att_multistream", 10, 2 * 2 * (5 + 15)),
+    ],
+)
+def test_temporal_sweep_runs_each_convlstm_step_once_per_prefix(
+    monkeypatch, variant, lags, per_chunk
+):
+    model = tiny_model(seed=7, variant=variant, lags=lags)
+    steps = []
+    original = ad.conv_lstm
+
+    def counting(xpre, n_steps, *args, **kwargs):
+        steps.append(n_steps)
+        return original(xpre, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "conv_lstm", counting)
+    window_steps = lags if variant == "unistream" else 2 * lags  # one forward
+    for n, chunks in ((5, 1), (70, 2)):
+        steps.clear()
+        inputs, truths = samples(n=n, seed=10, lags=lags)
+        occlusion_map(
+            model, OcclusionSpec(mode="temporal"), inputs, truths,
+            FEATS, CITY_GRID, ("c0", "c1"), targets=("c0", "c1", None),
+        )
+        assert sum(steps) == chunks * per_chunk
+        # One whole-window forward per masked copy plus the reference.
+        assert sum(steps) < chunks * (lags + 1) * window_steps
+
+
+def test_lag_masked_predictions_check_their_shapes():
+    model = tiny_model(variant="multistream", lags=4)
+    inputs, _ = samples(n=3, lags=4)
+    with pytest.raises(DimensionError, match=r"expected batch of shape \(B, 4, 4, 4\)"):
+        model.predict_masked_lags(inputs[:, :2], np.zeros((4, 4)))
+    with pytest.raises(DimensionError, match="fill"):
+        model.predict_masked_lags(inputs, np.zeros((4, 3)))
 
 
 def test_occlusion_input_validation():

@@ -404,6 +404,20 @@ def test_chained_steps_carry_cell_gradients(kernel):
     assert_close_to_scale(got, want)
 
 
+def test_convlstm_resumes_bitwise_from_a_given_state():
+    layer = random_gate_layer((3, 3), return_sequence=True)
+    seq = rng(36).uniform(-1, 1, (4, 5, 2, 5, 6))
+    whole = layer(Tensor(seq)).data
+    # Step by step from zeros, then the rest of the window from lag 2's state.
+    h, c = layer.step(Tensor(seq[:, 0]))
+    np.testing.assert_array_equal(h.data, whole[:, 0])
+    for t in (1, 2):
+        h, c = layer.step(Tensor(seq[:, t]), h, c)
+        np.testing.assert_array_equal(h.data, whole[:, t])
+    rest = layer(Tensor(seq[:, 3:]), (h, c)).data
+    np.testing.assert_array_equal(rest, whole[:, 3:])
+
+
 def tape_nodes(out):
     """Number of recorded operations ``out`` was computed through."""
     seen, stack, nodes = {id(out)}, [out], 0

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stationcast.errors import ConfigurationError, IngestionError
-from stationcast.serialize import load_arrays, parse_key_values, save_arrays
+from stationcast.serialize import (
+    atomic_open,
+    load_arrays,
+    parse_key_values,
+    save_arrays,
+    write_text,
+)
 
 _real_open = io.open
 
@@ -101,7 +107,8 @@ def test_mutated_containers_load_or_raise_ingestion_errors(container, data):
 
 
 class _DiskFull:
-    """A binary file that takes ``room`` bytes, then fails as a full disk does."""
+    """A file that takes ``room`` bytes or characters, then fails as a full
+    disk does."""
 
     room = 100
 
@@ -115,7 +122,8 @@ class _DiskFull:
         self.file.close()
 
     def write(self, data):
-        data = memoryview(data).cast("B")
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
         self.file.write(data[: self.room])
         if len(data) > self.room:
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -134,6 +142,34 @@ def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch)
             save_arrays(path, {"a": np.zeros(1000), "b": np.zeros(1000)}, "v = 2\n")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["c.wxtn"]
+
+
+def test_failed_text_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "map.csv"
+    write_text(path, "old,1\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", _DiskFull)
+        patch.setattr(io, "open", _DiskFull)
+        with pytest.raises(OSError, match="No space left"):
+            write_text(path, "new," + "9" * 500 + "\n")
+    # A body that fails after writing part of the file behaves the same.
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_open(path) as out:
+            out.write("new,2\n")
+            raise RuntimeError("midway")
+    assert path.read_text() == "old,1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["map.csv"]
+
+
+def test_atomic_writes_replace_whole_files(tmp_path):
+    path = tmp_path / "t.txt"
+    write_text(path, "a longer first version\n")
+    write_text(path, "Zürich\n")
+    assert path.read_bytes() == "Zürich\n".encode("utf-8")
+    with atomic_open(path, "wb") as out:
+        out.write(b"\x00\x01")
+    assert path.read_bytes() == b"\x00\x01"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
 
 
 def test_parse_key_values_skips_blanks_and_comments():
