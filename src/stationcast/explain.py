@@ -172,7 +172,9 @@ def occlusion_map(
     and its predictions come from ``model.predict_masked_lags``.
     Passing a scaler computes the MSEs on descaled values (identical Δ for
     single-city maps, reweighted for aggregate ones).  Each map skips, with a
-    warning, the samples whose reference MSE for its target is exactly zero.
+    warning, the samples whose reference MSE for its target is exactly zero;
+    the temporal reference comes with the masked predictions, so there a
+    sweep in which every sample is skipped raises after the masked passes.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)

@@ -49,6 +49,10 @@ _DEFAULT_DENSE = {
     "att_multistream": (256,),
 }
 
+# Samples per forward slice in ``predict`` and ``predict_masked_lags``: the
+# masked predictions equal ``predict``'s bitwise only while the slices match.
+PREDICT_BATCH = 64
+
 
 @dataclass
 class ModelConfig:
@@ -274,7 +278,9 @@ class ModelGraph(Layer):
     def __call__(self, batch, mode: str = "infer") -> Tensor:
         return self.forward(batch, mode)
 
-    def predict(self, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def predict(
+        self, inputs: np.ndarray, batch_size: int = PREDICT_BATCH
+    ) -> np.ndarray:
         """Infer-mode predictions ``(N, n)`` for ``(N, L, F, C)`` inputs.
 
         The inputs go through :meth:`forward` in slices of ``batch_size``
@@ -288,20 +294,24 @@ class ModelGraph(Layer):
         return np.concatenate(parts, axis=0)
 
     def predict_masked_lags(
-        self, inputs: np.ndarray, fill: np.ndarray, batch_size: int = 64
+        self, inputs: np.ndarray, fill: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Predictions for ``inputs`` and for each copy with one lag masked.
 
         ``inputs`` is ``(N, L, F, C)`` and ``fill`` the ``(F, C)`` grid that
         overwrites the masked lag.  Returns the unmasked predictions
         ``(N, n)`` and the masked ones ``(L, N, n)``, lag ``t`` masked in
-        entry ``t``; each equals :meth:`predict` of that input at the same
-        ``batch_size`` bitwise, since every product keeps its shape.
+        entry ``t``; each equals :meth:`predict` of that input bitwise, since
+        both run slices of ``PREDICT_BATCH`` samples and every product keeps
+        its shape.
 
-        Each slice of ``batch_size`` samples is run once lag by lag, keeping
-        every ConvLSTM's ``(h, c)`` after each lag.  A mask on lag ``t`` of
-        stream ``s`` then reruns only stream ``s``, from its states before
-        ``t``; the other streams' final maps come from the unmasked run.
+        Each slice is run once lag by lag, keeping every ConvLSTM's ``(h, c)``
+        after each lag.  A mask on lag ``t`` of stream ``s`` then reruns only
+        stream ``s``, from its states before ``t``; the other streams' final
+        maps come from the unmasked run.  The masks go from each stream's
+        last lag to its first, and each kept state is dropped after the one
+        rerun that starts from it, so no kept state is alive during the
+        whole-stream reruns, the largest ones.
         """
         cfg = self.cfg
         self._check_batch(inputs.shape)
@@ -312,24 +322,27 @@ class ModelGraph(Layer):
         v = cfg.lags_per_stream
         reference, masked = [], []
         with ad.no_grad():
-            for start in range(0, len(inputs), batch_size):
-                chunk = inputs[start : start + batch_size]
+            for start in range(0, len(inputs), PREDICT_BATCH):
+                chunk = inputs[start : start + PREDICT_BATCH]
                 finals, histories = [], []
                 for s in range(cfg.streams):
                     final, history = self._stepwise(s, chunk[:, s * v : (s + 1) * v])
                     finals.append(final)
                     histories.append(history)
                 reference.append(self._back(self._merge(finals)).data)
-                rows = []
-                for t in range(cfg.lags):
-                    s, u = divmod(t, v)
-                    lags = chunk[:, t : (s + 1) * v].copy()
-                    lags[:, 0] = fill
-                    maps = list(finals)
-                    maps[s] = self._front(
-                        s, Tensor(lags), histories[s][u - 1] if u else None
-                    )
-                    rows.append(self._back(self._merge(maps)).data)
+                rows = [None] * cfg.lags
+                for u in reversed(range(v)):
+                    for s in range(cfg.streams):
+                        t = s * v + u
+                        lags = chunk[:, t : (s + 1) * v].copy()
+                        lags[:, 0] = fill
+                        maps = list(finals)
+                        # Lag u - 1's states are the newest kept; no later
+                        # mask starts from them.
+                        maps[s] = self._front(
+                            s, Tensor(lags), histories[s].pop() if u else None
+                        )
+                        rows[t] = self._back(self._merge(maps)).data
                 masked.append(rows)
         return np.concatenate(reference), np.concatenate(masked, axis=1)
 

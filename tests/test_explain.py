@@ -3,6 +3,7 @@ and a transparent single-cell model, one shared sweep for every target, and
 gradient-ascent score maximization."""
 
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,8 @@ from stationcast.explain import (
     score_maximize,
     scoremax_lag_maps,
 )
-from stationcast.models import VARIANTS, ModelConfig, ModelGraph
+from stationcast.layers import ConvLSTM
+from stationcast.models import PREDICT_BATCH, VARIANTS, ModelConfig, ModelGraph
 
 
 def tiny_model(seed=3, n_targets=2, variant="unistream", lags=2):
@@ -67,14 +69,14 @@ class _PickModel:
         t, f, c = self.idx
         return inputs[:, t, f, c][:, None]
 
-    def predict_masked_lags(self, inputs, fill, batch_size=64):
+    def predict_masked_lags(self, inputs, fill):
         """Brute force: one :meth:`predict` per lag-masked copy."""
         masked = []
         for t in range(inputs.shape[1]):
             copy = inputs.copy()
             copy[:, t] = fill
-            masked.append(self.predict(copy, batch_size))
-        return self.predict(inputs, batch_size), np.stack(masked)
+            masked.append(self.predict(copy))
+        return self.predict(inputs), np.stack(masked)
 
 
 class _CountingModel(_PickModel):
@@ -401,7 +403,8 @@ def test_scaler_weighting_changes_aggregate_maps():
 
 class _WholeWindowModel:
     """A real model whose predictions all come from whole-window forward
-    passes, 64 samples at a time: the brute-force temporal oracle."""
+    passes, ``PREDICT_BATCH`` samples at a time: the brute-force temporal
+    oracle."""
 
     predict_masked_lags = _PickModel.predict_masked_lags
 
@@ -409,11 +412,11 @@ class _WholeWindowModel:
         self.model = model
         self.cfg = model.cfg
 
-    def predict(self, inputs, batch_size=64):
+    def predict(self, inputs):
         with ad.no_grad():
             return np.concatenate([
-                self.model.forward(Tensor(inputs[s : s + batch_size])).data
-                for s in range(0, len(inputs), batch_size)
+                self.model.forward(Tensor(inputs[s : s + PREDICT_BATCH])).data
+                for s in range(0, len(inputs), PREDICT_BATCH)
             ])
 
 
@@ -483,6 +486,35 @@ def test_temporal_sweep_runs_each_convlstm_step_once_per_prefix(
         assert sum(steps) == chunks * per_chunk
         # One whole-window forward per masked copy plus the reference.
         assert sum(steps) < chunks * (lags + 1) * window_steps
+
+
+@pytest.mark.parametrize("variant", ["unistream", "att_multistream"])
+def test_temporal_sweep_drops_kept_states_before_whole_stream_reruns(
+    monkeypatch, variant
+):
+    """The reruns from zero states, the largest, run with no kept state
+    alive: only each stream's final map outlives the reference pass."""
+    model = tiny_model(seed=7, variant=variant, lags=4)
+    made = []
+    alive_at_full_reruns = []
+    original_step, original_front = ConvLSTM.step, ModelGraph._front
+
+    def recording_step(self, *args):
+        states = original_step(self, *args)
+        made.extend(weakref.ref(state.data) for state in states)
+        return states
+
+    def checking_front(self, stream, lags, states=None):
+        if states is None:
+            alive_at_full_reruns.append(sum(ref() is not None for ref in made))
+        return original_front(self, stream, lags, states)
+
+    monkeypatch.setattr(ConvLSTM, "step", recording_step)
+    monkeypatch.setattr(ModelGraph, "_front", checking_front)
+    inputs, _ = samples(n=3, seed=10, lags=4)
+    model.predict_masked_lags(inputs, np.zeros((4, 4)))
+    streams = model.cfg.streams
+    assert alive_at_full_reruns == [streams] * streams
 
 
 def test_lag_masked_predictions_check_their_shapes():
