@@ -47,28 +47,13 @@ class TapeNode:
 
     ``backward`` maps the gradient at the node's output to a sequence of
     gradients aligned with ``parents`` (``None`` for inputs that do not need
-    one, a :class:`SliceGrad` for one that is zero off a basic index).  Nodes
-    are implicitly topologically ordered by the creation ids of the tensors
-    that own them.
+    one).  Nodes are implicitly topologically ordered by the creation ids of
+    the tensors that own them.
     """
 
     op: str
     parents: tuple["Tensor", ...]
-    backward: Callable[[Array], Sequence[Optional[Array | SliceGrad]]]
-
-
-class SliceGrad:
-    """A gradient equal to ``values`` on ``parent[index]`` and zero elsewhere.
-
-    The tape walk adds ``values`` into the parent's pending gradient in
-    place, so slices of one tensor share one buffer.
-    """
-
-    __slots__ = ("index", "values")
-
-    def __init__(self, index, values: Array):
-        self.index = index
-        self.values = values
+    backward: Callable[[Array], Sequence[Optional[Array]]]
 
 
 class Tensor:
@@ -164,15 +149,7 @@ class Tensor:
                 if gp is None or not p.requires_grad:
                     continue
                 pid = p._id
-                if isinstance(gp, SliceGrad):
-                    if pid not in owned:
-                        pending = flow.get(pid)
-                        flow[pid] = (
-                            np.zeros(p.shape) if pending is None else pending.copy()
-                        )
-                        owned.add(pid)
-                    flow[pid][gp.index] += gp.values
-                elif pid in owned:
+                if pid in owned:
                     flow[pid] += gp
                 elif pid in flow:
                     flow[pid] = flow[pid] + gp
@@ -444,8 +421,8 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
 
     ``xpre`` is ``(steps*B, 4n, H, W)``, lag-major: the input-to-gate
     pre-activations of every lag, gate blocks in the order i, f, o, c.
-    ``w_h`` holds the four ``(n, n, Kh, Kw)`` hidden-to-gate kernels and
-    ``bias`` the four ``(n,)`` biases, in the same order.  ``state`` is the
+    ``w_h`` is the ``(4n, n, Kh, Kw)`` hidden-to-gate kernel and ``bias``
+    the ``(4n,)`` bias, with gate blocks in the same order.  ``state`` is the
     initial ``(h, c)``, each ``(B, n, H, W)``; ``None`` means zeros, so the
     first lag needs no hidden-to-gate convolution.
 
@@ -459,15 +436,13 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     backpropagation through time over the saved gates and states; the
     gradient it returns for ``xpre`` is the gate-gradient block.
     """
-    xpre = as_tensor(xpre)
-    w_h = [as_tensor(w) for w in w_h]
-    bias = [as_tensor(b) for b in bias]
-    n, _, kh, kw = w_h[0].shape
+    xpre, w_h, bias = as_tensor(xpre), as_tensor(w_h), as_tensor(bias)
+    n, kh, kw = w_h.shape[1:]
     nvb, rows, h, w = xpre.shape
-    if steps < 1 or nvb % steps or rows != 4 * n:
+    if steps < 1 or nvb % steps or rows != 4 * n or w_h.shape[0] != rows:
         raise DimensionError(
-            f"convlstm pre-activations {xpre.shape} do not hold {steps} lags "
-            f"of 4 x {n} gate channels"
+            f"convlstm pre-activations {xpre.shape} and hidden kernel "
+            f"{w_h.shape} do not hold {steps} lags of 4 x {n} gate channels"
         )
     nb = nvb // steps
     m = nb * h * w
@@ -490,12 +465,12 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
         grid(out)[...] = a
         return out
 
-    parents = (xpre, *w_h, *bias, *(state or ()))
+    parents = (xpre, w_h, bias, *(state or ()))
     # Only a tape node needs every lag's gates and cell states; without one,
     # each lag's arrays are dropped once the next lag has used them.
     record = _grad_enabled and any(p.requires_grad for p in parents)
-    wh = np.concatenate([k.data for k in w_h]).reshape(4 * n, -1)
-    bias_column = np.concatenate([b.data for b in bias])[:, np.newaxis, np.newaxis]
+    wh = w_h.data.reshape(4 * n, -1)
+    bias_column = bias.data[:, np.newaxis, np.newaxis]
     xpre_lags = xpre.data.reshape(steps, nb, 4 * n, h * w)
     out = np.empty((nb, steps + 1, n, h, w))
     c = np.zeros((n, m)) if state is None else channel_major(state[1].data)
@@ -531,7 +506,7 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             saved.append((a, c, tanh_c))
         c = c_new
     out[:, steps] = grid(c)
-    need_w = any(k.requires_grad for k in w_h)
+    need_w = w_h.requires_grad
 
     def backward(gout):
         dpre = np.empty((4 * n, steps * m))
@@ -561,10 +536,9 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
                     dw += d @ _columns(h_before(t), kh, kw, out=cols).T
                 dh = _col2im(np.matmul(wh.T, d, out=cols), shape, kh, kw)
         dxpre = dpre.reshape(4 * n, steps * nb, h, w).transpose(1, 0, 2, 3)
-        dws = [None] * 4 if dw is None else list(dw.reshape((4,) + w_h[0].shape))
-        dbs = list(dpre.sum(axis=1).reshape(4, n))
+        dw_h = None if dw is None else dw.reshape(w_h.shape)
         dstate = () if state is None else (dh, grid(dc))
-        return (dxpre, *dws, *dbs, *dstate)
+        return (dxpre, dw_h, dpre.sum(axis=1), *dstate)
 
     return _record(out, "conv_lstm", parents, backward)
 
@@ -700,8 +674,13 @@ def concat(parts, axis: int = 0) -> Tensor:
 def take(x, index) -> Tensor:
     """Basic (slice/integer) indexing; the gradient lands on the same index."""
     x = as_tensor(x)
-    data = x.data[index]
-    return _record(data, "take", (x,), lambda g: (SliceGrad(index, g),))
+
+    def backward(g):
+        grad = np.zeros(x.shape)
+        grad[index] = g
+        return (grad,)
+
+    return _record(x.data[index], "take", (x,), backward)
 
 
 # -- reductions --------------------------------------------------------------

@@ -233,6 +233,14 @@ def cmd_train(args) -> int:
         raise UsageError("a dataset is required: pass --data or set it in --config")
     if len(cfg.kernel) != 2:
         raise UsageError(f"kernel needs exactly two extents, got {cfg.kernel}")
+    train_cfg = TrainConfig(
+        lr=cfg.lr,
+        batch_size=cfg.batch_size,
+        max_epochs=cfg.max_epochs,
+        patience=cfg.patience,
+        seed=cfg.seed,
+        stop_train_mse=cfg.stop_train_mse,
+    )
 
     cube = load_dataset(cfg.data)
     bundle = prepare(
@@ -259,14 +267,6 @@ def cmd_train(args) -> int:
         seed=cfg.seed,
     )
     model = ModelGraph(model_cfg)
-    train_cfg = TrainConfig(
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-        stop_train_mse=cfg.stop_train_mse,
-    )
     log = train(model, bundle.train, bundle.val, train_cfg)
     table = evaluate(model, bundle.test, bundle.scaler)
 

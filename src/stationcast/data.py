@@ -446,13 +446,14 @@ def split_days(total: int, ratio: float = 0.9, val_fraction: float = 0.1):
     """Chronological (train, val, test) day ranges.
 
     The first ``ratio`` of days form the train+validation block, of which the
-    last ``val_fraction`` is validation; the remaining days are test.
+    last ``val_fraction`` is validation; the remaining days are test.  Both
+    fractions lie in (0, 1): training needs a validation block.
     """
     if not 0 < ratio < 1:
         raise ConfigurationError(f"split ratio must be in (0, 1), got {ratio}")
-    if not 0 <= val_fraction < 1:
+    if not 0 < val_fraction < 1:
         raise ConfigurationError(
-            f"validation fraction must be in [0, 1), got {val_fraction}"
+            f"validation fraction must be in (0, 1), got {val_fraction}"
         )
     trainval = int(total * ratio)
     n_val = int(trainval * val_fraction)

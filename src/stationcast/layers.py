@@ -207,7 +207,9 @@ class ConvLSTM(Layer):
         h_new = o . tanh(c_new)
 
     where ``*`` is cross-correlation and ``.`` elementwise product.  No
-    peephole terms.
+    peephole terms.  The parameters are stored fused, as the recurrence uses
+    them: ``w_x`` ``(4n, Cin, Kh, Kw)``, ``w_h`` ``(4n, n, Kh, Kw)`` and ``b``
+    ``(4n,)``, with gate blocks in the order i, f, o, c.
     """
 
     def __init__(
@@ -224,36 +226,40 @@ class ConvLSTM(Layer):
         self.return_sequence = return_sequence
         kh, kw = self.kernel
         taps = kh * kw
-
-        def conv_kernel(cin):
-            return Tensor(
-                glorot_uniform(
+        rows = 4 * filters
+        self.w_x = Tensor(np.empty((rows, in_channels, kh, kw)), requires_grad=True)
+        self.w_h = Tensor(np.empty((rows, filters, kh, kw)), requires_grad=True)
+        self.b = Tensor(np.zeros(rows), requires_grad=True)
+        # Gate by gate in the checkpoint order, w_x then w_h: this draw
+        # order fixes the initial weights a seed gives.
+        for _, block in self._gate_rows():
+            for w, cin in ((self.w_x, in_channels), (self.w_h, filters)):
+                w.data[block] = glorot_uniform(
                     rng, (filters, cin, kh, kw), cin * taps, filters * taps
-                ),
-                requires_grad=True,
-            )
+                )
 
-        for gate in ("i", "f", "c", "o"):
-            setattr(self, f"w_x{gate}", conv_kernel(in_channels))
-            setattr(self, f"w_h{gate}", conv_kernel(filters))
-            setattr(self, f"b_{gate}", Tensor(np.zeros(filters), requires_grad=True))
+    def _gate_rows(self) -> Iterator[tuple[str, slice]]:
+        """Each gate's block of rows, in the checkpoint order i, f, c, o."""
+        for gate in "ifco":
+            k = "ifoc".index(gate)
+            yield gate, slice(k * self.filters, (k + 1) * self.filters)
+
+    def named_state(self, prefix: str = ""):
+        """Per-gate views of the fused tensors, under the names checkpoints
+        use: ``w_x{g}``, ``w_h{g}``, ``b_{g}`` for each gate ``g``."""
+        for gate, rows in self._gate_rows():
+            yield f"{prefix}w_x{gate}", self.w_x.data[rows]
+            yield f"{prefix}w_h{gate}", self.w_h.data[rows]
+            yield f"{prefix}b_{gate}", self.b.data[rows]
 
     def _run(self, x, steps: int, state=None) -> Tensor:
         """Input convolution of all lags at once, then the recurrence.
 
         ``x`` is ``(steps*B, Cin, F, C)``, lag-major, so that each lag's
         gate block is one contiguous column slab of the recurrence's gate
-        gradient.  The kernels are stacked at call time in the gate order
-        i, f, o, c.
+        gradient.
         """
-        w_x = ad.concat([self.w_xi, self.w_xf, self.w_xo, self.w_xc])
-        return ad.conv_lstm(
-            ad.conv2d(x, w_x),
-            steps,
-            [self.w_hi, self.w_hf, self.w_ho, self.w_hc],
-            [self.b_i, self.b_f, self.b_o, self.b_c],
-            state,
-        )
+        return ad.conv_lstm(ad.conv2d(x, self.w_x), steps, self.w_h, self.b, state)
 
     def step(self, x_t, h_prev=None, c_prev=None) -> tuple[Tensor, Tensor]:
         """One recurrence step over ``(B, Cin, F, C)`` input and

@@ -51,7 +51,7 @@ _DEFAULT_DENSE = {
 
 # Samples per forward slice in ``predict`` and ``predict_masked_lags``: the
 # masked predictions equal ``predict``'s bitwise only while the slices match.
-PREDICT_BATCH = 64
+PREDICT_BATCH = 16
 
 
 @dataclass
@@ -278,18 +278,16 @@ class ModelGraph(Layer):
     def __call__(self, batch, mode: str = "infer") -> Tensor:
         return self.forward(batch, mode)
 
-    def predict(
-        self, inputs: np.ndarray, batch_size: int = PREDICT_BATCH
-    ) -> np.ndarray:
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Infer-mode predictions ``(N, n)`` for ``(N, L, F, C)`` inputs.
 
-        The inputs go through :meth:`forward` in slices of ``batch_size``
+        The inputs go through :meth:`forward` in slices of ``PREDICT_BATCH``
         with taping off.
         """
         with ad.no_grad():
             parts = [
-                self.forward(Tensor(inputs[start : start + batch_size]), "infer").data
-                for start in range(0, len(inputs), batch_size)
+                self.forward(Tensor(inputs[s : s + PREDICT_BATCH]), "infer").data
+                for s in range(0, len(inputs), PREDICT_BATCH)
             ]
         return np.concatenate(parts, axis=0)
 

@@ -101,8 +101,14 @@ class TrainConfig:
     stop_train_mse: Optional[float] = None
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigurationError(f"learning rate must be >= 0, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigurationError(
+                f"learning rate must be finite and >= 0, got {self.lr}"
+            )
+        if self.stop_train_mse is not None and not np.isfinite(self.stop_train_mse):
+            raise ConfigurationError(
+                f"stop_train_mse must be finite, got {self.stop_train_mse}"
+            )
         if self.batch_size < 2:
             raise ConfigurationError(
                 f"batch size must be >= 2 for batch norm, got {self.batch_size}"
@@ -131,9 +137,9 @@ class TrainingLog:
         return "\n".join(lines) + "\n"
 
 
-def _epoch_mse(model: ModelGraph, windows: WindowedSet, batch_size: int) -> float:
+def _epoch_mse(model: ModelGraph, windows: WindowedSet) -> float:
     """Scaled MSE over a whole set, in fixed order, infer mode, no gradients."""
-    pred = model.predict(windows.inputs, batch_size)
+    pred = model.predict(windows.inputs)
     return float(((pred - windows.targets) ** 2).mean())
 
 
@@ -187,7 +193,7 @@ def train(
         train_mse = total / count if count else float("nan")
 
         if val_set is not None and len(val_set) > 0:
-            val_mse = _epoch_mse(model, val_set, cfg.batch_size)
+            val_mse = _epoch_mse(model, val_set)
             if not np.isfinite(val_mse):
                 raise NumericalError(f"non-finite validation MSE at epoch {epoch}")
             log.entries.append((epoch, train_mse, val_mse))
@@ -244,7 +250,6 @@ def descaled_predictions(
     model: ModelGraph,
     windows: WindowedSet,
     scaler: Scaler,
-    batch_size: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Descaled (predictions, truths) of the frozen model, each ``(N, n)``."""
     if len(windows) == 0:
@@ -261,7 +266,7 @@ def descaled_predictions(
             f"and cities {list(windows.target_cities)}"
         )
     feature, cities = windows.target_feature, windows.target_cities
-    pred = model.predict(windows.inputs, batch_size)
+    pred = model.predict(windows.inputs)
     return (
         descale_predictions(pred, scaler, feature, cities),
         descale_predictions(windows.targets, scaler, feature, cities),
@@ -279,14 +284,9 @@ def eval_table(pred: np.ndarray, truth: np.ndarray, windows: WindowedSet) -> Eva
     return EvalTable(rows, windows.target_feature, windows.horizon)
 
 
-def evaluate(
-    model: ModelGraph,
-    windows: WindowedSet,
-    scaler: Scaler,
-    batch_size: int = 64,
-) -> EvalTable:
+def evaluate(model: ModelGraph, windows: WindowedSet, scaler: Scaler) -> EvalTable:
     """Descaled per-city MSE of the frozen model over a windowed set."""
-    pred, truth = descaled_predictions(model, windows, scaler, batch_size)
+    pred, truth = descaled_predictions(model, windows, scaler)
     return eval_table(pred, truth, windows)
 
 

@@ -122,7 +122,7 @@ def test_criterion_01_gradient_integrity(capsys):
         seq = Tensor(rng.uniform(-1, 1, (2, 4, 1, 4, 4)))
         w_cell = rng.standard_normal((2, 2, 4, 4))
         check("convlstm/input", lambda t: (cell(t) * Tensor(w_cell)).sum(), seq)
-        check("convlstm/w_xi", lambda t: (cell(seq) * Tensor(w_cell)).sum(), cell.w_xi)
+        check("convlstm/w_x", lambda t: (cell(seq) * Tensor(w_cell)).sum(), cell.w_x)
 
         head = AttentionHead(rng, 4, 4)
         tokens = Tensor(rng.uniform(-1, 1, (4, 4)))
@@ -152,7 +152,7 @@ def test_criterion_01_gradient_integrity(capsys):
                 lambda t, model=model, batch=batch, truth=truth: mse(
                     model.forward(batch, mode="train"), truth
                 ),
-                first_conv.w_xc,
+                first_conv.w_x,
             )
             model.zero_grad()
             check(
@@ -222,13 +222,14 @@ def test_criterion_03_convlstm_oracle(capsys):
     with verdict(3, "convlstm scalar oracle", capsys):
         for seed in range(10):
             layer = ConvLSTM(np.random.default_rng(seed), 1, 1, kernel=(1, 1))
+            # One filter: gate g is row "ifoc".index(g) of each fused tensor.
             weights = [
                 (
-                    float(getattr(layer, f"w_x{g}").data[0, 0, 0, 0]),
-                    float(getattr(layer, f"w_h{g}").data[0, 0, 0, 0]),
-                    float(getattr(layer, f"b_{g}").data[0]),
+                    float(layer.w_x.data[k, 0, 0, 0]),
+                    float(layer.w_h.data[k, 0, 0, 0]),
+                    float(layer.b.data[k]),
                 )
-                for g in ("i", "f", "c", "o")
+                for k in ("ifoc".index(g) for g in "ifco")
             ]
             xs = np.random.default_rng(seed + 50).uniform(-2, 2, 5)
             want_h, want_c = scalar_lstm(weights, xs)

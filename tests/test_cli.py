@@ -13,6 +13,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from stationcast import cli
 from stationcast.cli import _TRAIN_OVERRIDES, main
 from stationcast.data import TABLE_CITY_ORDER, write_demo_csv
 from stationcast.models import ModelConfig, ModelGraph, save_checkpoint
@@ -177,6 +178,32 @@ def test_config_keys_are_exactly_the_train_flags():
 def test_train_rejects_bad_values(tmp_path, demo, capsys):
     assert main(["train", "--data", str(demo["data"]), "--lags", "many"]) == 1
     assert "bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--stop-train-mse", "nan")]
+)
+def test_train_rejects_non_finite_hyperparameters_before_reading_data(
+    tmp_path, demo, capsys, monkeypatch, flag, value
+):
+    def no_read(path):
+        raise AssertionError("the dataset was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(demo["data"]), "--out", str(out), flag, value]
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_a_zero_validation_fraction(tmp_path, demo, capsys):
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(demo["data"]), "--out", str(out),
+            *TRAIN_FLAGS, "--val-fraction", "0"]
+    assert main(argv) == 1
+    assert "validation fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_too_short_for_windows(tmp_path, capsys):

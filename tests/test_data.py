@@ -389,10 +389,11 @@ def test_split_1000_days():
 def test_split_validation():
     with pytest.raises(ConfigurationError):
         split_days(100, ratio=1.0)
-    with pytest.raises(ConfigurationError):
-        split_days(100, val_fraction=1.0)
-    train, val, test = split_days(100, val_fraction=0.0)
-    assert len(val) == 0 and len(train) == 90 and len(test) == 10
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ConfigurationError, match=r"in \(0, 1\)"):
+            split_days(100, val_fraction=fraction)
+    train, val, test = split_days(100, val_fraction=0.5)
+    assert len(val) == 45 and len(train) == 45 and len(test) == 10
 
 
 def test_prepare_blocks_do_not_straddle_boundaries():

@@ -65,7 +65,7 @@ class _PickModel:
         self.cfg = SimpleNamespace(variant="probe")
         self.idx = (lag, feat, city)
 
-    def predict(self, inputs, batch_size=64):
+    def predict(self, inputs):
         t, f, c = self.idx
         return inputs[:, t, f, c][:, None]
 
@@ -86,9 +86,9 @@ class _CountingModel(_PickModel):
         super().__init__(lag, feat, city)
         self.forwarded = 0
 
-    def predict(self, inputs, batch_size=64):
+    def predict(self, inputs):
         self.forwarded += len(inputs)
-        cell = super().predict(inputs, batch_size)
+        cell = super().predict(inputs)
         return np.concatenate([cell, 2.0 * cell], axis=1)
 
 
@@ -476,7 +476,8 @@ def test_temporal_sweep_runs_each_convlstm_step_once_per_prefix(
 
     monkeypatch.setattr(ad, "conv_lstm", counting)
     window_steps = lags if variant == "unistream" else 2 * lags  # one forward
-    for n, chunks in ((5, 1), (70, 2)):
+    for n in (5, 70):
+        chunks = -(-n // PREDICT_BATCH)
         steps.clear()
         inputs, truths = samples(n=n, seed=10, lags=lags)
         occlusion_map(

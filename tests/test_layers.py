@@ -172,17 +172,22 @@ def lstm_scalar_oracle(weights, xs):
     return h, c
 
 
+def gate(layer, fused, name):
+    """Gate ``name``'s row block of a fused ConvLSTM tensor (or its array):
+    the blocks are stacked in the order i, f, o, c."""
+    n = layer.filters
+    k = "ifoc".index(name)
+    return fused[k * n : (k + 1) * n]
+
+
 def scalar_weights(layer):
-    out = []
-    for gate in ("i", "f", "c", "o"):
-        out.append(
-            (
-                float(getattr(layer, f"w_x{gate}").data[0, 0, 0, 0]),
-                float(getattr(layer, f"w_h{gate}").data[0, 0, 0, 0]),
-                float(getattr(layer, f"b_{gate}").data[0]),
-            )
+    return [
+        tuple(
+            float(gate(layer, fused.data, g).reshape(-1)[0])
+            for fused in (layer.w_x, layer.w_h, layer.b)
         )
-    return out
+        for g in "ifco"
+    ]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -210,7 +215,7 @@ def test_convlstm_all_zero_weights_gives_zero_state():
 def test_convlstm_saturated_forget_gate_keeps_cell():
     layer = ConvLSTM(rng(0), 1, 2)
     zero_params(layer)
-    layer.b_f.data[...] = 30.0
+    gate(layer, layer.b.data, "f")[...] = 30.0
     c0 = rng(2).uniform(-1, 1, (1, 2, 3, 3))
     x = Tensor(np.zeros((1, 1, 3, 3)))
     _, c = layer.step(x, Tensor(np.zeros((1, 2, 3, 3))), Tensor(c0))
@@ -282,8 +287,9 @@ def test_convlstm_gradient():
     w = Tensor(rng(15).standard_normal((1, 2, 3, 3)))
     err = grad_check(lambda t: (layer(t) * w).sum(), seq)
     assert err < 1e-6
-    # w_ho and b_c reach the loss only as slices of the stacked gate conv.
-    for param in (layer.w_ho, layer.b_c):
+    # The hidden kernel and the bias reach the loss only through the
+    # recurrence node's own backward.
+    for param in (layer.w_h, layer.b):
         layer.zero_grad()
         err = grad_check(lambda _: (layer(seq) * w).sum(), param)
         assert err < 1e-6
@@ -292,11 +298,11 @@ def test_convlstm_gradient():
 def explicit_gate_step(layer, x, h, c):
     """The ConvLSTM equations written out gate by gate: 8 convolutions."""
 
-    def pre(gate):
-        bias = ad.reshape(getattr(layer, f"b_{gate}"), (layer.filters, 1, 1))
+    def pre(g):
+        bias = ad.reshape(gate(layer, layer.b, g), (layer.filters, 1, 1))
         return (
-            ad.conv2d(x, getattr(layer, f"w_x{gate}"))
-            + ad.conv2d(h, getattr(layer, f"w_h{gate}"))
+            ad.conv2d(x, gate(layer, layer.w_x, g))
+            + ad.conv2d(h, gate(layer, layer.w_h, g))
             + bias
         )
 
@@ -375,7 +381,7 @@ def test_convlstm_sequence_and_gradients_match_explicit_gates(kernel, return_seq
     want = value_and_gradients(
         loss_of(lambda s: explicit_sequence(layer, s)), layer, [seq]
     )
-    assert len(got) == 2 + 12
+    assert len(got) == 2 + 3
     assert_close_to_scale(got, want)
 
 

@@ -1,6 +1,8 @@
 """Model assembly tests: shapes, hand-counted parameters, the stream-symmetry
 identity, batch independence, and checkpoint round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from stationcast.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from stationcast.serialize import save_arrays
 
 
 def tiny(variant, **overrides):
@@ -265,6 +268,42 @@ def test_checkpoint_state_names_are_pinned():
     expected += ["head0.weight", "head0.bias", "head1.weight", "head1.bias"]
     model = ModelGraph(tiny("multistream"))
     assert [name for name, _ in model.named_state()] == expected
+
+
+@pytest.mark.parametrize(
+    "variant, digest",
+    [
+        ("unistream", "2f482a3ff2fa80d958979b638b3addb54726787b9cbbcdc7149ad426da285fc0"),
+        (
+            "att_multistream",
+            "62e11f99de0c8c9349c78264e503e2ee589a38dcb8b08784251ebf41195ccbeb",
+        ),
+    ],
+)
+def test_checkpoint_bytes_are_pinned(tmp_path, variant, digest):
+    """A freshly initialised toy model writes exactly these bytes: the
+    initial weights, the entry names, their order and the layout all stay
+    as checkpoints written before have them."""
+    path = tmp_path / "model.wxtn"
+    save_checkpoint(ModelGraph(tiny(variant)), path, {"horizon": "1"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_gate_entries_land_in_their_fused_blocks(tmp_path):
+    """Each per-gate entry fills its gate's rows of the fused ConvLSTM
+    tensors, whose blocks are stacked in the order i, f, o, c."""
+    model = ModelGraph(tiny("unistream"))
+    arrays = {name: value.copy() for name, value in model.named_state()}
+    for k, gate in enumerate("ifoc"):
+        for j, entry in enumerate((f"w_x{gate}", f"w_h{gate}", f"b_{gate}")):
+            arrays[f"backbone.{entry}"][...] = 10 * k + j
+    path = tmp_path / "gates.wxtn"
+    save_arrays(path, arrays, model.cfg.to_text())
+    cell = load_checkpoint(path)[0].backbone
+    n = cell.filters
+    for k in range(4):
+        for j, fused in enumerate((cell.w_x, cell.w_h, cell.b)):
+            assert (fused.data[k * n : (k + 1) * n] == 10 * k + j).all()
 
 
 def test_checkpoint_restores_predictions_after_reinit(tmp_path):
