@@ -11,11 +11,19 @@ gradients keep accumulating across calls until cleared with
 
 All data is stored as float64; convolution is cross-correlation with zero
 same-padding, computed as one matrix product with a column matrix.
+
+The heaviest kernels (``conv2d``, ``conv_lstm`` and the Adam update) split
+their work into two fixed halves with :func:`run_halves`; the second half
+may run on a worker thread, but the halves, and so every number, depend only
+on the input shapes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,6 +35,72 @@ from .errors import ConfigurationError, ContractError, DimensionError
 Array = np.ndarray
 
 _grad_enabled = True
+
+# Multiply-adds at and above which an op hands its second half to the
+# worker thread.  A hand-off costs about 0.2-0.4 ms, and two threads that
+# page-fault fresh multi-megabyte arrays slow each other down, so smaller
+# ops (an occlusion or score-ascent forward pass) run both halves here.
+SPLIT_WORK = 1 << 27
+
+_worker: Optional[ThreadPoolExecutor] = None
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+
+
+# A forked child has no worker thread, only the parent's executor object.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; the machine's count where the
+    platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_halves(
+    n: int, work: float, half: Callable[[int, int], object], unit: int = 1
+) -> list:
+    """``[half(0, mid), half(mid, n)]``, or ``[half(0, n)]`` if ``mid`` is 0.
+
+    ``mid`` is the largest multiple of ``unit`` that is at most ``n // 2``.
+    The halves are the same on every machine; only where the second one runs
+    is decided here.  With ``work`` (the op's multiply-adds) at least
+    :data:`SPLIT_WORK` and two usable CPUs it runs on one lazily started
+    worker thread while the caller runs the first.  ``half`` must touch numpy
+    arrays only: no ``Tensor``, no tape and no traced function.  If either
+    half raises, the error reaches the caller after both halves have stopped.
+    """
+    global _worker
+    mid = n // 2 // unit * unit
+    if mid == 0:
+        return [half(0, n)]
+    if work < SPLIT_WORK or usable_cpus() < 2:
+        return [half(0, mid), half(mid, n)]
+    if _worker is None:
+        _worker = ThreadPoolExecutor(1, thread_name_prefix="stationcast-half")
+    second = _worker.submit(half, mid, n)
+    try:
+        first = half(0, mid)
+    finally:
+        second.exception()  # waits, whatever the first half did
+    return [first, second.result()]
+
+
+def _block_unit(hw: int) -> int:
+    """The fewest samples of ``hw`` columns each that fill whole 8-column blocks.
+
+    OpenBLAS's x86-64 kernels compute a matrix product 8 columns at a time
+    and a trailing partial block with another kernel, so a column's bits
+    depend on whether its block is whole.  A split of the columns at a
+    multiple of 8 keeps every column's bits.
+    """
+    return 8 // math.gcd(hw, 8)
 
 
 @contextmanager
@@ -361,13 +435,19 @@ def _columns(xb: Array, kh: int, kw: int, out: Optional[Array] = None) -> Array:
     return out
 
 
-def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int) -> Array:
+def _col2im(gcols: Array, padded: Array, kh: int, kw: int) -> Array:
     """Adjoint of :func:`_columns`: sum column-matrix entries back onto the
-    ``(B, Cin, H, W)`` input, one shifted add per kernel tap."""
-    nb, cin, h, w = shape
+    input, one shifted add per kernel tap.
+
+    The sums are made in ``padded``, a ``(Cin, B, H + Kh - 1, W + Kw - 1)``
+    buffer that is overwritten; the result is the ``(B, Cin, H, W)`` view of
+    its interior.
+    """
+    cin, nb, hp, wp = padded.shape
     ph, pw = kh // 2, kw // 2
+    h, w = hp - 2 * ph, wp - 2 * pw
     gcols = gcols.reshape(cin, kh, kw, nb, h, w)
-    padded = np.zeros((cin, nb, h + 2 * ph, w + 2 * pw))
+    padded[...] = 0.0
     for i in range(kh):
         for j in range(kw):
             padded[:, :, i : i + h, j : j + w] += gcols[:, i, j]
@@ -382,7 +462,9 @@ def conv2d(x, kernel) -> Tensor:
     is zeros.  The forward pass multiplies the flattened kernel with each
     image's block of the input's column matrix, which writes the output in
     its ``(B, Cout, H, W)`` order directly; the backward pass rebuilds the
-    columns instead of keeping them on the tape.
+    columns instead of keeping them on the tape.  Both run per half of the
+    images (:func:`run_halves`); the kernel gradient is the sum of the two
+    halves' products.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if kernel.ndim != 4:
@@ -400,17 +482,42 @@ def conv2d(x, kernel) -> Tensor:
         )
     nb, _, h, w = x.shape
     flat_kernel = kernel.data.reshape(cout, -1)
-    per_image = _columns(x.data, kh, kw).reshape(-1, nb, h * w).transpose(1, 0, 2)
-    out = np.matmul(flat_kernel, per_image).reshape(nb, cout, h, w)
+    out = np.empty((nb, cout, h, w))
+    work = out.size * flat_kernel.shape[1]
+    unit = _block_unit(h * w)
+
+    def forward(lo: int, hi: int) -> None:
+        per_image = _columns(x.data[lo:hi], kh, kw).reshape(-1, hi - lo, h * w)
+        np.matmul(
+            flat_kernel,
+            per_image.transpose(1, 0, 2),
+            out=out[lo:hi].reshape(hi - lo, cout, h * w),
+        )
+
+    run_halves(nb, work, forward, unit)
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward(g):
-        g_rows = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-        gx = gk = None
-        if need_k:
-            gk = (g_rows @ _columns(x.data, kh, kw).T).reshape(kernel.shape)
+        padded = np.empty((cin, nb, h + kh - 1, w + kw - 1)) if need_x else None
+
+        def half(lo: int, hi: int) -> Optional[Array]:
+            g_rows = g[lo:hi].transpose(1, 0, 2, 3).reshape(cout, -1)
+            # The columns of the half's images, then their gradient.
+            cols = np.empty((flat_kernel.shape[1], g_rows.shape[1]))
+            gk = None
+            if need_k:
+                gk = g_rows @ _columns(x.data[lo:hi], kh, kw, out=cols).T
+            if need_x:
+                np.matmul(flat_kernel.T, g_rows, out=cols)
+                _col2im(cols, padded[:, lo:hi], kh, kw)
+            return gk
+
+        parts = run_halves(nb, work, half, unit)
+        gk = sum(parts[1:], parts[0]).reshape(kernel.shape) if need_k else None
+        gx = None
         if need_x:
-            gx = _col2im(flat_kernel.T @ g_rows, x.shape, kh, kw)
+            interior = padded[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
+            gx = interior.transpose(1, 0, 2, 3)
         return gx, gk
 
     return _record(out, "conv2d", (x, kernel), backward)
@@ -435,6 +542,11 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     ``sigmoid(x) = (1 + tanh(x/2)) / 2`` on the i, f, o rows.  Backward is
     backpropagation through time over the saved gates and states; the
     gradient it returns for ``xpre`` is the gate-gradient block.
+
+    Samples never mix in the recurrence, so the forward pass and the
+    backward pass each run per half of the samples (:func:`run_halves`),
+    with their own buffers; the hidden kernel's gradient is the sum of the
+    two halves' sums.
     """
     xpre, w_h, bias = as_tensor(xpre), as_tensor(w_h), as_tensor(bias)
     n, kh, kw = w_h.shape[1:]
@@ -445,7 +557,7 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             f"{w_h.shape} do not hold {steps} lags of 4 x {n} gate channels"
         )
     nb = nvb // steps
-    m = nb * h * w
+    hw = h * w
     shape = (nb, n, h, w)
     if state is not None:
         state = tuple(as_tensor(s) for s in state)
@@ -456,12 +568,12 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             )
 
     def grid(a: Array) -> Array:
-        """A channel-major ``(C, B*H*W)`` array seen as ``(B, C, H, W)``."""
-        return a.reshape(-1, nb, h, w).transpose(1, 0, 2, 3)
+        """A channel-major ``(C, b*H*W)`` array seen as ``(b, C, H, W)``."""
+        return a.reshape(a.shape[0], -1, h, w).transpose(1, 0, 2, 3)
 
     def channel_major(a: Array) -> Array:
-        """A new ``(C, B*H*W)`` copy of a ``(B, C, H, W)`` array."""
-        out = np.empty((a.shape[1], m))
+        """A new ``(C, b*H*W)`` copy of a ``(b, C, H, W)`` array."""
+        out = np.empty((a.shape[1], a.shape[0] * hw))
         grid(out)[...] = a
         return out
 
@@ -471,74 +583,96 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     record = _grad_enabled and any(p.requires_grad for p in parents)
     wh = w_h.data.reshape(4 * n, -1)
     bias_column = bias.data[:, np.newaxis, np.newaxis]
-    xpre_lags = xpre.data.reshape(steps, nb, 4 * n, h * w)
+    xpre_lags = xpre.data.reshape(steps, nb, 4 * n, hw)
     out = np.empty((nb, steps + 1, n, h, w))
-    c = np.zeros((n, m)) if state is None else channel_major(state[1].data)
+    work = steps * nb * hw * wh.size
+    unit = _block_unit(hw)
 
-    def h_before(t: int) -> Array:
-        """The hidden state lag ``t`` starts from, as ``(B, n, H, W)``."""
-        return out[:, t - 1] if t else state[0].data
+    def h_before(t: int, lo: int, hi: int) -> Array:
+        """Samples ``lo:hi`` of the hidden state lag ``t`` starts from."""
+        return out[lo:hi, t - 1] if t else state[0].data[lo:hi]
 
-    saved = []  # per lag: activated gates, c_{t-1}, tanh(c_t)
-    # One column buffer and one product buffer serve every lag.
-    cols = np.empty((wh.shape[1], m))
-    product = np.empty((4 * n, m))
-    for t in range(steps):
-        a = np.empty((4 * n, m))
-        np.add(
-            xpre_lags[t].transpose(1, 0, 2),
-            bias_column,
-            out=a.reshape(4 * n, nb, h * w),
-        )
-        if t > 0 or state is not None:
-            _columns(h_before(t), kh, kw, out=cols)
-            a += np.matmul(wh, cols, out=product)
-        a[: 3 * n] *= 0.5
-        np.tanh(a, out=a)
-        a[: 3 * n] += 1.0
-        a[: 3 * n] *= 0.5
-        i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
-        c_new = f * c
-        c_new += i * g
-        tanh_c = np.tanh(c_new)
-        np.multiply(grid(o), grid(tanh_c), out=out[:, t])
-        if record:
-            saved.append((a, c, tanh_c))
-        c = c_new
-    out[:, steps] = grid(c)
+    def forward(lo: int, hi: int) -> list:
+        """Run samples ``lo:hi``; per lag, return the activated gates,
+        ``c_{t-1}`` and ``tanh(c_t)`` when recording."""
+        m = (hi - lo) * hw
+        c = np.zeros((n, m)) if state is None else channel_major(state[1].data[lo:hi])
+        saved = []
+        # One column buffer and one product buffer serve every lag.
+        cols = np.empty((wh.shape[1], m))
+        product = np.empty((4 * n, m))
+        for t in range(steps):
+            a = np.empty((4 * n, m))
+            np.add(
+                xpre_lags[t, lo:hi].transpose(1, 0, 2),
+                bias_column,
+                out=a.reshape(4 * n, hi - lo, hw),
+            )
+            if t > 0 or state is not None:
+                _columns(h_before(t, lo, hi), kh, kw, out=cols)
+                a += np.matmul(wh, cols, out=product)
+            a[: 3 * n] *= 0.5
+            np.tanh(a, out=a)
+            a[: 3 * n] += 1.0
+            a[: 3 * n] *= 0.5
+            i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+            c_new = f * c
+            c_new += i * g
+            tanh_c = np.tanh(c_new)
+            np.multiply(grid(o), grid(tanh_c), out=out[lo:hi, t])
+            if record:
+                saved.append((a, c, tanh_c))
+            c = c_new
+        out[lo:hi, steps] = grid(c)
+        return saved
+
+    halves = run_halves(nb, work, forward, unit)
     need_w = w_h.requires_grad
 
     def backward(gout):
-        dpre = np.empty((4 * n, steps * m))
-        dw = np.zeros_like(wh) if need_w else None
-        dc = channel_major(gout[:, steps])
-        dh = None  # gradient reaching h_t from lag t + 1, as (B, n, H, W)
-        cols = np.empty((wh.shape[1], m))  # columns of h_t, then their gradient
-        for t in reversed(range(steps)):
-            a, c_prev, tanh_c = saved[t]
-            i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
-            d = dpre[:, t * m : (t + 1) * m]
-            dht = channel_major(gout[:, t])
-            if dh is not None:
-                grid(dht)[...] += dh
-            np.multiply(dht, tanh_c, out=d[2 * n : 3 * n])
-            dht *= o
-            dht *= 1.0 - tanh_c * tanh_c
-            dc += dht
-            np.multiply(dc, g, out=d[:n])
-            np.multiply(dc, c_prev, out=d[n : 2 * n])
-            np.multiply(dc, i, out=d[3 * n :])
-            dc *= f
-            d[: 3 * n] *= a[: 3 * n] * (1.0 - a[: 3 * n])
-            d[3 * n :] *= 1.0 - g * g
-            if t > 0 or state is not None:
-                if need_w:
-                    dw += d @ _columns(h_before(t), kh, kw, out=cols).T
-                dh = _col2im(np.matmul(wh.T, d, out=cols), shape, kh, kw)
+        dpre = np.empty((4 * n, steps * nb * hw))
+        dpre_lags = dpre.reshape(4 * n, steps, nb * hw)
+        dstate = np.empty((2,) + shape) if state is not None else None
+
+        def half(lo: int, hi: int) -> Optional[Array]:
+            """BPTT over samples ``lo:hi``; returns their share of ``dW_h``."""
+            saved = halves[0 if lo == 0 else 1]
+            m = (hi - lo) * hw
+            dw = np.zeros_like(wh) if need_w else None
+            dc = channel_major(gout[lo:hi, steps])
+            dh = None  # gradient reaching h_t from lag t + 1, as (b, n, H, W)
+            cols = np.empty((wh.shape[1], m))  # columns of h_t, then their gradient
+            padded = np.empty((n, hi - lo, h + kh - 1, w + kw - 1))
+            for t in reversed(range(steps)):
+                a, c_prev, tanh_c = saved[t]
+                i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+                d = dpre_lags[:, t, lo * hw : hi * hw]
+                dht = channel_major(gout[lo:hi, t])
+                if dh is not None:
+                    grid(dht)[...] += dh
+                np.multiply(dht, tanh_c, out=d[2 * n : 3 * n])
+                dht *= o
+                dht *= 1.0 - tanh_c * tanh_c
+                dc += dht
+                np.multiply(dc, g, out=d[:n])
+                np.multiply(dc, c_prev, out=d[n : 2 * n])
+                np.multiply(dc, i, out=d[3 * n :])
+                dc *= f
+                d[: 3 * n] *= a[: 3 * n] * (1.0 - a[: 3 * n])
+                d[3 * n :] *= 1.0 - g * g
+                if t > 0 or state is not None:
+                    if need_w:
+                        dw += d @ _columns(h_before(t, lo, hi), kh, kw, out=cols).T
+                    dh = _col2im(np.matmul(wh.T, d, out=cols), padded, kh, kw)
+            if dstate is not None:
+                dstate[0, lo:hi] = dh
+                dstate[1, lo:hi] = grid(dc)
+            return dw
+
+        parts = run_halves(nb, work, half, unit)
         dxpre = dpre.reshape(4 * n, steps * nb, h, w).transpose(1, 0, 2, 3)
-        dw_h = None if dw is None else dw.reshape(w_h.shape)
-        dstate = () if state is None else (dh, grid(dc))
-        return (dxpre, dw_h, dpre.sum(axis=1), *dstate)
+        dw_h = sum(parts[1:], parts[0]).reshape(w_h.shape) if need_w else None
+        return (dxpre, dw_h, dpre.sum(axis=1), *(() if dstate is None else dstate))
 
     return _record(out, "conv_lstm", parents, backward)
 

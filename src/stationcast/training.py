@@ -37,8 +37,17 @@ class Adam:
 
     Update per parameter: m <- b1 m + (1-b1) g; v <- b2 v + (1-b2) g^2;
     p <- p - lr * m_hat / (sqrt(v_hat) + eps).  A parameter with no gradient
-    this step contributes g = 0 (its moments keep decaying).
+    this step contributes g = 0 (its moments keep decaying).  A step walks
+    the parameters in chunks of ``CHUNK`` elements, shared out in two halves
+    (:func:`autodiff.run_halves`).
     """
+
+    # Elements per update chunk: the chunk's six arrays stay in cache.
+    CHUNK = 1 << 15
+    # The update's work per element for the split gate, in convolution
+    # multiply-adds: one element takes about 12.6 ns, as long as 200-250
+    # multiply-adds of a convolution's matrix product (one BLAS thread).
+    ELEMENT_WORK = 256
 
     def __init__(
         self,
@@ -56,20 +65,28 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # Two scratch buffers shared by all parameters, sized to the largest.
-        self._scratch = np.empty((2, max(p.size for p in self.params)))
 
     def step(self) -> None:
+        self.t += 1
+        chunks = []
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            flat = tuple(a.reshape(-1) for a in (p.data, m, v, g))
+            chunks.extend(
+                tuple(a[s : s + self.CHUNK] for a in flat)
+                for s in range(0, p.size, self.CHUNK)
+            )
+        work = self.ELEMENT_WORK * sum(p.size for p in self.params)
+        ad.run_halves(len(chunks), work, lambda lo, hi: self._update(chunks[lo:hi]))
+
+    def _update(self, chunks) -> None:
         # In place, in the operation order of the formula above, so the
         # update is bitwise what the out-of-place expression gives.
-        self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            a, b = (buf[: p.size].reshape(p.shape) for buf in self._scratch)
+        scratch = np.empty((2, self.CHUNK))
+        for p, m, v, g in chunks:
+            a, b = scratch[:, : p.size]
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
@@ -82,7 +99,7 @@ class Adam:
             np.divide(m, correct1, out=b)
             b /= a
             b *= self.lr
-            p.data -= b
+            p -= b
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,6 +1,13 @@
 """Tensor-core tests: every op's forward against an independent oracle and
 its backward against central finite differences."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,6 +355,62 @@ def test_conv2d_gradient_both_arguments():
         anchor = Tensor(rand(*x_shape, seed=63))
         err_k = grad_check(lambda t: weighted_sum(ad.conv2d(anchor, t)), k)
         assert err_k < 1e-6, (x_shape, extent, err_k)
+
+
+# -- two fixed halves ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x_shape, extent", [((3, 2, 4, 4), (3, 3)), ((2, 3, 4, 6), (1, 3))]
+)
+def test_conv2d_gradient_in_halves(halves, x_shape, extent):
+    k = Tensor(rand(2, x_shape[1], *extent, seed=64), requires_grad=True)
+    x = Tensor(rand(*x_shape, seed=65))
+    assert grad_check(lambda t: weighted_sum(ad.conv2d(t, k)), x) < 1e-6
+    k.zero_grad()
+    anchor = Tensor(rand(*x_shape, seed=66))
+    assert grad_check(lambda t: weighted_sum(ad.conv2d(anchor, t)), k) < 1e-6
+    assert halves
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_split_error_surfaces_after_both_halves_stop(monkeypatch, failing):
+    monkeypatch.setattr(ad, "SPLIT_WORK", 0)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    caller = threading.current_thread()
+    stopped = []
+
+    def half(lo, hi):
+        on_worker = threading.current_thread() is not caller
+        if on_worker == (failing == "worker"):
+            raise ValueError(failing)
+        time.sleep(0.05)
+        stopped.append(on_worker)
+
+    with pytest.raises(ValueError, match=failing):
+        ad.run_halves(4, 0, half)
+    assert stopped == [failing == "caller"]
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert ad.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ad.usable_cpus() == 1
+
+
+def test_idle_worker_does_not_hold_up_exit():
+    script = (
+        "from stationcast import autodiff as ad\n"
+        "ad.SPLIT_WORK = 0\n"
+        "ad.usable_cpus = lambda: 2\n"
+        "assert ad.run_halves(2, 0, lambda lo, hi: hi - lo) == [1, 1]\n"
+        "assert ad._worker is not None\n"
+    )
+    source = Path(ad.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(source))
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60, env=env)
 
 
 def test_grad_check_restores_tensor_state():

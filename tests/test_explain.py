@@ -2,6 +2,7 @@
 and a transparent single-cell model, one shared sweep for every target, and
 gradient-ascent score maximization."""
 
+import itertools
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -449,6 +450,23 @@ def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
         assert grid.values.shape == (1, 4)
         np.testing.assert_array_equal(grid.values, oracle.values)
         assert grid.meta == oracle.meta
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_temporal_sweep_is_bitwise_wherever_the_halves_run(variant, monkeypatch):
+    # Every op splits; its second half runs on the worker or on the caller
+    # in an irregular pattern, so a step and the whole-window pass it must
+    # match often run in different places.
+    monkeypatch.setattr(ad, "SPLIT_WORK", 0)
+    placements = itertools.cycle([2, 1, 2, 2, 1])
+    monkeypatch.setattr(ad, "usable_cpus", lambda: next(placements))
+    model = tiny_model(seed=7, variant=variant, lags=4)
+    inputs, _ = samples(n=70, seed=9, lags=4)
+    fill = np.zeros((4, 4))
+    got = model.predict_masked_lags(inputs, fill)
+    want = _WholeWindowModel(model).predict_masked_lags(inputs, fill)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,18 @@ def test_convlstm_gradient():
         assert err < 1e-6
 
 
+def test_convlstm_gradient_in_halves(halves):
+    layer = ConvLSTM(rng(13), 1, 2)
+    draws = rng(16)
+    seq = Tensor(draws.uniform(-1, 1, (3, 3, 1, 4, 4)))
+    h0, c0 = (Tensor(draws.uniform(-1, 1, (3, 2, 4, 4))) for _ in range(2))
+    w = Tensor(draws.standard_normal((3, 2, 4, 4)))
+    for t in (seq, h0, c0, layer.w_x, layer.w_h, layer.b):
+        layer.zero_grad()
+        assert grad_check(lambda _: (layer(seq, (h0, c0)) * w).sum(), t) < 1e-6
+    assert halves
+
+
 def explicit_gate_step(layer, x, h, c):
     """The ConvLSTM equations written out gate by gate: 8 convolutions."""
 
@@ -407,6 +419,40 @@ def test_chained_steps_carry_cell_gradients(kernel):
     inputs = [x1, x2, h0, c0]
     got = value_and_gradients(loss_of(ConvLSTM.step), layer, inputs)
     want = value_and_gradients(loss_of(explicit_gate_step), layer, inputs)
+    assert_close_to_scale(got, want)
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 3)])
+def test_convlstm_in_halves_matches_explicit_gates(halves, kernel):
+    # 8 samples of 5 x 6 cells: the halves hold whole 8-column blocks.
+    layer = random_gate_layer(kernel, return_sequence=True)
+    draws = rng(37)
+
+    def tracked(shape):
+        return Tensor(draws.uniform(-1, 1, shape), requires_grad=True)
+
+    seq, h0, c0 = tracked((8, 3, 2, 5, 6)), tracked((8, 3, 5, 6)), tracked((8, 3, 5, 6))
+    w = Tensor(draws.standard_normal((8, 3, 3, 5, 6)))
+
+    def explicit(s, state):
+        h, c = state
+        hs = []
+        for t in range(s.shape[1]):
+            h, c = explicit_gate_step(layer, s[:, t], h, c)
+            hs.append(ad.reshape(h, (8, 1) + h.shape[1:]))
+        return ad.concat(hs, axis=1)
+
+    def loss_of(run):
+        def loss_fn():
+            out = run(seq, (h0, c0))
+            return [out], (out * w).sum()
+
+        return loss_fn
+
+    inputs = [seq, h0, c0]
+    got = value_and_gradients(loss_of(layer), layer, inputs)
+    assert halves
+    want = value_and_gradients(loss_of(explicit), layer, inputs)
     assert_close_to_scale(got, want)
 
 

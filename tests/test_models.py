@@ -1,11 +1,14 @@
 """Model assembly tests: shapes, hand-counted parameters, the stream-symmetry
-identity, batch independence, and checkpoint round trips."""
+identity, batch independence, results independent of the worker thread, and
+checkpoint round trips."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from stationcast import autodiff as ad
+from stationcast.autodiff import Tensor
 from stationcast.errors import ConfigurationError, DimensionError
 from stationcast.models import (
     VARIANTS,
@@ -38,6 +41,23 @@ def batch_for(cfg, n=3, seed=0):
 
 
 # -- shapes and determinism --------------------------------------------------
+
+
+def test_default_shape_step_does_not_depend_on_the_worker(monkeypatch):
+    monkeypatch.setattr(ad, "SPLIT_WORK", 0)
+    model = ModelGraph(ModelConfig(variant="att_multistream"))
+    draws = np.random.default_rng(4)
+    x = draws.uniform(0, 1, (6, 10, 18, 18))
+    y = Tensor(draws.uniform(0, 1, (6, 6)))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
+        model.zero_grad()
+        out = model.forward(Tensor(x), mode="train")
+        ((out - y) * (out - y)).mean().backward()
+        runs.append([out.data] + [p.grad for p in model.parameters()])
+    for one_cpu, two_cpus in zip(*runs):
+        np.testing.assert_array_equal(one_cpu, two_cpus)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -7,6 +7,7 @@ crash at the start of every traced benchmark run.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -47,3 +48,36 @@ def test_tracer_installs_records_and_uninstalls():
     metrics = tracer.metrics(op_s=0.0, overhead_s=0.0)
     assert metrics["autodiff.conv2d.calls"] == 1
     assert metrics["autodiff.tape_nodes"] > 0
+
+
+def test_tracer_spans_nest_with_the_worker_running(monkeypatch):
+    # The worker runs numpy only; a traced name called from it would open
+    # a span on the tracer's single stack, out of order with the caller's.
+    splits = []
+    monkeypatch.setattr(autodiff, "SPLIT_WORK", 0)
+    monkeypatch.setattr(autodiff, "usable_cpus", lambda: splits.append(2) or 2)
+    tracer = load_tracing().Tracer()
+    caller = threading.current_thread()
+    open_span = tracer._open
+
+    def open_on_caller(name):
+        assert threading.current_thread() is caller, name
+        return open_span(name)
+
+    tracer._open = open_on_caller
+    tracer.install()
+    try:
+        rng = np.random.default_rng(1)
+        layer = layers.ConvLSTM(rng, 1, 2)
+        seq = Tensor(rng.uniform(-1, 1, (2, 3, 1, 4, 4)), requires_grad=True)
+        tracer.begin_op(1)
+        layer(seq).sum().backward()
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert splits
+    assert tracer.metrics(op_s=0.0, overhead_s=0.0)["autodiff.conv2d.calls"] == 1
+    for name, start, end, parent, _ in tracer.spans:
+        if parent >= 0:
+            _, parent_start, parent_end, _, _ = tracer.spans[parent]
+            assert parent_start <= start <= end <= parent_end, name

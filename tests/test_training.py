@@ -132,9 +132,8 @@ def test_adam_descends_a_quadratic():
     assert abs(p.data[0]) < 0.05
 
 
-def test_adam_update_is_bitwise_the_written_out_formula():
+def check_adam_against_the_written_out_formula():
     rng = np.random.default_rng(5)
-    # The largest parameter is not first, so the shared scratch is sliced.
     shapes = [(3,), (4, 5), (2, 1, 3)]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     expected = [p.data.copy() for p in params]
@@ -153,6 +152,18 @@ def test_adam_update_is_bitwise_the_written_out_formula():
         opt.step()
         for p, e in zip(params, expected):
             np.testing.assert_array_equal(p.data, e)
+
+
+def test_adam_update_is_bitwise_the_written_out_formula():
+    check_adam_against_the_written_out_formula()
+
+
+def test_chunked_adam_in_halves_is_bitwise_the_written_out_formula(halves, monkeypatch):
+    # With 4-element chunks, parameters span several chunks and the two
+    # halves of the chunks split the middle parameter.
+    monkeypatch.setattr(Adam, "CHUNK", 4)
+    check_adam_against_the_written_out_formula()
+    assert halves
 
 
 def test_adam_requires_parameters():
