@@ -38,38 +38,11 @@ from .errors import (
 from .explain import OcclusionSpec, occlusion_map, score_maximize, scoremax_lag_maps
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
-from .runconfig import RunConfig
+from .runconfig import RUN_KEYS, RUN_META, RunConfig
 from .serialize import write_text
 from .training import (
     TrainConfig, descaled_predictions, eval_table, evaluate, prediction_series, train
 )
-
-# Training flags that mirror RunConfig keys; values stay raw strings and go
-# through the same parser as config-file lines.
-_TRAIN_OVERRIDES = (
-    ("--data", "data", "long-form dataset CSV"),
-    ("--variant", "variant", "unistream | att_unistream | multistream | att_multistream"),
-    ("--horizon", "horizon", "days ahead to predict"),
-    ("--target", "target_feature", "target weather feature (e.g. avg_temp, wind_speed)"),
-    ("--target-cities", "target_cities", "comma-separated target city list"),
-    ("--lags", "lags", "input window length in days"),
-    ("--seed", "seed", "run seed"),
-    ("--lr", "lr", "learning rate"),
-    ("--batch-size", "batch_size", "training batch size"),
-    ("--max-epochs", "max_epochs", "epoch budget"),
-    ("--patience", "patience", "early-stop patience in epochs"),
-    ("--filters", "filters", "ConvLSTM filter count"),
-    ("--dense", "dense", "comma-separated dense-layer widths"),
-    ("--streams", "streams", "stream count (multistream variants)"),
-    ("--kernel", "kernel", "convolution kernel, e.g. 3,3"),
-    ("--key-dim", "key_dim", "attention key dimension"),
-    ("--ff-dim", "ff_dim", "encoder feed-forward width"),
-    ("--split-ratio", "split_ratio", "train+val fraction of days"),
-    ("--val-fraction", "val_fraction", "validation fraction of the train block"),
-    ("--stop-train-mse", "stop_train_mse", "stop once train MSE dips below this"),
-    ("--out", "out", "output directory root"),
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the error channel rerouted to the exit-code contract."""
@@ -112,8 +85,9 @@ def build_parser() -> _Parser:
     trainer.add_argument(
         "--config", default=None, help="key = value run configuration file"
     )
-    for flag, dest, help_text in _TRAIN_OVERRIDES:
-        trainer.add_argument(flag, dest=dest, default=None, help=help_text)
+    for key, (_, help_text) in RUN_KEYS.items():
+        flag = "--target" if key == "target_feature" else "--" + key.replace("_", "-")
+        trainer.add_argument(flag, dest=key, default=None, help=help_text)
     trainer.set_defaults(func=cmd_train)
 
     evaler = sub.add_parser(
@@ -224,23 +198,14 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
-        dest: getattr(args, dest)
-        for _, dest, _ in _TRAIN_OVERRIDES
-        if getattr(args, dest) is not None
+        key: getattr(args, key) for key in RUN_KEYS if getattr(args, key) is not None
     }
     cfg.apply(overrides, "command line")
     if cfg.data is None:
         raise UsageError("a dataset is required: pass --data or set it in --config")
     if len(cfg.kernel) != 2:
         raise UsageError(f"kernel needs exactly two extents, got {cfg.kernel}")
-    train_cfg = TrainConfig(
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-        stop_train_mse=cfg.stop_train_mse,
-    )
+    train_cfg = cfg.sub_config(TrainConfig)
 
     cube = load_dataset(cfg.data)
     bundle = prepare(
@@ -252,19 +217,11 @@ def cmd_train(args) -> int:
         cfg.split_ratio,
         cfg.val_fraction,
     )
-    model_cfg = ModelConfig(
-        variant=cfg.variant,
-        lags=cfg.lags,
+    model_cfg = cfg.sub_config(
+        ModelConfig,
         features=len(cube.features),
         cities=len(cube.cities),
         n_targets=len(cfg.target_cities),
-        streams=cfg.streams,
-        filters=cfg.filters,
-        kernel=(cfg.kernel[0], cfg.kernel[1]),
-        dense=cfg.dense,
-        key_dim=cfg.key_dim,
-        ff_dim=cfg.ff_dim,
-        seed=cfg.seed,
     )
     model = ModelGraph(model_cfg)
     log = train(model, bundle.train, bundle.val, train_cfg)
@@ -279,14 +236,7 @@ def cmd_train(args) -> int:
     save_checkpoint(
         model,
         run_dir / "checkpoint.wxtn",
-        {
-            "horizon": cfg.horizon,
-            "target_feature": cfg.target_feature,
-            "target_cities": ",".join(cfg.target_cities),
-            "split_ratio": repr(cfg.split_ratio),
-            "val_fraction": repr(cfg.val_fraction),
-            "scaler_file": "scaler.wxtn",
-        },
+        {**cfg.texts(RUN_META), "scaler_file": "scaler.wxtn"},
     )
     _write_manifest(
         run_dir,
@@ -324,25 +274,23 @@ def _load_run(args):
             raise ConfigurationError(
                 f"checkpoint meta lacks {key!r}; was it written by this tool?"
             )
-    horizon = int(extras["horizon"])
-    feature = extras["target_feature"]
-    cities = tuple(extras["target_cities"].split(","))
-    ratio = float(extras.get("split_ratio", "0.9"))
-    val_fraction = float(extras.get("val_fraction", "0.1"))
+    run = RunConfig()
+    run.apply({k: extras[k] for k in RUN_META if k in extras}, f"{ckpt} metadata")
 
     cube = load_dataset(args.data)
     scaled = scale_cube(cube, scaler)
-    _, _, test_days = split_days(cube.days, ratio, val_fraction)
+    _, _, test_days = split_days(cube.days, run.split_ratio, run.val_fraction)
     windows = window_block(
-        scaled, test_days, model.cfg.lags, horizon, feature, cities
+        scaled, test_days, model.cfg.lags, run.horizon, run.target_feature,
+        run.target_cities,
     )
     out_dir = Path(args.out) if args.out else ckpt.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    return model, scaler, cube, windows, feature, cities, horizon, out_dir
+    return model, scaler, cube, windows, run, out_dir
 
 
 def cmd_eval(args) -> int:
-    model, scaler, _, windows, _, _, _, out_dir = _load_run(args)
+    model, scaler, _, windows, _, out_dir = _load_run(args)
     pred, truth = descaled_predictions(model, windows, scaler)
     table = eval_table(pred, truth, windows)
     write_text(out_dir / "eval_table.csv", table.to_csv())
@@ -358,9 +306,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    model, scaler, cube, windows, feature, cities, horizon, out_dir = _load_run(
-        args
-    )
+    model, scaler, cube, windows, run, out_dir = _load_run(args)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
     inputs = windows.inputs[: args.samples]
@@ -370,18 +316,19 @@ def cmd_occlude(args) -> int:
     elif args.city is not None:
         requested = [args.city]
     else:
-        requested = list(cities)
+        requested = list(run.target_cities)
 
     spec = OcclusionSpec(mode=args.mode, patch_size=args.patch_size, fill=args.fill)
     maps = occlusion_map(
-        model, spec, inputs, truths, cube.features, cube.cities, cities,
-        scaler=scaler, target_feature=feature, targets=requested,
+        model, spec, inputs, truths, cube.features, cube.cities, run.target_cities,
+        scaler=scaler, target_feature=run.target_feature, targets=requested,
     )
     title = f"Occlusion analysis ({args.mode})"
     for target, saliency in zip(requested, maps):
         label = target if target is not None else "all_targets"
         subtitle = (
-            f"{model.cfg.variant}, target {label}, {feature} +{horizon}d, "
+            f"{model.cfg.variant}, target {label}, "
+            f"{run.target_feature} +{run.horizon}d, "
             f"fill {args.fill}, samples {saliency.samples_used}"
         )
         _write_map(out_dir, f"occlusion_{args.mode}_{label}", saliency, title, subtitle)
@@ -389,9 +336,7 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_scoremax(args) -> int:
-    model, scaler, cube, windows, feature, cities, horizon, out_dir = _load_run(
-        args
-    )
+    model, scaler, cube, windows, run, out_dir = _load_run(args)
     if not 0 <= args.sample_index < len(windows):
         raise UsageError(
             f"--sample-index {args.sample_index} outside the test set "
@@ -428,11 +373,12 @@ def cmd_scoremax(args) -> int:
         cube.features,
         cube.cities,
         lag_numbers,
-        meta={"variant": model.cfg.variant, "feature": feature},
+        meta={"variant": model.cfg.variant, "feature": run.target_feature},
     )
     for lag, saliency in zip(lag_numbers, maps):
         subtitle = (
-            f"{model.cfg.variant}, {feature} +{horizon}d, lag {lag}/{model.cfg.lags}, "
+            f"{model.cfg.variant}, {run.target_feature} +{run.horizon}d, "
+            f"lag {lag}/{model.cfg.lags}, "
             f"{args.iterations} iterations"
         )
         _write_map(
@@ -465,6 +411,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

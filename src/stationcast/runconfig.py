@@ -33,29 +33,37 @@ def _parse_strs(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-_PARSERS = {
-    "data": _optional(str),
-    "lags": int,
-    "horizon": int,
-    "target_feature": str,
-    "target_cities": _parse_strs,
-    "split_ratio": float,
-    "val_fraction": float,
-    "variant": str,
-    "filters": _optional(int),
-    "kernel": _parse_ints,
-    "dense": _optional(_parse_ints),
-    "key_dim": _optional(int),
-    "ff_dim": _optional(int),
-    "streams": _optional(int),
-    "lr": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "stop_train_mse": _optional(float),
-    "out": str,
+# Every run key: its parser and the help text of its ``train`` flag, in flag
+# order.  The flag is the key with ``-`` for ``_``, except ``target_feature``,
+# whose flag is ``--target``.  Flags, config files and checkpoint run meta all
+# parse their raw text through this table.
+RUN_KEYS = {
+    "data": (_optional(str), "long-form dataset CSV"),
+    "variant": (str, "unistream | att_unistream | multistream | att_multistream"),
+    "horizon": (int, "days ahead to predict"),
+    "target_feature": (str, "target weather feature (e.g. avg_temp, wind_speed)"),
+    "target_cities": (_parse_strs, "comma-separated target city list"),
+    "lags": (int, "input window length in days"),
+    "seed": (int, "run seed"),
+    "lr": (float, "learning rate"),
+    "batch_size": (int, "training batch size"),
+    "max_epochs": (int, "epoch budget"),
+    "patience": (int, "early-stop patience in epochs"),
+    "filters": (_optional(int), "ConvLSTM filter count"),
+    "dense": (_optional(_parse_ints), "comma-separated dense-layer widths"),
+    "streams": (_optional(int), "stream count (multistream variants)"),
+    "kernel": (_parse_ints, "convolution kernel, e.g. 3,3"),
+    "key_dim": (_optional(int), "attention key dimension"),
+    "ff_dim": (_optional(int), "encoder feed-forward width"),
+    "split_ratio": (float, "train+val fraction of days"),
+    "val_fraction": (float, "validation fraction of the train block"),
+    "stop_train_mse": (_optional(float), "stop once train MSE dips below this"),
+    "out": (str, "output directory root"),
 }
+
+# The run keys a checkpoint records so that eval, occlude and scoremax cut
+# the same test windows as training did.
+RUN_META = ("horizon", "target_feature", "target_cities", "split_ratio", "val_fraction")
 
 
 @dataclass
@@ -87,13 +95,12 @@ class RunConfig:
     def apply(self, assignments: dict[str, str], source: str) -> None:
         """Parse and set ``key -> raw text`` pairs; unknown keys are fatal."""
         for key, raw in assignments.items():
-            parser = _PARSERS.get(key)
-            if parser is None:
+            if key not in RUN_KEYS:
                 raise ConfigurationError(
                     f"{source}: unknown config key {key!r}"
                 )
             try:
-                setattr(self, key, parser(raw))
+                setattr(self, key, RUN_KEYS[key][0](raw))
             except (ValueError, TypeError):
                 raise ConfigurationError(
                     f"{source}: bad value {raw!r} for key {key!r}"
@@ -120,6 +127,17 @@ class RunConfig:
             return repr(value)
         return str(value)
 
+    def texts(self, keys) -> dict[str, str]:
+        """Each key's value as the text that ``apply`` parses back."""
+        return {key: self._format(getattr(self, key)) for key in keys}
+
+    def sub_config(self, cls, **given):
+        """Build dataclass ``cls`` from the run keys it shares by name."""
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given
+        }
+        return cls(**shared, **given)
+
     def to_text(self) -> str:
         """Canonical form: every field but the output root, sorted by name.
 
@@ -127,12 +145,8 @@ class RunConfig:
         same configuration written anywhere keeps the same digest (and the
         recorded config stays byte-identical across destinations).
         """
-        lines = [
-            f"{f.name} = {self._format(getattr(self, f.name))}"
-            for f in sorted(fields(self), key=lambda f: f.name)
-            if f.name != "out"
-        ]
-        return "\n".join(lines) + "\n"
+        keys = sorted(f.name for f in fields(self) if f.name != "out")
+        return "".join(f"{k} = {v}\n" for k, v in self.texts(keys).items())
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]

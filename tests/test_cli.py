@@ -4,6 +4,7 @@ A single small training run (60 synthetic days, 2 epochs) is shared by the
 eval/occlude/scoremax tests; determinism gets its own pair of runs.
 """
 
+import argparse
 import dataclasses
 import re
 import struct
@@ -14,11 +15,12 @@ import numpy as np
 import pytest
 
 from stationcast import cli
-from stationcast.cli import _TRAIN_OVERRIDES, main
+from stationcast.cli import main
 from stationcast.data import TABLE_CITY_ORDER, write_demo_csv
-from stationcast.models import ModelConfig, ModelGraph, save_checkpoint
-from stationcast.runconfig import RunConfig
+from stationcast.models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
+from stationcast.runconfig import RUN_KEYS, RunConfig
 from stationcast.serialize import load_arrays, save_arrays
+from stationcast.training import TrainConfig
 
 TRAIN_FLAGS = [
     "--lags", "4", "--horizon", "1", "--variant", "unistream",
@@ -171,8 +173,57 @@ def test_train_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
 
 def test_config_keys_are_exactly_the_train_flags():
     """A config key that no train flag mirrors is a key nothing reads."""
-    keys = {f.name for f in dataclasses.fields(RunConfig)}
-    assert keys == {dest for _, dest, _ in _TRAIN_OVERRIDES}
+    assert set(RUN_KEYS) == {f.name for f in dataclasses.fields(RunConfig)}
+    (sub,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = [
+        action for action in sub.choices["train"]._actions
+        if action.dest not in ("help", "config")
+    ]
+    assert [action.dest for action in flags] == list(RUN_KEYS)
+    for action in flags:
+        expected = "--" + action.dest.replace("_", "-")
+        if action.dest == "target_feature":
+            expected = "--target"
+        assert action.option_strings == [expected]
+
+
+def test_sub_configs_take_only_run_keys():
+    """Sub-configs are built from the run keys they name; a field that is
+    not a run key would be silently dropped, so none may exist."""
+    from_data = {"features", "cities", "n_targets"}
+    assert {f.name for f in dataclasses.fields(TrainConfig)} <= set(RUN_KEYS)
+    model_fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    assert from_data <= model_fields
+    assert model_fields - from_data <= set(RUN_KEYS)
+    assert not from_data & set(RUN_KEYS)
+
+
+def test_train_writes_the_run_meta_after_the_model_config(demo):
+    model, _ = load_checkpoint(demo["run"] / "checkpoint.wxtn")
+    _, meta = load_arrays(demo["run"] / "checkpoint.wxtn")
+    assert meta == model.cfg.to_text() + (
+        "horizon = 1\n"
+        "target_feature = avg_temp\n"
+        "target_cities = Paris,Luxembourg,London,Brussels,Frankfurt,Rotterdam\n"
+        "split_ratio = 0.9\n"
+        "val_fraction = 0.1\n"
+        "scaler_file = scaler.wxtn\n"
+    )
+
+
+def test_train_reports_an_allocation_that_cannot_be_made(tmp_path, demo, capsys):
+    # 648 inputs x 1e14 float64 weights is about 460 PiB: beyond any address
+    # space, so the allocation fails before a byte is touched.
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(demo["data"]), "--out", str(out),
+            *TRAIN_FLAGS, "--dense", "100000000000000"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: Unable to allocate" in err
+    assert "(648, 100000000000000)" in err
 
 
 def test_train_rejects_bad_values(tmp_path, demo, capsys):
@@ -313,6 +364,25 @@ def test_eval_missing_data_file(demo, capsys):
     code = main(["eval", *run_inputs(demo)][:3] + ["--data", "void.csv"])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("horizon", "abc"), ("split_ratio", "x"), ("val_fraction", "x")]
+)
+def test_eval_rejects_a_bad_run_meta_value(demo, tmp_path, capsys, key, value):
+    arrays, meta = load_arrays(demo["run"] / "checkpoint.wxtn")
+    lines = [
+        f"{key} = {value}" if line.partition(" =")[0] == key else line
+        for line in meta.splitlines()
+    ]
+    assert lines != meta.splitlines()
+    ckpt = tmp_path / "checkpoint.wxtn"
+    save_arrays(ckpt, arrays, "\n".join(lines) + "\n")
+    (tmp_path / "scaler.wxtn").write_bytes((demo["run"] / "scaler.wxtn").read_bytes())
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(demo["data"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(key) in err and repr(value) in err
 
 
 def test_foreign_checkpoint_meta_is_rejected(demo, tmp_path, capsys):

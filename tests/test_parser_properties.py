@@ -17,7 +17,7 @@ from stationcast import data
 from stationcast.cli import main
 from stationcast.data import CONDITIONS, load_dataset
 from stationcast.errors import StationcastError
-from stationcast.runconfig import _PARSERS, RunConfig
+from stationcast.runconfig import RUN_KEYS, RunConfig
 from stationcast.serialize import parse_key_values
 
 FEATURES = ("temp", "condition")
@@ -144,7 +144,7 @@ def test_ingest_exits_with_a_documented_code(tmp_path, blob, capsys):
     capsys.readouterr()
 
 
-keys = st.one_of(st.sampled_from(sorted(_PARSERS)), junk)
+keys = st.one_of(st.sampled_from(sorted(RUN_KEYS)), junk)
 values = st.one_of(
     st.sampled_from(
         ["none", "None", "3", "-1", "0", "3,3", "1,,2", "1e999", "nan", "4" * 5000,
