@@ -203,8 +203,6 @@ def cmd_train(args) -> int:
     cfg.apply(overrides, "command line")
     if cfg.data is None:
         raise UsageError("a dataset is required: pass --data or set it in --config")
-    if len(cfg.kernel) != 2:
-        raise UsageError(f"kernel needs exactly two extents, got {cfg.kernel}")
     train_cfg = cfg.sub_config(TrainConfig)
 
     cube = load_dataset(cfg.data)

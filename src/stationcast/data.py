@@ -321,6 +321,14 @@ class Scaler:
     features: tuple[str, ...]
     cities: tuple[str, ...]
 
+    def __post_init__(self):
+        shape = (len(self.features), len(self.cities))
+        if self.mins.shape != shape or self.maxs.shape != shape:
+            raise ConfigurationError(
+                f"scaler arrays {self.mins.shape} and {self.maxs.shape} disagree "
+                f"with its {shape[0]} features and {shape[1]} cities"
+            )
+
     @property
     def spans(self) -> np.ndarray:
         return self.maxs - self.mins
@@ -377,6 +385,12 @@ def fit_scaler(cube: WeatherCube, train_days: range | slice) -> Scaler:
 
 
 def scale_cube(cube: WeatherCube, scaler: Scaler) -> WeatherCube:
+    for axis in ("features", "cities"):
+        if getattr(scaler, axis) != getattr(cube, axis):
+            raise ConfigurationError(
+                f"scaler {axis} {list(getattr(scaler, axis))} differ from "
+                f"the data's {list(getattr(cube, axis))}"
+            )
     return replace(cube, values=scaler.transform(cube.values))
 
 

@@ -261,11 +261,10 @@ class ConvLSTM(Layer):
         """
         return ad.conv_lstm(ad.conv2d(x, self.w_x), steps, self.w_h, self.b, state)
 
-    def step(self, x_t, h_prev=None, c_prev=None) -> tuple[Tensor, Tensor]:
-        """One recurrence step over ``(B, Cin, F, C)`` input and
-        ``(B, filters, F, C)`` states; returns the new ``(h, c)``.  Without
-        states the step starts from zeros and skips the recurrent product."""
-        state = None if h_prev is None else (h_prev, c_prev)
+    def step(self, x_t, state=None) -> tuple[Tensor, Tensor]:
+        """One recurrence step over ``(B, Cin, F, C)`` input from an ``(h, c)``
+        ``state``; returns the new ``(h, c)``.  Without a state the step
+        starts from zeros and skips the recurrent product."""
         out = self._run(x_t, 1, state)
         return out[:, 0], out[:, 1]
 

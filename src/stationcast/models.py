@@ -83,7 +83,7 @@ class ModelConfig:
         if self.dense is None:
             self.dense = _DEFAULT_DENSE[self.variant]
         self.dense = tuple(int(d) for d in self.dense)
-        self.kernel = (int(self.kernel[0]), int(self.kernel[1]))
+        self.kernel = tuple(int(k) for k in self.kernel)
         if self.multistream:
             if self.streams < 2:
                 raise ConfigurationError(
@@ -102,9 +102,17 @@ class ModelConfig:
             raise ConfigurationError(
                 f"cannot target {self.n_targets} of {self.cities} cities"
             )
-        for name in ("lags", "features", "cities", "n_targets", "filters"):
-            if getattr(self, name) < 1:
+        for name in ("lags", "features", "cities", "n_targets", "filters",
+                     "key_dim", "ff_dim"):
+            value = getattr(self, name)  # only key_dim and ff_dim may be None
+            if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if any(d < 1 for d in self.dense):
+            raise ConfigurationError(f"dense widths must be positive, got {self.dense}")
+        if len(self.kernel) != 2 or any(k < 1 or k % 2 == 0 for k in self.kernel):
+            raise ConfigurationError(
+                f"kernel needs two odd positive extents, got {self.kernel}"
+            )
 
     @property
     def multistream(self) -> bool:
@@ -216,8 +224,8 @@ class ModelGraph(Layer):
     def _front(self, stream: int, lags, states=None) -> Tensor:
         """Run one stream over ``(B, V', F, C)`` lags; returns its final map.
 
-        ``states`` holds each ConvLSTM's initial ``(h, c)``; ``None`` starts
-        every layer from zeros, as a whole-window pass does.
+        ``states`` holds each ConvLSTM's initial ``(h, c)``, ``None`` for
+        zeros; without it every layer starts from zeros, as in ``forward``.
         """
         layers = self._stack(stream)
         nb, steps, nf, nc = lags.shape
@@ -303,13 +311,10 @@ class ModelGraph(Layer):
         both run slices of ``PREDICT_BATCH`` samples and every product keeps
         its shape.
 
-        Each slice is run once lag by lag, keeping every ConvLSTM's ``(h, c)``
-        after each lag.  A mask on lag ``t`` of stream ``s`` then reruns only
-        stream ``s``, from its states before ``t``; the other streams' final
-        maps come from the unmasked run.  The masks go from each stream's
-        last lag to its first, and each kept state is dropped after the one
-        rerun that starts from it, so no kept state is alive during the
-        whole-stream reruns, the largest ones.
+        Each slice walks each stream forward once from zeros, one
+        :meth:`ConvLSTM.step` per lag.  Before stepping lag ``t``, the walk
+        reruns lags ``t..`` of that stream from its current states with lag
+        ``t`` masked, and copies out the rerun's final map.
         """
         cfg = self.cfg
         self._check_batch(inputs.shape)
@@ -322,46 +327,26 @@ class ModelGraph(Layer):
         with ad.no_grad():
             for start in range(0, len(inputs), PREDICT_BATCH):
                 chunk = inputs[start : start + PREDICT_BATCH]
-                finals, histories = [], []
+                finals, rows = [], []
                 for s in range(cfg.streams):
-                    final, history = self._stepwise(s, chunk[:, s * v : (s + 1) * v])
-                    finals.append(final)
-                    histories.append(history)
-                reference.append(self._back(self._merge(finals)).data)
-                rows = [None] * cfg.lags
-                for u in reversed(range(v)):
-                    for s in range(cfg.streams):
-                        t = s * v + u
+                    layers = self._stack(s)
+                    states = [None] * len(layers)
+                    for t in range(s * v, (s + 1) * v):
                         lags = chunk[:, t : (s + 1) * v].copy()
                         lags[:, 0] = fill
-                        maps = list(finals)
-                        # Lag u - 1's states are the newest kept; no later
-                        # mask starts from them.
-                        maps[s] = self._front(
-                            s, Tensor(lags), histories[s].pop() if u else None
-                        )
-                        rows[t] = self._back(self._merge(maps)).data
+                        rows.append(self._front(s, Tensor(lags), states).data.copy())
+                        x = Tensor(chunk[:, t : t + 1])
+                        for k, layer in enumerate(layers):
+                            states[k] = layer.step(x, states[k])
+                            x = states[k][0]
+                    finals.append(x)
+                reference.append(self._back(self._merge(finals)).data)
+                for t, rerun in enumerate(rows):
+                    maps = list(finals)
+                    maps[t // v] = Tensor(rerun)
+                    rows[t] = self._back(self._merge(maps)).data
                 masked.append(rows)
         return np.concatenate(reference), np.concatenate(masked, axis=1)
-
-    def _stepwise(self, stream: int, lags: np.ndarray) -> tuple[Tensor, list]:
-        """Run one stream over ``(B, V, F, C)`` lags one step at a time.
-
-        Returns the final map and, for every lag but the last, each layer's
-        ``(h, c)`` after it.  The first step starts from zeros, so every
-        state is bitwise that of a whole-window pass.
-        """
-        layers = self._stack(stream)
-        states = [(None, None)] * len(layers)
-        history = []
-        for u in range(lags.shape[1]):
-            x = Tensor(lags[:, u : u + 1])
-            for k, layer in enumerate(layers):
-                states[k] = layer.step(x, *states[k])
-                x = states[k][0]
-            if u < lags.shape[1] - 1:
-                history.append(list(states))
-        return x, history
 
 
 def save_checkpoint(model: ModelGraph, path, extras: Optional[dict] = None):

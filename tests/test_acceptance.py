@@ -238,7 +238,7 @@ def test_criterion_03_convlstm_oracle(capsys):
             h = Tensor(np.zeros((1, 1, 1, 1)))
             c = Tensor(np.zeros((1, 1, 1, 1)))
             for x in xs:
-                h, c = layer.step(Tensor(np.full((1, 1, 1, 1), x)), h, c)
+                h, c = layer.step(Tensor(np.full((1, 1, 1, 1), x)), (h, c))
             assert abs(float(c.data[0, 0, 0, 0]) - want_c) < 1e-12, f"seed {seed}"
 
 

@@ -257,6 +257,23 @@ def test_train_rejects_a_zero_validation_fraction(tmp_path, demo, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dense", "0"], "dense widths must be positive"),
+        (["--dense", "-1"], "dense widths must be positive"),
+        (["--variant", "att_unistream", "--key-dim", "0"], "key_dim must be positive"),
+        (["--variant", "att_unistream", "--ff-dim", "-2"], "ff_dim must be positive"),
+        (["--kernel", "0,3"], "kernel needs two odd positive extents"),
+    ],
+)
+def test_train_rejects_layer_widths_below_one(tmp_path, demo, capsys, flags, message):
+    argv = ["train", "--data", str(demo["data"]), "--out", str(tmp_path / "o"),
+            *TRAIN_FLAGS, *flags]
+    assert main(argv) == 1
+    assert "configuration error: " + message in capsys.readouterr().err
+
+
 def test_data_too_short_for_windows(tmp_path, capsys):
     data = tmp_path / "short.csv"
     write_demo_csv(data, days=30, seed=4)
@@ -318,6 +335,33 @@ def test_eval_rejects_corrupt_scaler_meta(demo, tmp_path, capsys, meta, message)
     assert main(["eval", *run_inputs(demo, ["--scaler", str(scaler)])]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+
+
+def _cut_arrays(arrays, meta):
+    return {k: v[:, :5] for k, v in arrays.items()}, meta
+
+
+def _reversed_cities(arrays, meta):
+    features, cities = meta.splitlines()
+    key, names = cities.split(" = ")
+    return arrays, f"{features}\n{key} = {' '.join(reversed(names.split()))}\n"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_cut_arrays, "scaler arrays (18, 5) and (18, 5) disagree"),
+        (_reversed_cities, "scaler cities ['Zurich'"),
+    ],
+)
+def test_eval_rejects_a_scaler_that_disagrees_with_the_data(
+    demo, tmp_path, capsys, tamper, message
+):
+    scaler = tmp_path / "scaler.wxtn"
+    save_arrays(scaler, *tamper(*load_arrays(demo["run"] / "scaler.wxtn")))
+    assert main(["eval", *run_inputs(demo, ["--scaler", str(scaler)])]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: " + message in err
 
 
 def _overflowing_extents(blob):

@@ -292,6 +292,22 @@ def test_empty_fit_range_rejected():
         fit_scaler(synthetic_cube(5), range(3, 3))
 
 
+def test_scaler_arrays_must_match_its_labels():
+    with pytest.raises(ConfigurationError, match=r"\(1, 3\) and \(1, 2\) disagree"):
+        Scaler(np.zeros((1, 3)), np.ones((1, 2)), ("f0",), ("c0", "c1"))
+
+
+def test_scaling_rejects_a_scaler_fitted_on_other_labels():
+    cube = synthetic_cube(20, seed=3)
+    scaler = fit_scaler(cube, range(0, 10))
+    for other in (
+        replace(scaler, cities=scaler.cities[::-1]),
+        replace(scaler, features=tuple(f"x{f}" for f in scaler.features)),
+    ):
+        with pytest.raises(ConfigurationError, match="differ from the data's"):
+            scale_cube(cube, other)
+
+
 def test_descale_predictions_hand_case():
     scaler = Scaler(
         mins=np.array([[1.0, 10.0]]),

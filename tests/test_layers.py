@@ -204,11 +204,11 @@ def test_convlstm_all_zero_weights_gives_zero_state():
     zero_params(layer)
     x = Tensor(rng(1).uniform(-1, 1, (1, 1, 4, 4)))
     h0 = Tensor(np.zeros((1, 2, 4, 4)))
-    h, c = layer.step(x, h0, Tensor(np.zeros((1, 2, 4, 4))))
+    h, c = layer.step(x, (h0, Tensor(np.zeros((1, 2, 4, 4)))))
     np.testing.assert_array_equal(h.data, np.zeros((1, 2, 4, 4)))
     np.testing.assert_array_equal(c.data, np.zeros((1, 2, 4, 4)))
     # gates really sit at 0.5: check via the cell update with c_prev = 1
-    _, c1 = layer.step(x, h0, Tensor(np.ones((1, 2, 4, 4))))
+    _, c1 = layer.step(x, (h0, Tensor(np.ones((1, 2, 4, 4)))))
     np.testing.assert_allclose(c1.data, np.full((1, 2, 4, 4), 0.5), atol=1e-15)
 
 
@@ -218,7 +218,7 @@ def test_convlstm_saturated_forget_gate_keeps_cell():
     gate(layer, layer.b.data, "f")[...] = 30.0
     c0 = rng(2).uniform(-1, 1, (1, 2, 3, 3))
     x = Tensor(np.zeros((1, 1, 3, 3)))
-    _, c = layer.step(x, Tensor(np.zeros((1, 2, 3, 3))), Tensor(c0))
+    _, c = layer.step(x, (Tensor(np.zeros((1, 2, 3, 3))), Tensor(c0)))
     assert np.abs(c.data - c0).max() < 1e-12
 
 
@@ -228,7 +228,7 @@ def test_convlstm_sequence_equals_manual_steps():
     h = Tensor(np.zeros((1, 3, 4, 4)))
     c = Tensor(np.zeros((1, 3, 4, 4)))
     for t in range(3):
-        h, c = layer.step(Tensor(seq[:, t]), h, c)
+        h, c = layer.step(Tensor(seq[:, t]), (h, c))
     np.testing.assert_allclose(layer(Tensor(seq)).data, h.data, atol=1e-15)
 
 
@@ -237,8 +237,7 @@ def test_convlstm_single_step_sequence():
     seq = rng(6).uniform(-1, 1, (1, 1, 1, 3, 3))
     h, _ = layer.step(
         Tensor(seq[:, 0]),
-        Tensor(np.zeros((1, 2, 3, 3))),
-        Tensor(np.zeros((1, 2, 3, 3))),
+        (Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 2, 3, 3)))),
     )
     np.testing.assert_allclose(layer(Tensor(seq)).data, h.data, atol=1e-15)
 
@@ -276,8 +275,7 @@ def test_convlstm_rejects_empty_and_misshaped_input():
     with pytest.raises(DimensionError):
         layer.step(
             Tensor(np.zeros((1, 1, 3, 3))),
-            Tensor(np.zeros((1, 2, 4, 4))),
-            Tensor(np.zeros((1, 2, 3, 3))),
+            (Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3)))),
         )
 
 
@@ -332,7 +330,7 @@ def test_convlstm_step_matches_explicit_gate_formula(kernel):
     x = Tensor(rng(23).uniform(-1, 1, (4, 2, 5, 6)))
     h = Tensor(rng(24).uniform(-1, 1, (4, 3, 5, 6)))
     c = Tensor(rng(25).uniform(-1, 1, (4, 3, 5, 6)))
-    got_h, got_c = layer.step(x, h, c)
+    got_h, got_c = layer.step(x, (h, c))
     want_h, want_c = explicit_gate_step(layer, x, h, c)
     np.testing.assert_allclose(got_h.data, want_h.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_c.data, want_c.data, rtol=0, atol=1e-12)
@@ -417,7 +415,9 @@ def test_chained_steps_carry_cell_gradients(kernel):
         return loss_fn
 
     inputs = [x1, x2, h0, c0]
-    got = value_and_gradients(loss_of(ConvLSTM.step), layer, inputs)
+    got = value_and_gradients(
+        loss_of(lambda layer, x, h, c: layer.step(x, (h, c))), layer, inputs
+    )
     want = value_and_gradients(loss_of(explicit_gate_step), layer, inputs)
     assert_close_to_scale(got, want)
 
@@ -464,7 +464,7 @@ def test_convlstm_resumes_bitwise_from_a_given_state():
     h, c = layer.step(Tensor(seq[:, 0]))
     np.testing.assert_array_equal(h.data, whole[:, 0])
     for t in (1, 2):
-        h, c = layer.step(Tensor(seq[:, t]), h, c)
+        h, c = layer.step(Tensor(seq[:, t]), (h, c))
         np.testing.assert_array_equal(h.data, whole[:, t])
     rest = layer(Tensor(seq[:, 3:]), (h, c)).data
     np.testing.assert_array_equal(rest, whole[:, 3:])
@@ -497,7 +497,7 @@ def test_convlstm_is_one_input_convolution_and_one_recurrence(monkeypatch):
     monkeypatch.setattr(ad, "conv2d", counting)
     x = Tensor(rng(27).uniform(-1, 1, (2, 2, 4, 4)))
     state = Tensor(np.zeros((2, 3, 4, 4)))
-    layer.step(x, state, state)
+    layer.step(x, (state, state))
     assert len(calls) == 1
     nodes = []
     for steps in (2, 5):

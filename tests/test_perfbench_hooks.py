@@ -81,3 +81,21 @@ def test_tracer_spans_nest_with_the_worker_running(monkeypatch):
         if parent >= 0:
             _, parent_start, parent_end, _, _ = tracer.spans[parent]
             assert parent_start <= start <= end <= parent_end, name
+
+
+def test_tracer_counts_steps_that_carry_a_state():
+    # The temporal sweep passes each step the (h, c) pair the previous
+    # step returned; the wrapper must hand it through unchanged.
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        rng = np.random.default_rng(2)
+        layer = layers.ConvLSTM(rng, 1, 2)
+        x = Tensor(rng.uniform(-1, 1, (2, 1, 4, 4)))
+        tracer.begin_op(1)
+        state = layer.step(x)
+        layer.step(x, state)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics(op_s=0.0, overhead_s=0.0)["layers.convlstm_step.calls"] == 2
