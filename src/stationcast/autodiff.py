@@ -39,7 +39,9 @@ _grad_enabled = True
 # Multiply-adds at and above which an op hands its second half to the
 # worker thread.  A hand-off costs about 0.2-0.4 ms, and two threads that
 # page-fault fresh multi-megabyte arrays slow each other down, so smaller
-# ops (an occlusion or score-ascent forward pass) run both halves here.
+# ops run both halves here.  At the default sizes every op of a score-ascent
+# iteration (batch 1) stays here, while a 16-sample occlusion pass hands
+# over its recurrences and some of its input convolutions.
 SPLIT_WORK = 1 << 27
 
 _worker: Optional[ThreadPoolExecutor] = None
@@ -712,20 +714,6 @@ def relu(x) -> Tensor:
     # np.maximum (unlike np.where on the mask) lets NaN through, so a
     # poisoned activation surfaces as a non-finite loss instead of a zero.
     return _record(np.maximum(x.data, 0.0), "relu", (x,), backward)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(x, kind: str) -> Tensor:
-    """Elementwise activation by name: ``sigmoid``, ``tanh``, or ``relu``."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}"
-        ) from None
-    return fn(x)
 
 
 def softmax_rows(x) -> Tensor:

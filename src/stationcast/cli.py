@@ -35,13 +35,15 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .explain import OcclusionSpec, occlusion_map, score_maximize, scoremax_lag_maps
+from .explain import (
+    OCCLUSION_MODES, OcclusionSpec, occlusion_map, score_maximize, scoremax_lag_maps
+)
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from .runconfig import RUN_KEYS, RUN_META, RunConfig
 from .serialize import write_text
 from .training import (
-    TrainConfig, descaled_predictions, eval_table, evaluate, prediction_series, train
+    TrainConfig, descaled_predictions, eval_table, evaluate, train
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +103,7 @@ def build_parser() -> _Parser:
     occluder.add_argument(
         "--mode",
         default="feature_row",
-        choices=("feature_row", "city_column", "patch", "temporal"),
+        choices=OCCLUSION_MODES,
         help="mask shape",
     )
     occluder.add_argument(
@@ -110,10 +112,11 @@ def build_parser() -> _Parser:
     occluder.add_argument(
         "--fill", default="zero", choices=("zero", "mean"), help="mask fill value"
     )
-    occluder.add_argument(
+    scored = occluder.add_mutually_exclusive_group()
+    scored.add_argument(
         "--city", default=None, help="restrict to one target city"
     )
-    occluder.add_argument(
+    scored.add_argument(
         "--aggregate",
         action="store_true",
         help="score the whole output vector instead of per-city",
@@ -292,11 +295,10 @@ def cmd_eval(args) -> int:
     pred, truth = descaled_predictions(model, windows, scaler)
     table = eval_table(pred, truth, windows)
     write_text(out_dir / "eval_table.csv", table.to_csv())
-    series = prediction_series(pred, truth, windows.target_cities)
-    for city, pairs in series.items():
+    for j, city in enumerate(windows.target_cities):
         lines = ["index,actual,predicted"]
-        for i, (actual, predicted) in enumerate(pairs.tolist()):
-            lines.append(f"{i},{actual!r},{predicted!r}")
+        pairs = zip(truth[:, j].tolist(), pred[:, j].tolist())
+        lines.extend(f"{i},{a!r},{p!r}" for i, (a, p) in enumerate(pairs))
         write_text(out_dir / f"predictions_{city}.csv", "\n".join(lines) + "\n")
     sys.stdout.write(table.to_csv())
     print(f"artifacts in: {out_dir}")
@@ -334,6 +336,8 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_scoremax(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model, scaler, cube, windows, run, out_dir = _load_run(args)
     if not 0 <= args.sample_index < len(windows):
         raise UsageError(
@@ -359,20 +363,9 @@ def cmd_scoremax(args) -> int:
             raise UsageError(f"--lags: lag {lag} outside 1..{model.cfg.lags}")
 
     result = score_maximize(
-        model,
-        sample,
-        truth,
-        iterations=args.iterations,
-        lr=args.lr,
-        bounds=(0.0, 1.0),
+        model, sample, truth, iterations=args.iterations, lr=args.lr
     )
-    maps = scoremax_lag_maps(
-        result,
-        cube.features,
-        cube.cities,
-        lag_numbers,
-        meta={"variant": model.cfg.variant, "feature": run.target_feature},
-    )
+    maps = scoremax_lag_maps(result, cube.features, cube.cities, lag_numbers)
     for lag, saliency in zip(lag_numbers, maps):
         subtitle = (
             f"{model.cfg.variant}, {run.target_feature} +{run.horizon}d, "

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, TooFewDaysError
 from .serialize import load_arrays, parse_key_values, save_arrays
 
 FEATURES = (
@@ -442,12 +442,14 @@ def make_windows(
     t_days = cube.days
     n = t_days - lags - horizon + 1
     if n < 1:
-        raise ConfigurationError(
+        raise TooFewDaysError(
             f"{t_days} days cannot fit even one window of {lags} lags "
             f"+ horizon {horizon}"
         )
     f_idx = cube.feature_index(target_feature)
     c_idx = [cube.city_index(c) for c in target_cities]
+    if len(set(c_idx)) < len(c_idx):
+        raise ConfigurationError(f"target cities repeat: {list(target_cities)}")
     starts = np.arange(n)
     inputs = cube.values[starts[:, None] + np.arange(lags)[None, :]]
     targets = cube.values[starts + lags - 1 + horizon][:, f_idx][:, c_idx]
@@ -486,9 +488,6 @@ class DataBundle:
     val: WindowedSet
     test: WindowedSet
     scaler: Scaler
-    train_days: range
-    val_days: range
-    test_days: range
 
 
 def prepare(
@@ -514,7 +513,7 @@ def prepare(
             return window_block(
                 scaled, days, lags, horizon, target_feature, target_cities
             )
-        except ConfigurationError as exc:
+        except TooFewDaysError as exc:
             raise ConfigurationError(f"{name} block too short: {exc}") from None
 
     return DataBundle(
@@ -522,9 +521,6 @@ def prepare(
         block(val_days, "validation"),
         block(test_days, "test"),
         scaler,
-        train_days,
-        val_days,
-        test_days,
     )
 
 

@@ -13,6 +13,10 @@ class ConfigurationError(StationcastError):
     """A configuration value is invalid or inconsistent."""
 
 
+class TooFewDaysError(ConfigurationError):
+    """A day range is too short to hold one lag window and its target."""
+
+
 class ContractError(StationcastError):
     """An operation was called outside its contract."""
 

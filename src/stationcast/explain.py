@@ -19,7 +19,7 @@ Two techniques:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,17 +108,14 @@ class SaliencyMap:
     """A labeled grid of values ready for CSV and heatmap export.
 
     ``values`` is (rows, cols); 1-D analyses use a single column (feature/
-    city modes) or a single row (temporal).  ``meta`` carries free-form
-    provenance strings (variant, mode, target, horizon) for titles.
+    city modes) or a single row (temporal).  ``samples_used`` counts the
+    samples an occlusion map averages over.
     """
 
     values: np.ndarray
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    mode: str
     samples_used: int = 0
-    samples_skipped: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.values.shape != (len(self.row_labels), len(self.col_labels)):
@@ -242,10 +239,9 @@ def occlusion_map(
             raise ContractError(
                 "every sample had zero reference MSE; nothing to occlude"
             )
-        references.append((ref[keep], keep, skipped))
+        references.append((ref[keep], keep))
     masked_errors = [squared_errors(pred) for pred in masked_preds]
 
-    meta = {"mode": spec.mode, "fill": spec.fill, "variant": model.cfg.variant}
     if spec.mode == "feature_row":
         shape = (n_feat, 1)
         rows, cols = tuple(feature_names), ("mean_pct_change",)
@@ -261,25 +257,16 @@ def occlusion_map(
         shape = (n_feat // p, n_city // p)
         rows = _block_labels(feature_names, p)
         cols = _block_labels(city_names, p)
-        meta["patch_size"] = str(p)
 
     maps = []
-    for target, out_cols, (ref, keep, skipped) in zip(
-        targets, columns, references
-    ):
+    for out_cols, (ref, keep) in zip(columns, references):
         # Reduce one position at a time: a mean over the whole (P, N) block
         # rounds differently in the last digit.
         deltas = [
             (100.0 * (err[:, out_cols].mean(axis=1)[keep] - ref) / ref).mean()
             for err in masked_errors
         ]
-        target_meta = {**meta, "target": target or "all targets"}
-        maps.append(
-            SaliencyMap(
-                np.reshape(deltas, shape), rows, cols, spec.mode,
-                int(keep.sum()), skipped, target_meta,
-            )
-        )
+        maps.append(SaliencyMap(np.reshape(deltas, shape), rows, cols, int(keep.sum())))
     return maps
 
 
@@ -290,11 +277,8 @@ def occlusion_map(
 class ScoreMaxResult:
     """The ascended input map plus the score trajectory that produced it."""
 
-    input_map: np.ndarray  # (L, F, C), clipped into bounds
+    input_map: np.ndarray  # (L, F, C), clipped into [0, 1]
     scores: tuple[float, ...]  # h before each step, then h of the final map
-    iterations: int
-    lr: float
-    bounds: tuple[float, float]
 
     @property
     def initial_score(self) -> float:
@@ -311,9 +295,9 @@ def score_maximize(
     truth: np.ndarray,
     iterations: int = 100,
     lr: float = 0.01,
-    bounds: tuple[float, float] = (0.0, 1.0),
 ) -> ScoreMaxResult:
-    """Gradient-ascend h = 1/MSE on the input; clip into bounds at the end.
+    """Gradient-ascend h = 1/MSE on the input; clip into the scaled range
+    [0, 1] at the end.
 
     Each iteration computes dh/dI, L2-normalizes that gradient, and takes a
     step of length ``lr`` along it.  The model is used frozen (parameter
@@ -321,16 +305,13 @@ def score_maximize(
     """
     sample = np.array(sample, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if lo >= hi:
-        raise ConfigurationError(f"bounds must satisfy lo < hi, got {bounds}")
     if iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
     if lr < 0:
         raise ConfigurationError(f"ascent rate must be >= 0, got {lr}")
-    if sample.min() < lo or sample.max() > hi:
+    if sample.min() < 0.0 or sample.max() > 1.0:
         raise ConfigurationError(
-            f"starting sample exceeds bounds [{lo}, {hi}]: "
+            "starting sample exceeds bounds [0.0, 1.0]: "
             f"range [{sample.min()}, {sample.max()}]"
         )
 
@@ -381,16 +362,14 @@ def score_maximize(
         for p, was in flags:
             p.requires_grad = was
 
-    final = np.clip(current.data, lo, hi)
+    final = np.clip(current.data, 0.0, 1.0)
     with no_grad():
         pred = model.forward(Tensor(final[None]), mode="infer").data[0]
     final_mse = float(((pred - truth) ** 2).mean())
     if final_mse == 0:
         raise InfiniteScoreError("final map predicts the truth exactly; h infinite")
     history.append(1.0 / final_mse)
-    return ScoreMaxResult(
-        final, tuple(history), iterations, lr, (lo, hi)
-    )
+    return ScoreMaxResult(final, tuple(history))
 
 
 def scoremax_lag_maps(
@@ -398,7 +377,6 @@ def scoremax_lag_maps(
     feature_names: Sequence[str],
     city_names: Sequence[str],
     lag_numbers: Sequence[int],
-    meta: Optional[dict] = None,
 ) -> list[SaliencyMap]:
     """One feature x city SaliencyMap per requested 1-indexed lag."""
     total = result.input_map.shape[0]
@@ -408,15 +386,9 @@ def scoremax_lag_maps(
             raise ConfigurationError(
                 f"lag {lag} outside 1..{total}"
             )
-        lag_meta = {"mode": "scoremax", "lag": str(lag)}
-        lag_meta.update(meta or {})
         maps.append(
             SaliencyMap(
-                result.input_map[lag - 1],
-                tuple(feature_names),
-                tuple(city_names),
-                "scoremax",
-                meta=lag_meta,
+                result.input_map[lag - 1], tuple(feature_names), tuple(city_names)
             )
         )
     return maps

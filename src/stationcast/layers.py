@@ -83,20 +83,16 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer ``act(x W + b)`` applied over the last axis."""
+    """Fully connected layer ``x W + b`` over the last axis, ReLU'd if ``relu``."""
 
     def __init__(
-        self,
-        rng: np.random.Generator,
-        n_in: int,
-        n_out: int,
-        activation: Optional[str] = None,
+        self, rng: np.random.Generator, n_in: int, n_out: int, relu: bool = False
     ):
         self.weight = Tensor(
             glorot_uniform(rng, (n_in, n_out), n_in, n_out), requires_grad=True
         )
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
-        self.activation = activation
+        self.relu = relu
 
     def __call__(self, x) -> Tensor:
         x = ad.as_tensor(x)
@@ -106,7 +102,7 @@ class Dense(Layer):
                 f"weight shape {self.weight.shape}"
             )
         y = ad.matmul(x, self.weight) + self.bias
-        return ad.activation(y, self.activation) if self.activation else y
+        return ad.relu(y) if self.relu else y
 
 
 class LayerNorm(Layer):
@@ -116,20 +112,18 @@ class LayerNorm(Layer):
     variance 1 to well under 1e-6.
     """
 
-    def __init__(self, dim: int, eps: float = 1e-8):
+    EPS = 1e-8
+
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
-    def normalized(self, x) -> Tensor:
+    def __call__(self, x) -> Tensor:
         x = ad.as_tensor(x)
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / ad.sqrt(var + self.eps)
-
-    def __call__(self, x) -> Tensor:
-        return self.normalized(x) * self.gain + self.bias
+        return centered / ad.sqrt(var + self.EPS) * self.gain + self.bias
 
 
 class BatchNorm(Layer):
@@ -137,15 +131,16 @@ class BatchNorm(Layer):
 
     Accepts ``(B, C, H, W)``; channels are axis 1.  Train mode normalizes
     over the batch and spatial axes and updates the running
-    mean/variance with the configured momentum; infer mode applies the frozen
+    mean/variance with momentum ``MOMENTUM``; infer mode applies the frozen
     affine map derived from the running statistics.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.99, eps: float = 1e-5):
+    MOMENTUM = 0.99
+    EPS = 1e-5
+
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.momentum = momentum
-        self.eps = eps
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
@@ -176,8 +171,8 @@ class BatchNorm(Layer):
             mu = x.mean(axis=axes, keepdims=True)
             centered = x - mu
             var = (centered * centered).mean(axis=axes, keepdims=True)
-            normalized = centered / ad.sqrt(var + self.eps)
-            m = self.momentum
+            normalized = centered / ad.sqrt(var + self.EPS)
+            m = self.MOMENTUM
             self.running_mean = m * self.running_mean + (1 - m) * mu.data.reshape(
                 channels
             )
@@ -186,7 +181,7 @@ class BatchNorm(Layer):
             )
         else:
             mu = Tensor(self.running_mean.reshape(param_shape))
-            sd = Tensor(np.sqrt(self.running_var + self.eps).reshape(param_shape))
+            sd = Tensor(np.sqrt(self.running_var + self.EPS).reshape(param_shape))
             normalized = (x - mu) / sd
 
         gamma = ad.reshape(self.gamma, param_shape)
@@ -349,7 +344,7 @@ class EncoderBlock(Layer):
         )
         self.norm_attn = LayerNorm(embed_dim)
         self.norm_ff = LayerNorm(embed_dim)
-        self.ff_in = Dense(rng, embed_dim, hidden_dim, activation="relu")
+        self.ff_in = Dense(rng, embed_dim, hidden_dim, relu=True)
         self.ff_out = Dense(rng, hidden_dim, embed_dim)
 
     def __call__(self, tokens) -> Tensor:

@@ -107,6 +107,8 @@ class ModelConfig:
             value = getattr(self, name)  # only key_dim and ff_dim may be None
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if any(d < 1 for d in self.dense):
             raise ConfigurationError(f"dense widths must be positive, got {self.dense}")
         if len(self.kernel) != 2 or any(k < 1 or k % 2 == 0 for k in self.kernel):
@@ -212,7 +214,7 @@ class ModelGraph(Layer):
         head: list[Dense] = []
         width = cfg.merged_channels * cfg.features * cfg.cities
         for out_width in cfg.dense:
-            head.append(Dense(rng, width, out_width, activation="relu"))
+            head.append(Dense(rng, width, out_width, relu=True))
             width = out_width
         head.append(Dense(rng, width, cfg.n_targets))
         self.head = head

@@ -48,20 +48,14 @@ class Adam:
     # multiply-adds: one element takes about 12.6 ns, as long as 200-250
     # multiply-adds of a convolution's matrix product (one BLAS thread).
     ELEMENT_WORK = 256
+    # b1, b2 and eps above: the defaults of Kingma & Ba (2015).
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params, lr: float = 1e-4):
         self.params = list(params)
         if not self.params:
             raise ContractError("optimizer needs at least one parameter")
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -82,20 +76,20 @@ class Adam:
     def _update(self, chunks) -> None:
         # In place, in the operation order of the formula above, so the
         # update is bitwise what the out-of-place expression gives.
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - self.BETA1**self.t
+        correct2 = 1.0 - self.BETA2**self.t
         scratch = np.empty((2, self.CHUNK))
         for p, m, v, g in chunks:
             a, b = scratch[:, : p.size]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
+            m *= self.BETA1
+            m += np.multiply(g, 1.0 - self.BETA1, out=a)
+            v *= self.BETA2
             np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            a *= 1.0 - self.BETA2
             v += a
             np.divide(v, correct2, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += self.EPS
             np.divide(m, correct1, out=b)
             b /= a
             b *= self.lr
@@ -132,6 +126,8 @@ class TrainConfig:
             )
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigurationError("max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -244,17 +240,12 @@ class EvalTable:
     """Per-city descaled MSE rows, in the fixed reporting order."""
 
     rows: tuple[tuple[str, float], ...]
-    target_feature: str
-    horizon: int
 
     def to_csv(self) -> str:
         lines = ["city,mse"]
         for city, value in self.rows:
             lines.append(f"{city},{value!r}")
         return "\n".join(lines) + "\n"
-
-    def mses(self) -> dict[str, float]:
-        return dict(self.rows)
 
 
 def _report_order(cities: Sequence[str]) -> list[str]:
@@ -298,7 +289,7 @@ def eval_table(pred: np.ndarray, truth: np.ndarray, windows: WindowedSet) -> Eva
     rows = tuple(
         (city, float(by_name[city])) for city in _report_order(cities)
     )
-    return EvalTable(rows, windows.target_feature, windows.horizon)
+    return EvalTable(rows)
 
 
 def evaluate(model: ModelGraph, windows: WindowedSet, scaler: Scaler) -> EvalTable:
@@ -306,12 +297,3 @@ def evaluate(model: ModelGraph, windows: WindowedSet, scaler: Scaler) -> EvalTab
     pred, truth = descaled_predictions(model, windows, scaler)
     return eval_table(pred, truth, windows)
 
-
-def prediction_series(
-    pred: np.ndarray, truth: np.ndarray, cities: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """Descaled (truth, prediction) pairs per target city, in sample order."""
-    return {
-        city: np.stack([truth[:, j], pred[:, j]], axis=1)
-        for j, city in enumerate(cities)
-    }

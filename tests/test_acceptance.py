@@ -99,7 +99,7 @@ def test_criterion_01_gradient_integrity(capsys):
 
     with verdict(1, "gradient integrity", capsys):
         w_dense = rng.standard_normal((3, 3))
-        dense = Dense(rng, 4, 3, activation="relu")
+        dense = Dense(rng, 4, 3, relu=True)
         x = Tensor(rng.uniform(-1, 1, (3, 4)))
         check("dense/input", lambda t: (dense(t) * Tensor(w_dense)).sum(), x)
         check("dense/weight", lambda t: (dense(x) * Tensor(w_dense)).sum(), dense.weight)

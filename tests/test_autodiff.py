@@ -143,13 +143,6 @@ def test_sigmoid_is_stable_at_extremes():
     np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, split)
 
 
-def test_activation_dispatch_and_unknown_name():
-    x = Tensor(np.array([-1.0, 2.0]))
-    np.testing.assert_array_equal(ad.activation(x, "relu").data, [0.0, 2.0])
-    with pytest.raises(ConfigurationError):
-        ad.activation(x, "gelu")
-
-
 def test_softmax_rows_sum_to_one():
     s = ad.softmax_rows(Tensor(rand(5, 7, seed=20, lo=-30, hi=30))).data
     np.testing.assert_allclose(s.sum(axis=-1), np.ones(5), atol=1e-12)

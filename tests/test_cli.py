@@ -20,7 +20,7 @@ from stationcast.data import TABLE_CITY_ORDER, write_demo_csv
 from stationcast.models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from stationcast.runconfig import RUN_KEYS, RunConfig
 from stationcast.serialize import load_arrays, save_arrays
-from stationcast.training import TrainConfig
+from stationcast.training import TrainConfig, descaled_predictions
 
 TRAIN_FLAGS = [
     "--lags", "4", "--horizon", "1", "--variant", "unistream",
@@ -285,6 +285,51 @@ def test_data_too_short_for_windows(tmp_path, capsys):
     assert "block too short" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--target", "nosuch"], "unknown feature 'nosuch'"),
+        (["--target-cities", "Paris,Atlantis"], "unknown city 'Atlantis'"),
+        (["--lags", "0"], "lags and horizon must be >= 1"),
+        (["--horizon", "0"], "lags and horizon must be >= 1"),
+    ],
+)
+def test_window_errors_that_no_block_length_mends_are_not_called_short(
+    tmp_path, demo, capsys, flags, message
+):
+    argv = ["train", "--data", str(demo["data"]), "--out", str(tmp_path / "o"),
+            *TRAIN_FLAGS, *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: " + message in err
+    assert "too short" not in err
+
+
+def test_train_rejects_a_repeated_target_city(tmp_path, demo, capsys):
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(demo["data"]), "--out", str(out),
+            *TRAIN_FLAGS, "--target-cities", "Paris,Paris"]
+    assert main(argv) == 1
+    assert "configuration error: target cities repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [("train", "configuration error: seed must be >= 0"),
+     ("scoremax", "usage error: --seed must be >= 0")],
+)
+def test_a_negative_seed_is_rejected(tmp_path, demo, capsys, command, error):
+    out = tmp_path / "o"
+    if command == "train":
+        argv = ["train", "--data", str(demo["data"]), "--out", str(out), *TRAIN_FLAGS]
+    else:
+        argv = ["scoremax", *run_inputs(demo, ["--out", str(out)]), "--random-init"]
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- eval --------------------------------------------------------------------
 
 
@@ -304,6 +349,20 @@ def test_eval_reproduces_the_training_table(demo, tmp_path, capsys):
             for cell in line.split(","):
                 float(cell)  # np.float64(...) reprs raise ValueError
     assert "city,mse" in capsys.readouterr().out
+    # Each city's file holds that city's descaled truth and prediction.
+    args = argparse.Namespace(
+        checkpoint=demo["run"] / "checkpoint.wxtn", data=demo["data"], scaler=None,
+        out=out,
+    )
+    model, scaler, _, windows, _, _ = cli._load_run(args)
+    pred, truth = descaled_predictions(model, windows, scaler)
+    for j, city in enumerate(windows.target_cities):
+        rows = np.loadtxt(
+            out / f"predictions_{city}.csv", delimiter=",", skiprows=1, ndmin=2
+        )
+        np.testing.assert_array_equal(rows[:, 0], np.arange(len(windows)))
+        np.testing.assert_array_equal(rows[:, 1], truth[:, j])
+        np.testing.assert_array_equal(rows[:, 2], pred[:, j])
 
 
 def test_eval_missing_checkpoint(demo, capsys):
@@ -551,6 +610,17 @@ def test_occlude_unknown_city(demo, tmp_path, capsys):
     )
     assert code == 1
     assert "not a target city" in capsys.readouterr().err
+
+
+def test_occlude_city_and_aggregate_are_exclusive(demo, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(
+        ["occlude", *run_inputs(demo, ["--out", str(out)]),
+         "--city", "Paris", "--aggregate", "--samples", "2"]
+    )
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_occlude_needs_a_positive_sample_budget(demo, tmp_path, capsys):

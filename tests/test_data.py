@@ -415,19 +415,16 @@ def test_split_validation():
 def test_prepare_blocks_do_not_straddle_boundaries():
     cube = index_cube(60, f=1, c=1)
     bundle = prepare(cube, lags=3, horizon=1, target_feature="f0", target_cities=("c0",))
-    assert (len(bundle.train_days), len(bundle.val_days), len(bundle.test_days)) == (
-        49,
-        5,
-        6,
-    )
+    train_days, val_days, test_days = split_days(cube.days)
+    assert (len(train_days), len(val_days), len(test_days)) == (49, 5, 6)
     assert (len(bundle.train), len(bundle.val), len(bundle.test)) == (46, 2, 3)
     # Every sample's input days and target day stay inside its own block; the
     # index cube makes the day number readable off the (scaled) values.
     span = 48.0  # min-max span of the day-index column over train days 0..48
     for windows, days in (
-        (bundle.train, bundle.train_days),
-        (bundle.val, bundle.val_days),
-        (bundle.test, bundle.test_days),
+        (bundle.train, train_days),
+        (bundle.val, val_days),
+        (bundle.test, test_days),
     ):
         source_days = np.rint(windows.inputs * span).astype(int)
         target_days = np.rint(windows.targets * span).astype(int)
@@ -450,6 +447,14 @@ def test_prepare_scaler_sees_only_training_days():
 def test_prepare_reports_which_block_is_too_short():
     with pytest.raises(ConfigurationError, match="validation block too short"):
         prepare(index_cube(60, f=1, c=1), 10, 2, "f0", ("c0",))
+
+
+def test_window_validation_rejects_a_repeated_target_city():
+    with pytest.raises(ConfigurationError, match="target cities repeat"):
+        make_windows(index_cube(20), 3, 1, "f0", ("c0", "c1", "c0"))
+    with pytest.raises(ConfigurationError, match="target cities repeat") as caught:
+        prepare(index_cube(60, f=1, c=2), 3, 1, "f0", ("c1", "c1"))
+    assert "block too short" not in str(caught.value)
 
 
 def test_window_block_matches_manual_slice():

@@ -146,7 +146,7 @@ def test_masking_with_the_existing_values_changes_nothing():
             ("c0", "c1"),
         )
         np.testing.assert_array_equal(out.values, np.zeros_like(out.values))
-        assert out.samples_used == 5 and out.samples_skipped == 0
+        assert out.samples_used == 5
 
 
 def test_mean_fill_on_constant_inputs_changes_nothing():
@@ -254,7 +254,6 @@ def test_per_city_target_selects_one_output():
         probe, spec, inputs, truths[:, :1], FEATS, CITY_GRID, ("c0",),
         targets=("c0",),
     )
-    assert out.meta["target"] == "c0"
     assert out.values[1, 0] != 0.0
 
 
@@ -283,8 +282,6 @@ def test_one_sweep_maps_equal_single_target_calls():
                 scaler=scaler, target_feature="wind", targets=(target,),
             )
             np.testing.assert_array_equal(grid.values, alone.values)
-            assert grid.meta == alone.meta
-            assert grid.meta["target"] == (target or "all targets")
             assert (grid.row_labels, grid.col_labels) == (
                 alone.row_labels, alone.col_labels
             )
@@ -327,7 +324,6 @@ def test_zero_reference_samples_are_dropped_per_target():
             _CountingModel(lag=0, feat=1, city=1), OcclusionSpec(mode="feature_row"),
             inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=targets,
         )
-    assert [grid.samples_skipped for grid in shared] == [1, 0, 0]
     assert [grid.samples_used for grid in shared] == [4, 5, 5]
     for target, grid in zip(targets, shared):
         with warnings.catch_warnings():
@@ -351,7 +347,6 @@ def test_zero_reference_samples_are_skipped_with_warning():
             FEATS, CITY_GRID, ("c0",),
         )
     assert out.samples_used == 4
-    assert out.samples_skipped == 1
 
 
 def test_all_samples_perfect_is_an_error():
@@ -449,7 +444,6 @@ def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
     for grid, oracle in zip(shared, brute):
         assert grid.values.shape == (1, 4)
         np.testing.assert_array_equal(grid.values, oracle.values)
-        assert grid.meta == oracle.meta
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -610,7 +604,6 @@ def test_ascended_map_respects_bounds():
     result = score_maximize(model, sample, truth, iterations=40, lr=0.5)
     assert result.input_map.min() >= 0.0
     assert result.input_map.max() <= 1.0
-    assert result.bounds == (0.0, 1.0)
 
 
 def test_ascent_leaves_model_parameters_untouched():
@@ -645,8 +638,6 @@ def test_score_maximize_validation():
     truth = np.array([0.1, 0.2])
     with pytest.raises(ConfigurationError, match="exceeds bounds"):
         score_maximize(model, good + 2.0, truth)
-    with pytest.raises(ConfigurationError, match="lo < hi"):
-        score_maximize(model, good, truth, bounds=(1.0, 0.0))
     with pytest.raises(ConfigurationError, match="iterations"):
         score_maximize(model, good, truth, iterations=0)
     with pytest.raises(ConfigurationError, match="ascent rate"):
@@ -664,12 +655,10 @@ def test_scoremax_lag_maps_layout():
         model, rng.uniform(0.2, 0.8, (2, 4, 4)), rng.uniform(0, 1, 2),
         iterations=2, lr=0.01,
     )
-    maps = scoremax_lag_maps(result, FEATS, CITY_GRID, (1, 2), meta={"variant": "x"})
+    maps = scoremax_lag_maps(result, FEATS, CITY_GRID, (1, 2))
     assert len(maps) == 2
     for lag, grid in zip((1, 2), maps):
         assert grid.values.shape == (4, 4)
         np.testing.assert_array_equal(grid.values, result.input_map[lag - 1])
-        assert grid.meta["lag"] == str(lag)
-        assert grid.meta["variant"] == "x"
     with pytest.raises(ConfigurationError, match="outside"):
         scoremax_lag_maps(result, FEATS, CITY_GRID, (3,))

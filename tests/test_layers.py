@@ -42,7 +42,7 @@ def test_dense_identity_weights_pass_through():
 
 
 def test_dense_bias_only():
-    layer = Dense(rng(), 3, 2, activation="relu")
+    layer = Dense(rng(), 3, 2, relu=True)
     layer.weight.data[...] = 0.0
     layer.bias.data[...] = [-1.0, 2.0]
     out = layer(Tensor(np.ones((5, 3)))).data
@@ -55,7 +55,7 @@ def test_dense_width_mismatch():
 
 
 def test_dense_gradient():
-    layer = Dense(rng(3), 4, 3, activation="tanh")
+    layer = Dense(rng(3), 4, 3, relu=True)
     x = Tensor(rng(4).uniform(-1, 1, (5, 4)))
     w = rng(5).standard_normal((5, 3))
     err = grad_check(lambda t: (layer(t) * Tensor(w)).sum(), x)
@@ -73,7 +73,7 @@ def test_dense_gradient():
 def test_layernorm_rows_have_zero_mean_unit_variance():
     layer = LayerNorm(7)
     x = Tensor(rng(6).uniform(-3, 3, (5, 7)))
-    normed = layer.normalized(x).data
+    normed = layer(x).data  # gain 1, bias 0
     assert np.abs(normed.mean(axis=-1)).max() < 1e-9
     assert np.abs(normed.var(axis=-1) - 1.0).max() < 1e-6
 
@@ -83,7 +83,7 @@ def test_layernorm_gain_bias_applied():
     layer.gain.data[...] = 2.0
     layer.bias.data[...] = 0.5
     x = Tensor(np.array([[1.0, 2.0, 3.0]]))
-    expected = 2.0 * layer.normalized(x).data + 0.5
+    expected = 2.0 * LayerNorm(3)(x).data + 0.5
     np.testing.assert_allclose(layer(x).data, expected, atol=1e-12)
 
 
@@ -104,11 +104,12 @@ class TestBatchNorm:
         assert np.abs(out.var(axis=(0, 2, 3)) - 1.0).max() < 1e-6
 
     def test_running_stats_follow_momentum(self):
-        layer = BatchNorm(2, momentum=0.9)
+        layer = BatchNorm(2)
+        m = BatchNorm.MOMENTUM
         x = rng(9).normal(3.0, 2.0, (8, 2, 1, 1))
         layer(Tensor(x), training=True)
-        expected_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=(0, 2, 3))
-        expected_var = 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3))
+        expected_mean = m * 0.0 + (1 - m) * x.mean(axis=(0, 2, 3))
+        expected_var = m * 1.0 + (1 - m) * x.var(axis=(0, 2, 3))
         np.testing.assert_allclose(layer.running_mean, expected_mean, atol=1e-12)
         np.testing.assert_allclose(layer.running_var, expected_var, atol=1e-12)
 

@@ -221,6 +221,8 @@ def test_config_validation_errors():
         ModelConfig(cities=4, n_targets=6)
     with pytest.raises(ConfigurationError):
         ModelConfig(filters=0)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        ModelConfig(seed=-1)
 
 
 def test_config_defaults():

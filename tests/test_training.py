@@ -20,7 +20,6 @@ from stationcast.training import (
     TrainConfig,
     evaluate,
     mse,
-    prediction_series,
     train,
 )
 
@@ -140,7 +139,8 @@ def check_adam_against_the_written_out_formula():
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    assert (Adam.BETA1, Adam.BETA2, Adam.EPS) == (b1, b2, eps)
+    opt = Adam(params, lr=lr)
     for t in range(1, 7):
         for i, p in enumerate(params):
             p.grad = None if (t, i) == (3, 1) else rng.normal(size=p.shape)
@@ -183,6 +183,8 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(patience=0)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     assert TrainConfig(lr=0.0).lr == 0.0  # frozen-parameter runs are legal
 
 
@@ -336,8 +338,7 @@ def constant_output_model(values, cities=4):
 def test_perfect_predictions_score_zero():
     windows = toy_windows(zero=True)
     table = evaluate(tiny_model(), windows, identity_scaler())
-    assert set(table.mses()) == {"c0", "c1"}
-    assert all(v == 0.0 for v in table.mses().values())
+    assert dict(table.rows) == {"c0": 0.0, "c1": 0.0}
 
 
 def test_constant_predictor_scores_the_per_city_variance():
@@ -346,7 +347,7 @@ def test_constant_predictor_scores_the_per_city_variance():
     model = constant_output_model(means)
     table = evaluate(model, windows, identity_scaler())
     np.testing.assert_allclose(
-        [table.mses()["c0"], table.mses()["c1"]],
+        [dict(table.rows)[city] for city in ("c0", "c1")],
         windows.targets.var(axis=0),
         atol=1e-12,
     )
@@ -357,7 +358,7 @@ def test_evaluation_is_batch_partition_invariant():
     one forward pass over all of them."""
     windows = toy_windows(n=17, seed=6)
     model = tiny_model()
-    got = evaluate(model, windows, identity_scaler()).mses()
+    got = dict(evaluate(model, windows, identity_scaler()).rows)
     whole = model.forward(Tensor(windows.inputs)).data
     want = ((whole - windows.targets) ** 2).mean(axis=0)
     for j, city in enumerate(windows.target_cities):
@@ -367,13 +368,13 @@ def test_evaluation_is_batch_partition_invariant():
 def test_descaled_mse_scales_with_the_squared_span():
     windows = toy_windows(n=15, seed=7)
     model = tiny_model()
-    base = evaluate(model, windows, identity_scaler()).mses()
+    base = dict(evaluate(model, windows, identity_scaler()).rows)
     stretched = Scaler(
         mins=np.array([[10.0, -4.0]]),
         maxs=np.array([[13.0, 1.0]]),  # spans 3 and 5
         features=("f0",), cities=("c0", "c1"),
     )
-    raw = evaluate(model, windows, stretched).mses()
+    raw = dict(evaluate(model, windows, stretched).rows)
     assert abs(raw["c0"] - 9.0 * base["c0"]) < 1e-9
     assert abs(raw["c1"] - 25.0 * base["c1"]) < 1e-9
 
@@ -406,14 +407,3 @@ def test_evaluate_validates_its_inputs():
     with pytest.raises(ContractError):
         evaluate(tiny_model(), toy_windows(n=0), identity_scaler())
 
-
-def test_prediction_series_layout():
-    windows = toy_windows(n=9, seed=9)
-    pred, truth = training.descaled_predictions(
-        tiny_model(), windows, identity_scaler()
-    )
-    series = prediction_series(pred, truth, windows.target_cities)
-    assert set(series) == {"c0", "c1"}
-    for j, city in enumerate(("c0", "c1")):
-        assert series[city].shape == (9, 2)
-        np.testing.assert_array_equal(series[city][:, 0], windows.targets[:, j])
