@@ -390,21 +390,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (
+        UsageError, ConfigurationError, ContractError, DimensionError, MemoryError
+    ) as exc:
+        kind = "usage" if isinstance(exc, UsageError) else "configuration"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, ContractError, DimensionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except IngestionError as exc:
+    except (IngestionError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

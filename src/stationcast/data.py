@@ -544,13 +544,16 @@ def window_block(
 # -- synthetic data ----------------------------------------------------------
 
 
+# First date and noise level of every synthetic cube.
+SYNTHETIC_START = datetime.date(2005, 5, 1)
+SYNTHETIC_NOISE = 0.05
+
+
 def synthetic_cube(
     days: int,
     features: Sequence[str] = FEATURES,
     cities: Sequence[str] = CITIES,
     seed: int = 0,
-    start: datetime.date = datetime.date(2005, 5, 1),
-    noise: float = 0.05,
 ) -> WeatherCube:
     """A smooth, deterministic stand-in cube: per-column sinusoids plus noise.
 
@@ -565,8 +568,8 @@ def synthetic_cube(
     offset = rng.uniform(-5.0, 40.0, size=(1, n_f, n_c))
     amplitude = rng.uniform(2.0, 15.0, size=(1, n_f, n_c))
     values = offset + amplitude * np.sin(2 * np.pi * t / period + phase)
-    values += noise * rng.standard_normal(values.shape)
-    dates = tuple(start + datetime.timedelta(days=i) for i in range(days))
+    values += SYNTHETIC_NOISE * rng.standard_normal(values.shape)
+    dates = tuple(SYNTHETIC_START + datetime.timedelta(days=i) for i in range(days))
     return WeatherCube(values, dates, tuple(features), tuple(cities))
 
 

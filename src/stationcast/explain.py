@@ -68,21 +68,40 @@ class OcclusionSpec:
             )
 
 
-def mask_slices(
-    mode: str, lags: int, features: int, cities: int, patch_size: int = 1
-) -> list[tuple]:
-    """Index expressions (into an ``(N, L, F, C)`` array) for every mask position.
+def _block_labels(names: Sequence[str], size: int) -> tuple[str, ...]:
+    if size == 1:
+        return tuple(names)
+    return tuple(
+        f"{names[k]}..{names[k + size - 1]}" for k in range(0, len(names), size)
+    )
 
-    Positions tile the grid without overlap: feature_row gives F positions,
-    city_column C, temporal L, and patch an (F/p) x (C/p) grid.
+
+def mask_layout(
+    mode: str,
+    lags: int,
+    feature_names: Sequence[str],
+    city_names: Sequence[str],
+    patch_size: int = 1,
+) -> tuple[list[tuple], tuple[str, ...], tuple[str, ...]]:
+    """Every mask position and the row and column labels of its map.
+
+    Positions are index expressions into an ``(N, L, F, C)`` array, in the
+    row-major order of the ``(rows, cols)`` map.  They tile the grid without
+    overlap: feature_row gives F rows, city_column C rows, temporal L
+    columns, and patch an (F/p) x (C/p) grid.
     """
     everything = slice(None)
+    score = ("mean_pct_change",)
+    features, cities = len(feature_names), len(city_names)
     if mode == "feature_row":
-        return [(everything, everything, i, everything) for i in range(features)]
+        positions = [(everything, everything, i, everything) for i in range(features)]
+        return positions, tuple(feature_names), score
     if mode == "city_column":
-        return [(everything, everything, everything, j) for j in range(cities)]
+        positions = [(everything, everything, everything, j) for j in range(cities)]
+        return positions, tuple(city_names), score
     if mode == "temporal":
-        return [(everything, t, everything, everything) for t in range(lags)]
+        positions = [(everything, t, everything, everything) for t in range(lags)]
+        return positions, score, tuple(f"lag_{t + 1}" for t in range(lags))
     if mode == "patch":
         p = patch_size
         if features % p or cities % p:
@@ -95,11 +114,12 @@ def mask_slices(
                 f"patch size {p} must divide both {features} and {cities}; "
                 f"valid sizes: {valid}"
             )
-        return [
+        positions = [
             (everything, everything, slice(a * p, (a + 1) * p), slice(b * p, (b + 1) * p))
             for a in range(features // p)
             for b in range(cities // p)
         ]
+        return positions, _block_labels(feature_names, p), _block_labels(city_names, p)
     raise ConfigurationError(f"unknown occlusion mode {mode!r}")
 
 
@@ -130,14 +150,6 @@ class SaliencyMap:
         for label, row in zip(self.row_labels, self.values):
             lines.append(label + "," + ",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
-
-
-def _block_labels(names: Sequence[str], size: int) -> tuple[str, ...]:
-    if size == 1:
-        return tuple(names)
-    return tuple(
-        f"{names[k]}..{names[k + size - 1]}" for k in range(0, len(names), size)
-    )
 
 
 def _masked(inputs: np.ndarray, index: tuple, fill_grid: np.ndarray) -> np.ndarray:
@@ -205,7 +217,14 @@ def occlusion_map(
     else:
         weights = np.ones(len(target_cities))
 
-    positions = mask_slices(spec.mode, lags, n_feat, n_city, spec.patch_size)
+    if (len(feature_names), len(city_names)) != (n_feat, n_city):
+        raise ConfigurationError(
+            f"{len(feature_names)} feature and {len(city_names)} city names do "
+            f"not match the {n_feat} x {n_city} grid"
+        )
+    positions, rows, cols = mask_layout(
+        spec.mode, lags, feature_names, city_names, spec.patch_size
+    )
     if spec.fill == "mean":
         fill_grid = inputs.mean(axis=(0, 1))
     else:
@@ -242,22 +261,6 @@ def occlusion_map(
         references.append((ref[keep], keep))
     masked_errors = [squared_errors(pred) for pred in masked_preds]
 
-    if spec.mode == "feature_row":
-        shape = (n_feat, 1)
-        rows, cols = tuple(feature_names), ("mean_pct_change",)
-    elif spec.mode == "city_column":
-        shape = (n_city, 1)
-        rows, cols = tuple(city_names), ("mean_pct_change",)
-    elif spec.mode == "temporal":
-        shape = (1, lags)
-        rows = ("mean_pct_change",)
-        cols = tuple(f"lag_{t + 1}" for t in range(lags))
-    else:
-        p = spec.patch_size
-        shape = (n_feat // p, n_city // p)
-        rows = _block_labels(feature_names, p)
-        cols = _block_labels(city_names, p)
-
     maps = []
     for out_cols, (ref, keep) in zip(columns, references):
         # Reduce one position at a time: a mean over the whole (P, N) block
@@ -266,7 +269,8 @@ def occlusion_map(
             (100.0 * (err[:, out_cols].mean(axis=1)[keep] - ref) / ref).mean()
             for err in masked_errors
         ]
-        maps.append(SaliencyMap(np.reshape(deltas, shape), rows, cols, int(keep.sum())))
+        values = np.reshape(deltas, (len(rows), len(cols)))
+        maps.append(SaliencyMap(values, rows, cols, int(keep.sum())))
     return maps
 
 
@@ -307,8 +311,8 @@ def score_maximize(
     truth = np.asarray(truth, dtype=np.float64)
     if iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if lr < 0:
-        raise ConfigurationError(f"ascent rate must be >= 0, got {lr}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigurationError(f"ascent rate must be finite and >= 0, got {lr}")
     if sample.min() < 0.0 or sample.max() > 1.0:
         raise ConfigurationError(
             "starting sample exceeds bounds [0.0, 1.0]: "

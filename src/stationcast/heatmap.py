@@ -26,6 +26,8 @@ RAMP = (
 )
 
 _MISSING = "#cccccc"
+# Edge of one grid cell, in SVG pixels.
+CELL = 26
 
 
 def _rgb(spec: str) -> tuple[int, int, int]:
@@ -55,7 +57,6 @@ def svg_heatmap(
     col_labels: Sequence[str],
     title: str,
     subtitle: str = "",
-    cell: int = 26,
 ) -> str:
     """Render a labeled matrix as a self-contained SVG document string."""
     values = np.asarray(values, dtype=np.float64)
@@ -68,9 +69,9 @@ def svg_heatmap(
     left = 16 + 7 * max((len(r) for r in row_labels), default=0)
     top = 52
     bottom = 18 + 6 * max((len(c) for c in col_labels), default=0)
-    bar_x = left + cols * cell + 20
+    bar_x = left + cols * CELL + 20
     width = bar_x + 14 + 64
-    height = top + max(rows * cell, 64) + bottom
+    height = top + max(rows * CELL, 64) + bottom
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -94,28 +95,28 @@ def svg_heatmap(
                 color = ramp_color(0.5)
             else:
                 color = ramp_color((v - vmin) / span)
-            x, y = left + j * cell, top + i * cell
+            x, y = left + j * CELL, top + i * CELL
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                 f'fill="{color}"><title>{escape(row_labels[i])} / '
                 f"{escape(col_labels[j])}: {_fmt(v)}</title></rect>"
             )
 
     for i, label in enumerate(row_labels):
-        y = top + i * cell + cell - 8
+        y = top + i * CELL + CELL - 8
         parts.append(
             f'<text x="{left - 6}" y="{y}" font-size="10" '
             f'text-anchor="end">{escape(label)}</text>'
         )
-    base = top + rows * cell
+    base = top + rows * CELL
     for j, label in enumerate(col_labels):
-        x = left + j * cell + cell // 2 + 3
+        x = left + j * CELL + CELL // 2 + 3
         parts.append(
             f'<text x="{x}" y="{base + 10}" font-size="10" text-anchor="end" '
             f'transform="rotate(-55 {x} {base + 10})">{escape(label)}</text>'
         )
 
-    bar_h = max(rows * cell, 64)
+    bar_h = max(rows * CELL, 64)
     steps = 32
     for k in range(steps):
         frac = 1.0 - (k + 0.5) / steps

@@ -19,7 +19,7 @@ percent of the same learnable-parameter count (the encoder block is worth
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -67,9 +67,9 @@ class ModelConfig:
     filters: Optional[int] = None
     kernel: tuple[int, int] = (3, 3)
     dense: Optional[tuple[int, ...]] = None
+    seed: int = 0
     key_dim: Optional[int] = None
     ff_dim: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -139,50 +139,32 @@ class ModelConfig:
         return self.merged_channels * self.features
 
     def to_text(self) -> str:
-        lines = [
-            f"variant = {self.variant}",
-            f"lags = {self.lags}",
-            f"features = {self.features}",
-            f"cities = {self.cities}",
-            f"n_targets = {self.n_targets}",
-            f"streams = {self.streams}",
-            f"filters = {self.filters}",
-            f"kernel = {self.kernel[0]} {self.kernel[1]}",
-            "dense = " + " ".join(str(d) for d in self.dense),
-            f"seed = {self.seed}",
-        ]
-        if self.key_dim is not None:
-            lines.append(f"key_dim = {self.key_dim}")
-        if self.ff_dim is not None:
-            lines.append(f"ff_dim = {self.ff_dim}")
+        """One ``key = value`` line per set field, in field order."""
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = " ".join(str(v) for v in value)
+            if value is not None:
+                lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> tuple["ModelConfig", dict[str, str]]:
         """Parse a config block; unrecognized keys come back as extras."""
         pairs = parse_key_values(text, "model config")
-        parsers = cls._FIELD_PARSERS
-        extras = {k: v for k, v in pairs.items() if k not in parsers}
+        names = {f.name for f in fields(cls)}
+        kwargs = {k: v for k, v in pairs.items() if k in names}
+        extras = {k: v for k, v in pairs.items() if k not in names}
         try:
-            kwargs = {k: parsers[k](v) for k, v in pairs.items() if k in parsers}
+            for key, value in kwargs.items():
+                if key in ("kernel", "dense"):
+                    kwargs[key] = tuple(int(p) for p in value.split())
+                elif key != "variant":
+                    kwargs[key] = int(value)
         except ValueError as exc:
             raise ConfigurationError(f"model config: bad value ({exc})") from None
         return cls(**kwargs), extras
-
-    _FIELD_PARSERS = {
-        "variant": str,
-        "lags": int,
-        "features": int,
-        "cities": int,
-        "n_targets": int,
-        "streams": int,
-        "filters": int,
-        "kernel": lambda v: tuple(int(p) for p in v.split()),
-        "dense": lambda v: tuple(int(p) for p in v.split()),
-        "key_dim": int,
-        "ff_dim": int,
-        "seed": int,
-    }
 
 
 class Stream(Layer):

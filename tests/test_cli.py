@@ -708,6 +708,24 @@ def test_scoremax_checks_lags_before_the_ascent(demo, tmp_path, capsys, monkeypa
     assert not list(out.glob("scoremax_*"))
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_scoremax_rejects_a_non_finite_rate_before_the_ascent(
+    demo, tmp_path, capsys, monkeypatch, rate
+):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the model ran before --lr was checked")
+
+    monkeypatch.setattr(ModelGraph, "forward", no_forward)
+    out = tmp_path / "x"
+    code = main(
+        ["scoremax", *run_inputs(demo, ["--out", str(out)]),
+         "--lr", rate, "--iterations", "1", "--lags", "1"]
+    )
+    assert code == 1
+    assert "ascent rate must be finite" in capsys.readouterr().err
+    assert not list(out.glob("scoremax_*"))
+
+
 # -- parser-level behavior ---------------------------------------------------
 
 

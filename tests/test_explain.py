@@ -23,7 +23,7 @@ from stationcast.explain import (
     OCCLUSION_MODES,
     OcclusionSpec,
     SaliencyMap,
-    mask_slices,
+    mask_layout,
     occlusion_map,
     score_maximize,
     scoremax_lag_maps,
@@ -107,8 +107,8 @@ class _CountingModel(_PickModel):
 )
 def test_mask_positions_tile_the_grid_exactly_once(mode, patch, expected):
     lags, features, cities = 3, 4, 6
-    positions = mask_slices(mode, lags, features, cities, patch)
-    assert len(positions) == expected
+    positions, rows, cols = mask_layout(mode, lags, "abcd", "abcdef", patch)
+    assert len(positions) == expected == len(rows) * len(cols)
     counts = np.zeros((1, lags, features, cities))
     for index in positions:
         counts[index] += 1
@@ -117,9 +117,9 @@ def test_mask_positions_tile_the_grid_exactly_once(mode, patch, expected):
 
 def test_patch_size_must_divide_both_axes():
     with pytest.raises(ConfigurationError, match=r"valid sizes: \[1, 2, 3, 6\]"):
-        mask_slices("patch", 2, 6, 6, patch_size=5)
+        mask_layout("patch", 2, "abcdef", "abcdef", patch_size=5)
     with pytest.raises(ConfigurationError, match="divide"):
-        mask_slices("patch", 2, 4, 6, patch_size=4)
+        mask_layout("patch", 2, "abcd", "abcdef", patch_size=4)
 
 
 def test_occlusion_spec_validation():
@@ -555,6 +555,22 @@ def test_occlusion_input_validation():
                 features=("wind",), cities=("c0", "c1"),
             ),
         )
+
+
+@pytest.mark.parametrize("mode", OCCLUSION_MODES)
+@pytest.mark.parametrize(
+    "feature_names, city_names",
+    [(FEATS[:3], CITY_GRID), (FEATS, CITY_GRID + ("g4",))],
+)
+def test_names_that_do_not_match_the_grid_are_rejected(mode, feature_names, city_names):
+    model = _CountingModel(lag=0, feat=1, city=2)
+    inputs, truths = samples()
+    spec = OcclusionSpec(mode=mode, patch_size=2 if mode == "patch" else 1)
+    with pytest.raises(ConfigurationError, match="do not match the 4 x 4 grid"):
+        occlusion_map(
+            model, spec, inputs, truths, feature_names, city_names, ("c0", "c1")
+        )
+    assert model.forwarded == 0
 
 
 def test_saliency_map_csv_layout():

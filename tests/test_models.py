@@ -243,6 +243,20 @@ def test_config_text_round_trip():
     assert extras == {}
 
 
+def test_config_text_layout_is_pinned():
+    # Checkpoint meta starts with this block, so its bytes must not move.
+    cfg = ModelConfig(
+        variant="att_multistream", kernel=(5, 3), dense=(7, 6), seed=4,
+        key_dim=40, ff_dim=30,
+    )
+    assert cfg.to_text() == (
+        "variant = att_multistream\nlags = 10\nfeatures = 18\ncities = 18\n"
+        "n_targets = 6\nstreams = 2\nfilters = 16\nkernel = 5 3\ndense = 7 6\n"
+        "seed = 4\nkey_dim = 40\nff_dim = 30\n"
+    )
+    assert "key_dim" not in ModelConfig("att_unistream", ff_dim=30).to_text()
+
+
 def test_config_text_extras_and_errors():
     cfg, extras = ModelConfig.from_text(
         "variant = unistream\nhorizon = 2\n# comment\n\nnote = hi\n"
