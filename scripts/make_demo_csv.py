@@ -7,8 +7,10 @@ without any external download.
 """
 
 import argparse
+import sys
 
 from stationcast.data import write_demo_csv
+from stationcast.errors import ConfigurationError
 
 
 def main() -> None:
@@ -23,8 +25,11 @@ def main() -> None:
         help="numeric cells to blank (exercises imputation)",
     )
     args = parser.parse_args()
-    blanked = write_demo_csv(args.out, days=args.days, seed=args.seed,
-                             missing=args.missing)
+    try:
+        blanked = write_demo_csv(args.out, days=args.days, seed=args.seed,
+                                 missing=args.missing)
+    except ConfigurationError as exc:
+        sys.exit(f"configuration error: {exc}")
     print(f"wrote {args.out}: {args.days} days, {blanked} cells blanked")
 
 

@@ -21,7 +21,7 @@ from stationcast.data import CITIES, FEATURES
 
 def read_city(path: Path) -> dict[str, list[str]]:
     """Map each date to its feature values, reordered canonically."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or "date" not in header:
@@ -33,7 +33,13 @@ def read_city(path: Path) -> dict[str, list[str]]:
         date_col = header.index("date")
         rows = {}
         for row in reader:
-            rows[row[date_col]] = [row[i] for i in order]
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                sys.exit(f"{where}: expected {len(header)} fields, got {len(row)}")
+            date = row[date_col]
+            if date in rows:
+                sys.exit(f"{where}: repeated date {date}")
+            rows[date] = [row[i] for i in order]
     return rows
 
 
@@ -49,7 +55,10 @@ def main() -> None:
         path = raw / f"{city}.csv"
         if not path.is_file():
             sys.exit(f"missing per-city file: {path}")
-        per_city[city] = read_city(path)
+        try:
+            per_city[city] = read_city(path)
+        except UnicodeDecodeError:
+            sys.exit(f"{path}: not UTF-8 text")
 
     date_sets = [set(rows) for rows in per_city.values()]
     common = sorted(set.intersection(*date_sets))
@@ -57,7 +66,7 @@ def main() -> None:
         sys.exit("no dates shared by all cities")
     dropped = len(set.union(*date_sets)) - len(common)
 
-    with open(args.out, "w", newline="") as handle:
+    with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "city", *FEATURES])
         for date in common:

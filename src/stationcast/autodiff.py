@@ -259,12 +259,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -347,21 +341,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _record(a.data / b.data, "div", (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _record(-a.data, "neg", (a,), lambda g: (-g,))
-
-
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    e = float(exponent)
-
-    def backward(g):
-        return (g * e * a.data ** (e - 1.0),)
-
-    return _record(a.data**e, "pow", (a,), backward)
 
 
 def sqrt(a) -> Tensor:

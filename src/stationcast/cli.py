@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
 )
 from .explain import (
-    OCCLUSION_MODES, OcclusionSpec, occlusion_map, score_maximize, scoremax_lag_maps
+    OCCLUSION_MODES, OcclusionSpec, SaliencyMap, occlusion_map, score_maximize
 )
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
@@ -249,10 +249,7 @@ def cmd_train(args) -> int:
         ],
     )
     print(f"run directory: {run_dir}")
-    print(
-        f"epochs run: {log.epochs_run}"
-        + (f" (best epoch {log.best_epoch})" if log.best_epoch else "")
-    )
+    print(f"epochs run: {log.epochs_run} (best epoch {log.best_epoch})")
     sys.stdout.write(table.to_csv())
     return 0
 
@@ -270,13 +267,13 @@ def _load_run(args):
             f"scaler not found: {scaler_path} (pass --scaler explicitly)"
         )
     scaler = Scaler.load(scaler_path)
-    for key in ("horizon", "target_feature", "target_cities"):
+    for key in RUN_META:
         if key not in extras:
             raise ConfigurationError(
                 f"checkpoint meta lacks {key!r}; was it written by this tool?"
             )
     run = RunConfig()
-    run.apply({k: extras[k] for k in RUN_META if k in extras}, f"{ckpt} metadata")
+    run.apply({k: extras[k] for k in RUN_META}, f"{ckpt} metadata")
 
     cube = load_dataset(args.data)
     scaled = scale_cube(cube, scaler)
@@ -365,8 +362,8 @@ def cmd_scoremax(args) -> int:
     result = score_maximize(
         model, sample, truth, iterations=args.iterations, lr=args.lr
     )
-    maps = scoremax_lag_maps(result, cube.features, cube.cities, lag_numbers)
-    for lag, saliency in zip(lag_numbers, maps):
+    for lag in lag_numbers:
+        saliency = SaliencyMap(result.input_map[lag - 1], cube.features, cube.cities)
         subtitle = (
             f"{model.cfg.variant}, {run.target_feature} +{run.horizon}d, "
             f"lag {lag}/{model.cfg.lags}, "

@@ -373,10 +373,8 @@ class Scaler:
         )
 
 
-def fit_scaler(cube: WeatherCube, train_days: range | slice) -> Scaler:
-    if isinstance(train_days, range):
-        train_days = slice(train_days.start, train_days.stop)
-    block = cube.values[train_days]
+def fit_scaler(cube: WeatherCube, train_days: range) -> Scaler:
+    block = cube.values[train_days.start : train_days.stop]
     if block.shape[0] == 0:
         raise ConfigurationError("cannot fit a scaler on an empty training range")
     return Scaler(
@@ -411,51 +409,11 @@ class WindowedSet:
 
     inputs: np.ndarray  # (N, L, F, C) scaled
     targets: np.ndarray  # (N, n) scaled
-    horizon: int
     target_feature: str
     target_cities: tuple[str, ...]
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def lags(self) -> int:
-        return self.inputs.shape[1]
-
-
-def make_windows(
-    cube: WeatherCube,
-    lags: int,
-    horizon: int,
-    target_feature: str,
-    target_cities: Sequence[str] = TARGET_CITIES,
-) -> WindowedSet:
-    """Slice every valid (L consecutive days, day + horizon target) pair.
-
-    Window i has input days i..i+L-1 and its target on day i+L-1+horizon, so
-    a cube of T days yields N = T - L - horizon + 1 windows.
-    """
-    if lags < 1 or horizon < 1:
-        raise ConfigurationError(
-            f"lags and horizon must be >= 1, got {lags} and {horizon}"
-        )
-    t_days = cube.days
-    n = t_days - lags - horizon + 1
-    if n < 1:
-        raise TooFewDaysError(
-            f"{t_days} days cannot fit even one window of {lags} lags "
-            f"+ horizon {horizon}"
-        )
-    f_idx = cube.feature_index(target_feature)
-    c_idx = [cube.city_index(c) for c in target_cities]
-    if len(set(c_idx)) < len(c_idx):
-        raise ConfigurationError(f"target cities repeat: {list(target_cities)}")
-    starts = np.arange(n)
-    inputs = cube.values[starts[:, None] + np.arange(lags)[None, :]]
-    targets = cube.values[starts + lags - 1 + horizon][:, f_idx][:, c_idx]
-    return WindowedSet(
-        inputs, targets, horizon, target_feature, tuple(target_cities)
-    )
 
 
 def split_days(total: int, ratio: float = 0.9, val_fraction: float = 0.1):
@@ -532,13 +490,31 @@ def window_block(
     target_feature: str,
     target_cities: Sequence[str] = TARGET_CITIES,
 ) -> WindowedSet:
-    """Windows restricted to one contiguous day range of an already-scaled cube."""
-    piece = replace(
-        scaled,
-        values=scaled.values[days.start : days.stop],
-        dates=scaled.dates[days.start : days.stop],
-    )
-    return make_windows(piece, lags, horizon, target_feature, target_cities)
+    """Every valid (L consecutive days, day + horizon target) pair inside
+    one contiguous day range of an already-scaled cube.
+
+    Window i has input days s+i..s+i+L-1 and its target on day s+i+L-1+horizon,
+    where s = ``days.start``, so a range of T days yields N = T - L - horizon + 1
+    windows.
+    """
+    if lags < 1 or horizon < 1:
+        raise ConfigurationError(
+            f"lags and horizon must be >= 1, got {lags} and {horizon}"
+        )
+    n = len(days) - lags - horizon + 1
+    if n < 1:
+        raise TooFewDaysError(
+            f"{len(days)} days cannot fit even one window of {lags} lags "
+            f"+ horizon {horizon}"
+        )
+    f_idx = scaled.feature_index(target_feature)
+    c_idx = [scaled.city_index(c) for c in target_cities]
+    if len(set(c_idx)) < len(c_idx):
+        raise ConfigurationError(f"target cities repeat: {list(target_cities)}")
+    starts = np.arange(days.start, days.start + n)
+    inputs = scaled.values[starts[:, None] + np.arange(lags)[None, :]]
+    targets = scaled.values[starts + lags - 1 + horizon][:, f_idx][:, c_idx]
+    return WindowedSet(inputs, targets, target_feature, tuple(target_cities))
 
 
 # -- synthetic data ----------------------------------------------------------
@@ -581,6 +557,15 @@ def write_demo_csv(path, days: int = 120, seed: int = 0, missing: int = 0) -> in
     cells are blanked (never on the first or last day, so imputation can
     always recover them).
     """
+    if days < 1:
+        raise ConfigurationError(f"a demo CSV needs at least 1 day, got {days}")
+    numeric = [i for i, f in enumerate(FEATURES) if f not in VOCABULARIES]
+    interior = max(days - 2, 0) * len(numeric) * len(CITIES)
+    if not 0 <= missing <= interior:
+        raise ConfigurationError(
+            f"cannot blank {missing} cells: a {days}-day demo has {interior} "
+            "numeric cells off its first and last day"
+        )
     rng = np.random.default_rng(seed)
     cube = synthetic_cube(days, seed=seed)
     values = cube.values.copy()
@@ -589,9 +574,6 @@ def write_demo_csv(path, days: int = 120, seed: int = 0, missing: int = 0) -> in
         values[:, i, :] = rng.integers(0, len(vocab), size=(days, len(CITIES)))
     blanked = set()
     if missing:
-        numeric = [
-            i for i, f in enumerate(cube.features) if f not in VOCABULARIES
-        ]
         while len(blanked) < missing:
             cell = (
                 int(rng.integers(1, days - 1)),

@@ -374,25 +374,3 @@ def score_maximize(
         raise InfiniteScoreError("final map predicts the truth exactly; h infinite")
     history.append(1.0 / final_mse)
     return ScoreMaxResult(final, tuple(history))
-
-
-def scoremax_lag_maps(
-    result: ScoreMaxResult,
-    feature_names: Sequence[str],
-    city_names: Sequence[str],
-    lag_numbers: Sequence[int],
-) -> list[SaliencyMap]:
-    """One feature x city SaliencyMap per requested 1-indexed lag."""
-    total = result.input_map.shape[0]
-    maps = []
-    for lag in lag_numbers:
-        if not 1 <= lag <= total:
-            raise ConfigurationError(
-                f"lag {lag} outside 1..{total}"
-            )
-        maps.append(
-            SaliencyMap(
-                result.input_map[lag - 1], tuple(feature_names), tuple(city_names)
-            )
-        )
-    return maps

@@ -225,12 +225,10 @@ class ModelGraph(Layer):
 
     def _convolve(self, batch: Tensor) -> Tensor:
         """Run the recurrent front end; returns the merged (B, ch, F, C) map."""
-        if not self.cfg.multistream:
-            return self._front(0, batch)
         v = self.cfg.lags_per_stream
         return self._merge([
             self._front(s, batch[:, s * v : (s + 1) * v])
-            for s in range(len(self.streams))
+            for s in range(self.cfg.streams)
         ])
 
     def _attend(self, grid: Tensor) -> Tensor:

@@ -95,10 +95,6 @@ class Adam:
             b *= self.lr
             p -= b
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 @dataclass
 class TrainConfig:
@@ -136,8 +132,6 @@ class TrainingLog:
 
     entries: list[tuple[int, float, float]] = field(default_factory=list)
     best_epoch: int = 0
-    best_val: float = float("inf")
-    stopped_early: bool = False
 
     @property
     def epochs_run(self) -> int:
@@ -177,6 +171,7 @@ def train(
     )
     log = TrainingLog()
     best_state: Optional[dict[str, np.ndarray]] = None
+    best_val = float("inf")
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -198,7 +193,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch {batch_index}"
                 )
-            optimizer.zero_grad()
+            model.zero_grad()
             loss.backward()
             optimizer.step()
             total += value * yb.size
@@ -210,8 +205,8 @@ def train(
             if not np.isfinite(val_mse):
                 raise NumericalError(f"non-finite validation MSE at epoch {epoch}")
             log.entries.append((epoch, train_mse, val_mse))
-            if val_mse < log.best_val:
-                log.best_val = val_mse
+            if val_mse < best_val:
+                best_val = val_mse
                 log.best_epoch = epoch
                 best_state = {
                     name: arr.copy() for name, arr in model.named_state()
@@ -220,12 +215,11 @@ def train(
             else:
                 stale += 1
                 if stale >= cfg.patience:
-                    log.stopped_early = True
                     break
         else:
             log.entries.append((epoch, train_mse, float("nan")))
-            if log.best_epoch == 0 or train_mse < log.best_val:
-                log.best_val = train_mse
+            if log.best_epoch == 0 or train_mse < best_val:
+                best_val = train_mse
                 log.best_epoch = epoch
         if cfg.stop_train_mse is not None and train_mse < cfg.stop_train_mse:
             break

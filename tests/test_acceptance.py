@@ -32,9 +32,9 @@ from stationcast.data import (
     TABLE_CITY_ORDER,
     WeatherCube,
     fit_scaler,
-    make_windows,
     scale_cube,
     synthetic_cube,
+    window_block,
     write_demo_csv,
 )
 from stationcast.explain import OcclusionSpec, occlusion_map, score_maximize
@@ -262,8 +262,9 @@ def test_criterion_04_overfit_capacity(capsys):
         lags, horizon = 4, 1
         cube = sinus_cube(64 + lags + horizon - 1, seed=11)
         scaler = fit_scaler(cube, range(cube.days))
-        windows = make_windows(
-            scale_cube(cube, scaler), lags, horizon, FEATURES[0], CITIES[:2]
+        windows = window_block(
+            scale_cube(cube, scaler), range(cube.days), lags, horizon,
+            FEATURES[0], CITIES[:2],
         )
         assert len(windows) == 64
 

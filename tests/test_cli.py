@@ -17,8 +17,9 @@ import pytest
 from stationcast import cli
 from stationcast.cli import main
 from stationcast.data import TABLE_CITY_ORDER, write_demo_csv
+from stationcast.explain import score_maximize
 from stationcast.models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
-from stationcast.runconfig import RUN_KEYS, RunConfig
+from stationcast.runconfig import RUN_KEYS, RUN_META, RunConfig
 from stationcast.serialize import load_arrays, save_arrays
 from stationcast.training import TrainConfig, descaled_predictions
 
@@ -488,6 +489,22 @@ def test_eval_rejects_a_bad_run_meta_value(demo, tmp_path, capsys, key, value):
     assert "configuration error" in err and repr(key) in err and repr(value) in err
 
 
+@pytest.mark.parametrize("key", RUN_META)
+def test_eval_rejects_a_checkpoint_without_a_run_meta_key(demo, tmp_path, capsys, key):
+    arrays, meta = load_arrays(demo["run"] / "checkpoint.wxtn")
+    lines = [line for line in meta.splitlines() if line.partition(" =")[0] != key]
+    assert len(lines) == len(meta.splitlines()) - 1
+    ckpt = tmp_path / "checkpoint.wxtn"
+    save_arrays(ckpt, arrays, "\n".join(lines) + "\n")
+    (tmp_path / "scaler.wxtn").write_bytes((demo["run"] / "scaler.wxtn").read_bytes())
+    out = tmp_path / "eval"
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(demo["data"]),
+                 "--out", str(out)])
+    assert code == 1
+    assert f"checkpoint meta lacks {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_foreign_checkpoint_meta_is_rejected(demo, tmp_path, capsys):
     foreign = tmp_path / "foreign"
     foreign.mkdir()
@@ -651,6 +668,28 @@ def test_scoremax_writes_maps_and_trajectory(demo, tmp_path, capsys):
     assert len(scores) == 5  # h before each of 3 steps + the final map's h
     assert all(float(line.split(",")[1]) > 0 for line in scores[1:])
     assert "score:" in capsys.readouterr().out
+
+
+def test_scoremax_lag_map_is_that_lag_of_the_ascent(demo, tmp_path):
+    out = tmp_path / "sm"
+    code = main(
+        ["scoremax", *run_inputs(demo, ["--out", str(out)]), "--iterations", "3",
+         "--lags", "1,4", "--random-init", "--seed", "4", "--sample-index", "1"]
+    )
+    assert code == 0
+    args = argparse.Namespace(
+        checkpoint=demo["run"] / "checkpoint.wxtn", data=demo["data"], scaler=None,
+        out=tmp_path / "api",
+    )
+    model, _, cube, windows, _, _ = cli._load_run(args)
+    sample = np.random.default_rng(4).uniform(0.0, 1.0, size=windows.inputs[1].shape)
+    result = score_maximize(model, sample, windows.targets[1], iterations=3)
+    lines = (out / "scoremax_lag4.csv").read_text().splitlines()
+    assert lines[0] == "," + ",".join(cube.cities)
+    assert [line.partition(",")[0] for line in lines[1:]] == list(cube.features)
+    written = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+    np.testing.assert_array_equal(written, result.input_map[3])
+    assert not np.array_equal(written, result.input_map[0])
 
 
 def test_scoremax_is_deterministic(demo, tmp_path):

@@ -20,7 +20,6 @@ from stationcast.data import (
     emit_csv,
     fit_scaler,
     load_dataset,
-    make_windows,
     prepare,
     scale_cube,
     split_days,
@@ -216,6 +215,20 @@ def test_demo_csv_reports_blanked_cells(tmp_path):
     assert load_dataset(path).imputed == 7
 
 
+@pytest.mark.parametrize(
+    "days, missing", [(0, 0), (-1, 0), (30, -1), (3, 16 * 18 + 1), (2, 1)]
+)
+def test_demo_csv_rejects_sizes_it_cannot_meet(tmp_path, monkeypatch, days, missing):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random draw ran before the sizes were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    path = tmp_path / "demo.csv"
+    with pytest.raises(ConfigurationError):
+        write_demo_csv(path, days=days, missing=missing)
+    assert not path.exists()
+
+
 def test_cube_label_mismatch():
     with pytest.raises(ConfigurationError):
         WeatherCube(
@@ -346,22 +359,25 @@ def index_cube(t, f=2, c=3):
 
 
 def test_window_count_minimal():
-    windows = make_windows(
-        index_cube(12), lags=10, horizon=2, target_feature="f0", target_cities=("c0",)
+    windows = window_block(
+        index_cube(12), range(12), lags=10, horizon=2, target_feature="f0",
+        target_cities=("c0",),
     )
     assert len(windows) == 1
 
 
 def test_window_count_t20_h6():
-    windows = make_windows(
-        index_cube(20), lags=10, horizon=6, target_feature="f1", target_cities=("c2",)
+    windows = window_block(
+        index_cube(20), range(20), lags=10, horizon=6, target_feature="f1",
+        target_cities=("c2",),
     )
     assert len(windows) == 5
 
 
 def test_window_contents_and_target_day():
-    windows = make_windows(
+    windows = window_block(
         index_cube(9),
+        range(9),
         lags=4,
         horizon=2,
         target_feature="f0",
@@ -379,19 +395,19 @@ def test_window_contents_and_target_day():
 def test_window_shift_equivariance():
     cube = synthetic_cube(30, seed=5)
     shifted = replace(cube, values=cube.values[1:], dates=cube.dates[1:])
-    full = make_windows(cube, 5, 2, "avg_temp")
-    tail = make_windows(shifted, 5, 2, "avg_temp")
+    full = window_block(cube, range(cube.days), 5, 2, "avg_temp")
+    tail = window_block(shifted, range(shifted.days), 5, 2, "avg_temp")
     np.testing.assert_array_equal(full.inputs[1:], tail.inputs)
     np.testing.assert_array_equal(full.targets[1:], tail.targets)
 
 
 def test_window_validation():
     with pytest.raises(ConfigurationError):
-        make_windows(index_cube(20), lags=0, horizon=2, target_feature="f0")
+        window_block(index_cube(20), range(20), lags=0, horizon=2, target_feature="f0")
     with pytest.raises(ConfigurationError):
-        make_windows(index_cube(20), lags=5, horizon=0, target_feature="f0")
+        window_block(index_cube(20), range(20), lags=5, horizon=0, target_feature="f0")
     with pytest.raises(ConfigurationError, match="cannot fit"):
-        make_windows(index_cube(11), lags=10, horizon=2, target_feature="f0")
+        window_block(index_cube(11), range(11), lags=10, horizon=2, target_feature="f0")
 
 
 # -- splitting ---------------------------------------------------------------
@@ -451,7 +467,7 @@ def test_prepare_reports_which_block_is_too_short():
 
 def test_window_validation_rejects_a_repeated_target_city():
     with pytest.raises(ConfigurationError, match="target cities repeat"):
-        make_windows(index_cube(20), 3, 1, "f0", ("c0", "c1", "c0"))
+        window_block(index_cube(20), range(20), 3, 1, "f0", ("c0", "c1", "c0"))
     with pytest.raises(ConfigurationError, match="target cities repeat") as caught:
         prepare(index_cube(60, f=1, c=2), 3, 1, "f0", ("c1", "c1"))
     assert "block too short" not in str(caught.value)
@@ -465,7 +481,7 @@ def test_window_block_matches_manual_slice():
     piece = replace(
         scaled, values=scaled.values[10:25], dates=scaled.dates[10:25]
     )
-    manual = make_windows(piece, 4, 2, "avg_temp")
+    manual = window_block(piece, range(piece.days), 4, 2, "avg_temp")
     np.testing.assert_array_equal(block.inputs, manual.inputs)
     np.testing.assert_array_equal(block.targets, manual.targets)
 

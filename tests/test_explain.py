@@ -26,7 +26,6 @@ from stationcast.explain import (
     mask_layout,
     occlusion_map,
     score_maximize,
-    scoremax_lag_maps,
 )
 from stationcast.layers import ConvLSTM
 from stationcast.models import PREDICT_BATCH, VARIANTS, ModelConfig, ModelGraph
@@ -663,18 +662,3 @@ def test_score_maximize_validation():
     with pytest.raises(ConfigurationError, match="truth"):
         score_maximize(model, good, np.zeros(3))
 
-
-def test_scoremax_lag_maps_layout():
-    model = tiny_model()
-    rng = np.random.default_rng(12)
-    result = score_maximize(
-        model, rng.uniform(0.2, 0.8, (2, 4, 4)), rng.uniform(0, 1, 2),
-        iterations=2, lr=0.01,
-    )
-    maps = scoremax_lag_maps(result, FEATS, CITY_GRID, (1, 2))
-    assert len(maps) == 2
-    for lag, grid in zip((1, 2), maps):
-        assert grid.values.shape == (4, 4)
-        np.testing.assert_array_equal(grid.values, result.input_map[lag - 1])
-    with pytest.raises(ConfigurationError, match="outside"):
-        scoremax_lag_maps(result, FEATS, CITY_GRID, (3,))

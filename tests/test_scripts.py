@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stationcast.data import CITIES, FEATURES, load_dataset
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -15,6 +17,7 @@ def run_script(name, *args):
         [sys.executable, str(SCRIPTS / name), *map(str, args)],
         capture_output=True,
         text=True,
+        timeout=120,
     )
 
 
@@ -34,6 +37,32 @@ class TestMakeDemoCsv:
         )
         assert "5 cells blanked" in proc.stdout
         assert load_dataset(out).imputed == 5
+
+    def test_every_interior_cell_can_be_blanked(self, tmp_path):
+        # 3 days leave one interior day: 16 numeric features x 18 cities.
+        out = tmp_path / "demo.csv"
+        proc = run_script("make_demo_csv.py", out, "--days", 3, "--missing", 288)
+        assert proc.returncode == 0, proc.stderr
+        assert "288 cells blanked" in proc.stdout
+        assert load_dataset(out).imputed == 288
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--days", 3, "--missing", 289), "cannot blank 289 cells"),
+            (("--days", 2, "--missing", 1), "cannot blank 1 cells"),
+            (("--days", -1), "at least 1 day"),
+            (("--missing", -3), "cannot blank -3 cells"),
+        ],
+        ids=["too-many", "no-interior-day", "negative-days", "negative-missing"],
+    )
+    def test_impossible_sizes_fail_fast(self, tmp_path, args, message):
+        out = tmp_path / "demo.csv"
+        proc = run_script("make_demo_csv.py", out, *args)
+        assert proc.returncode != 0
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestRepackageRaw:
@@ -89,3 +118,36 @@ class TestRepackageRaw:
         proc = run_script("repackage_raw.py", raw, tmp_path / "out.csv")
         assert proc.returncode != 0
         assert CITIES[3] in proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+             "line 3: expected 19 fields, got 18"),
+            (lambda lines: lines + [lines[1]], "line 27: repeated date"),
+        ],
+        ids=["short-row", "repeated-date"],
+    )
+    def test_malformed_rows_name_the_file_and_line(self, tmp_path, edit, message):
+        source = tmp_path / "demo.csv"
+        run_script("make_demo_csv.py", source, "--days", 25, "--seed", 1)
+        raw = self.write_wide(tmp_path, source)
+        path = raw / f"{CITIES[2]}.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        out = tmp_path / "out.csv"
+        proc = run_script("repackage_raw.py", raw, out)
+        assert proc.returncode != 0
+        assert f"{CITIES[2]}.csv, {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path):
+        source = tmp_path / "demo.csv"
+        run_script("make_demo_csv.py", source, "--days", 25, "--seed", 1)
+        raw = self.write_wide(tmp_path, source)
+        path = raw / f"{CITIES[2]}.csv"
+        path.write_bytes(path.read_bytes() + b"2030-01-01,\xe9\n")
+        proc = run_script("repackage_raw.py", raw, tmp_path / "out.csv")
+        assert proc.returncode != 0
+        assert f"{CITIES[2]}.csv: not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -44,7 +44,7 @@ def toy_windows(n=12, n_targets=2, cities=4, seed=0, zero=False):
     inputs = np.zeros((n, 3, 2, cities)) if zero else rng.uniform(0, 1, (n, 3, 2, cities))
     targets = np.zeros((n, n_targets)) if zero else rng.uniform(0, 1, (n, n_targets))
     return WindowedSet(
-        inputs, targets, horizon=2, target_feature="f0",
+        inputs, targets, target_feature="f0",
         target_cities=tuple(f"c{i}" for i in range(n_targets)),
     )
 
@@ -290,10 +290,9 @@ def test_early_stopping_restores_best_snapshot(monkeypatch):
     )
     # epoch 2 wins; epochs 3 and 4 are stale, so patience=2 stops there and
     # the 0.1 scripted for epoch 5 is never consumed
-    assert log.stopped_early
     assert log.epochs_run == 4
     assert log.best_epoch == 2
-    assert log.best_val == 1.0
+    assert log.entries[log.best_epoch - 1][2] == 1.0
     for name, arr in model.named_state():
         np.testing.assert_array_equal(arr, captured[name], err_msg=name)
 
@@ -304,7 +303,6 @@ def test_no_validation_set_runs_to_max_epochs():
         model, toy_windows(), None, TrainConfig(lr=1e-3, batch_size=4, max_epochs=4)
     )
     assert log.epochs_run == 4
-    assert not log.stopped_early
     assert all(np.isnan(entry[2]) for entry in log.entries)
     assert log.best_epoch > 0
 
@@ -384,7 +382,6 @@ def test_report_rows_follow_the_fixed_city_order():
     windows = WindowedSet(
         rng.uniform(0, 1, (6, 3, 2, 6)),
         rng.uniform(0, 1, (6, 6)),
-        horizon=2,
         target_feature="f0",
         target_cities=TARGET_CITIES,  # alphabetical, unlike the report
     )
