@@ -238,20 +238,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __truediv__(self, other):
         return div(self, other)
@@ -259,19 +250,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return take(self, index)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
@@ -661,28 +641,6 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    # exp(-|x|) never overflows; the sign picks the matching form.
-    z = np.exp(-np.abs(x.data))
-    s = np.where(x.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-    def backward(g):
-        return (g * s * (1.0 - s),)
-
-    return _record(s, "sigmoid", (x,), backward)
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.data)
-
-    def backward(g):
-        return (g * (1.0 - t * t),)
-
-    return _record(t, "tanh", (x,), backward)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
@@ -795,16 +753,6 @@ def _kept_shape(shape: tuple[int, ...], axis) -> tuple[int, ...]:
     return tuple(1 if i in axes else n for i, n in enumerate(shape))
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    kept = _kept_shape(x.shape, axis)
-
-    def backward(g):
-        return (np.ascontiguousarray(np.broadcast_to(g.reshape(kept), x.shape)),)
-
-    return _record(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), backward)
-
-
 def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     kept = _kept_shape(x.shape, axis)
@@ -816,43 +764,3 @@ def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
     return _record(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), backward)
 
-
-# -- verification ------------------------------------------------------------
-
-
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Compare the tape gradient of ``sum(f(x))`` against central differences.
-
-    Returns the maximum over coordinates of
-    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
-    ``f`` must be deterministic; ``x`` may appear in ``f`` through a closure
-    (the tensor object itself is perturbed in place).
-    """
-    if eps <= 0:
-        raise ContractError("grad_check requires eps > 0")
-    previous_rg, previous_grad = x.requires_grad, x.grad
-    x.requires_grad = True
-    x.grad = None
-    try:
-        out = f(x)
-        loss = out if out.size == 1 else tensor_sum(out)
-        loss.backward()
-        analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-        numeric = np.zeros_like(x.data)
-        flat = x.data.reshape(-1)
-        with no_grad():
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + eps
-                hi = float(f(x).data.sum())
-                flat[i] = saved - eps
-                lo = float(f(x).data.sum())
-                flat[i] = saved
-                numeric.reshape(-1)[i] = (hi - lo) / (2.0 * eps)
-    finally:
-        x.requires_grad = previous_rg
-        x.grad = previous_grad
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float((np.abs(analytic - numeric) / denom).max())

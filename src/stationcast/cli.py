@@ -164,13 +164,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(run_dir: Path, command: str, details: list[str]) -> None:
-    lines = [f"tool = stationcast {__version__}", f"command = {command}"]
+def _write_manifest(run_dir: Path, details: list[str]) -> None:
+    """Hash the five files ``train`` writes, not what later commands add."""
+    lines = [f"tool = stationcast {__version__}", "command = train"]
     lines.extend(details)
-    for artifact in sorted(run_dir.iterdir()):
-        if artifact.name == "manifest.txt" or artifact.is_dir():
-            continue
-        lines.append(f"artifact = {artifact.name} sha256={_sha256(artifact)}")
+    for name in (
+        "checkpoint.wxtn", "config.txt", "eval_table.csv", "scaler.wxtn",
+        "training_log.csv",
+    ):
+        lines.append(f"artifact = {name} sha256={_sha256(run_dir / name)}")
     write_text(run_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
@@ -241,7 +243,6 @@ def cmd_train(args) -> int:
     )
     _write_manifest(
         run_dir,
-        "train",
         [
             f"config_digest = {cfg.digest()}",
             f"data = {cfg.data}",

@@ -143,9 +143,6 @@ class WeatherCube:
                 f"unknown city {name!r}; cube has {list(self.cities)}"
             ) from None
 
-    def column(self, feature: str, city: str) -> np.ndarray:
-        return self.values[:, self.feature_index(feature), self.city_index(city)]
-
 
 def _parse_date(text: str, line: int) -> datetime.date:
     try:
@@ -341,8 +338,10 @@ class Scaler:
         scaled = (values - self.mins) / safe
         return np.where(degenerate, 0.0, scaled)
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.spans + self.mins
+    def inverse(self, values: np.ndarray, feature: str, cities: Sequence[str]):
+        """Scaled ``(..., n)`` values of ``feature`` at ``cities``, in its units."""
+        mins, spans = self.target_columns(feature, cities)
+        return values * spans + mins
 
     def target_columns(self, feature: str, cities: Sequence[str]):
         i = self.features.index(feature)
@@ -390,14 +389,6 @@ def scale_cube(cube: WeatherCube, scaler: Scaler) -> WeatherCube:
                 f"the data's {list(getattr(cube, axis))}"
             )
     return replace(cube, values=scaler.transform(cube.values))
-
-
-def descale_predictions(
-    pred: np.ndarray, scaler: Scaler, feature: str, cities: Sequence[str]
-) -> np.ndarray:
-    """Map scaled predictions ``(B, n)`` back to the target columns' units."""
-    mins, spans = scaler.target_columns(feature, cities)
-    return pred * spans + mins
 
 
 # -- windowing and splitting -------------------------------------------------

@@ -57,9 +57,6 @@ class Layer:
             else:
                 yield from value.named_state(f"{path}.")
 
-    def count_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()

@@ -178,7 +178,7 @@ class Stream(Layer):
 
 
 class ModelGraph(Layer):
-    """One assembled architecture: layers, config, forward, parameter count."""
+    """One assembled architecture: layers, config and forward pass."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -264,9 +264,6 @@ class ModelGraph(Layer):
                 f"expected batch of shape (B, {cfg.lags}, {cfg.features}, "
                 f"{cfg.cities}), got {shape}"
             )
-
-    def __call__(self, batch, mode: str = "infer") -> Tensor:
-        return self.forward(batch, mode)
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Infer-mode predictions ``(N, n)`` for ``(N, L, F, C)`` inputs.

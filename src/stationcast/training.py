@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TABLE_CITY_ORDER, Scaler, WindowedSet, descale_predictions
+from .data import TABLE_CITY_ORDER, Scaler, WindowedSet
 from .errors import ConfigurationError, ContractError, DimensionError, NumericalError
 from .models import ModelGraph
 
@@ -159,12 +159,13 @@ def train(
     """Mini-batch Adam on MSE with early stopping on validation MSE.
 
     Batches that would reach batch norm with fewer than 2 samples (a trailing
-    remainder of 1) are dropped.  With a validation set, the best-validation
-    parameter snapshot is restored before returning; without one, training
-    runs to ``max_epochs`` unless ``stop_train_mse`` is hit first.
+    remainder of 1) are dropped, so a set of 1 window is rejected.  With a
+    validation set, the best-validation parameter snapshot is restored before
+    returning; without one, training runs to ``max_epochs`` unless
+    ``stop_train_mse`` is hit first.
     """
-    if len(train_set) == 0:
-        raise ContractError("training set is empty")
+    if len(train_set) < 2:
+        raise ContractError(f"training set needs 2 windows, has {len(train_set)}")
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(
         [p for p in model.parameters() if p.requires_grad], lr=cfg.lr
@@ -198,7 +199,7 @@ def train(
             optimizer.step()
             total += value * yb.size
             count += yb.size
-        train_mse = total / count if count else float("nan")
+        train_mse = total / count
 
         if val_set is not None and len(val_set) > 0:
             val_mse = _epoch_mse(model, val_set)
@@ -270,8 +271,8 @@ def descaled_predictions(
     feature, cities = windows.target_feature, windows.target_cities
     pred = model.predict(windows.inputs)
     return (
-        descale_predictions(pred, scaler, feature, cities),
-        descale_predictions(windows.targets, scaler, feature, cities),
+        scaler.inverse(pred, feature, cities),
+        scaler.inverse(windows.targets, feature, cities),
     )
 
 

@@ -137,6 +137,18 @@ def test_train_is_bitwise_deterministic(tmp_path, demo):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
 
 
+def test_rerunning_train_after_eval_keeps_the_manifest(tmp_path, demo):
+    # eval writes into the run directory, which train's manifest must ignore.
+    argv = ["train", "--data", str(demo["data"]), "--out", str(tmp_path), *TRAIN_FLAGS]
+    assert main(argv) == 0
+    (run_dir,) = list(tmp_path.iterdir())
+    first = (run_dir / "manifest.txt").read_bytes()
+    checkpoint = str(run_dir / "checkpoint.wxtn")
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(demo["data"])]) == 0
+    assert main(argv) == 0
+    assert (run_dir / "manifest.txt").read_bytes() == first
+
+
 def test_train_config_file_with_cli_override(tmp_path, demo, capsys):
     config = tmp_path / "run.txt"
     config.write_text(
@@ -273,6 +285,21 @@ def test_train_rejects_layer_widths_below_one(tmp_path, demo, capsys, flags, mes
             *TRAIN_FLAGS, *flags]
     assert main(argv) == 1
     assert "configuration error: " + message in capsys.readouterr().err
+
+
+def test_a_single_training_window_is_rejected(tmp_path, capsys):
+    # Half of the first 10 days validate, leaving 5 training days: one window
+    # of 4 lags and a 1-day horizon, a batch that batch norm cannot take.
+    data = tmp_path / "demo.csv"
+    write_demo_csv(data, days=20, seed=3)
+    out = tmp_path / "runs"
+    flags = [
+        "--lags", "4", "--horizon", "1", "--filters", "2", "--dense", "4",
+        "--max-epochs", "2", "--split-ratio", "0.5", "--val-fraction", "0.5",
+    ]
+    assert main(["train", "--data", str(data), "--out", str(out), *flags]) == 1
+    assert "training set needs 2 windows, has 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_too_short_for_windows(tmp_path, capsys):

@@ -16,7 +16,6 @@ from stationcast.data import (
     VOCABULARIES,
     Scaler,
     WeatherCube,
-    descale_predictions,
     emit_csv,
     fit_scaler,
     load_dataset,
@@ -63,9 +62,7 @@ def test_load_toy_dataset(tmp_path):
     cube = load_dataset(toy_csv(tmp_path), cities=TOY_CITIES, features=TOY_FEATURES)
     assert cube.values.shape == (3, 2, 2)
     assert cube.imputed == 0
-    np.testing.assert_array_equal(
-        cube.column("temp", "Alphaville"), [1.5, 3.5, 5.5]
-    )
+    np.testing.assert_array_equal(cube.values[:, 0, 0], [1.5, 3.5, 5.5])
     assert cube.values[0, 1, 0] == CONDITIONS.index("Fog")
     assert cube.values[2, 1, 1] == CONDITIONS.index("Clear")
     assert cube.dates[0].isoformat() == day(0)
@@ -83,7 +80,7 @@ def test_rows_may_arrive_in_any_order(tmp_path):
         cities=TOY_CITIES,
         features=TOY_FEATURES,
     )
-    np.testing.assert_array_equal(cube.column("temp", "Betatown"), [2.5, 4.5])
+    np.testing.assert_array_equal(cube.values[:, 0, 1], [2.5, 4.5])
 
 
 def test_missing_cell_imputes_from_earlier_day(tmp_path):
@@ -98,7 +95,7 @@ def test_missing_cell_imputes_from_earlier_day(tmp_path):
         features=TOY_FEATURES,
     )
     assert cube.imputed == 1
-    np.testing.assert_array_equal(cube.column("temp", "Alphaville"), [40.0, 40.0, 40.0])
+    np.testing.assert_array_equal(cube.values[:, 0, 0], [40.0, 40.0, 40.0])
 
 
 def test_leading_gap_backfills(tmp_path):
@@ -111,7 +108,7 @@ def test_leading_gap_backfills(tmp_path):
         cities=("Alphaville",),
         features=TOY_FEATURES,
     )
-    np.testing.assert_array_equal(cube.column("temp", "Alphaville"), [7.0, 7.0])
+    np.testing.assert_array_equal(cube.values[:, 0, 0], [7.0, 7.0])
 
 
 def test_missing_city_row_imputes_whole_day(tmp_path):
@@ -129,7 +126,7 @@ def test_missing_city_row_imputes_whole_day(tmp_path):
         features=TOY_FEATURES,
     )
     assert cube.imputed == 2  # both of Betatown's features on day 1
-    np.testing.assert_array_equal(cube.column("temp", "Betatown"), [2.0, 2.0, 6.0])
+    np.testing.assert_array_equal(cube.values[:, 0, 1], [2.0, 2.0, 6.0])
     assert cube.values[1, 1, 1] == CONDITIONS.index("Rain")
 
 
@@ -288,8 +285,10 @@ def test_constant_column_scales_to_zero():
 def test_scale_round_trip():
     cube = synthetic_cube(50, seed=2)
     scaler = fit_scaler(cube, range(0, 40))
-    back = scaler.inverse(scaler.transform(cube.values))
-    assert np.abs(back - cube.values).max() < 1e-12
+    scaled = scaler.transform(cube.values)
+    for i, feature in enumerate(cube.features):
+        back = scaler.inverse(scaled[:, i], feature, cube.cities)
+        assert np.abs(back - cube.values[:, i]).max() < 1e-12
 
 
 def test_training_range_bounds_only():
@@ -329,11 +328,11 @@ def test_descale_predictions_hand_case():
         cities=("c0", "c1"),
     )
     pred = np.array([[0.0, 0.5], [1.0, 1.0]])
-    out = descale_predictions(pred, scaler, "f0", ("c0", "c1"))
+    out = scaler.inverse(pred, "f0", ("c0", "c1"))
     np.testing.assert_array_equal(out, [[1.0, 20.0], [3.0, 30.0]])
     # selecting a city subset reorders correctly
     np.testing.assert_array_equal(
-        descale_predictions(np.array([[0.5]]), scaler, "f0", ("c1",)), [[20.0]]
+        scaler.inverse(np.array([[0.5]]), "f0", ("c1",)), [[20.0]]
     )
 
 

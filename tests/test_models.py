@@ -35,6 +35,10 @@ def tiny(variant, **overrides):
     return ModelConfig(**kwargs)
 
 
+def n_params(layer):
+    return sum(p.size for p in layer.parameters())
+
+
 def batch_for(cfg, n=3, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0, 1, (n, cfg.lags, cfg.features, cfg.cities))
@@ -64,7 +68,7 @@ def test_default_shape_step_does_not_depend_on_the_worker(monkeypatch):
 def test_output_shape(variant):
     cfg = tiny(variant)
     model = ModelGraph(cfg)
-    out = model(batch_for(cfg))
+    out = model.forward(batch_for(cfg))
     assert out.shape == (3, cfg.n_targets)
     assert np.isfinite(out.data).all()
 
@@ -74,7 +78,7 @@ def test_infer_mode_is_deterministic(variant):
     cfg = tiny(variant)
     model = ModelGraph(cfg)
     batch = batch_for(cfg)
-    np.testing.assert_array_equal(model(batch).data, model(batch).data)
+    np.testing.assert_array_equal(model.forward(batch).data, model.forward(batch).data)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -83,16 +87,16 @@ def test_infer_mode_is_batch_independent(variant):
     cfg = tiny(variant)
     model = ModelGraph(cfg)
     batch = batch_for(cfg, n=4)
-    together = model(batch).data
+    together = model.forward(batch).data
     for i in range(4):
-        alone = model(batch[i : i + 1]).data[0]
+        alone = model.forward(batch[i : i + 1]).data[0]
         assert np.abs(together[i] - alone).max() < 1e-12
 
 
 def test_zero_input_stays_finite():
     for variant in VARIANTS:
         cfg = tiny(variant)
-        out = ModelGraph(cfg)(np.zeros((2, 4, 3, 5)))
+        out = ModelGraph(cfg).forward(np.zeros((2, 4, 3, 5)))
         assert np.isfinite(out.data).all()
 
 
@@ -100,18 +104,18 @@ def test_train_mode_updates_running_stats():
     cfg = tiny("unistream")
     model = ModelGraph(cfg)
     before = model.norm.running_mean.copy()
-    model(batch_for(cfg), mode="train")
+    model.forward(batch_for(cfg), mode="train")
     assert not np.array_equal(model.norm.running_mean, before)
 
 
 def test_forward_rejects_bad_shape_and_mode():
     model = ModelGraph(tiny("unistream"))
     with pytest.raises(DimensionError):
-        model(np.zeros((2, 4, 3, 6)))  # 6 cities instead of 5
+        model.forward(np.zeros((2, 4, 3, 6)))  # 6 cities instead of 5
     with pytest.raises(DimensionError):
-        model(np.zeros((4, 3, 5)))  # missing batch axis
+        model.forward(np.zeros((4, 3, 5)))  # missing batch axis
     with pytest.raises(ConfigurationError):
-        model(np.zeros((2, 4, 3, 5)), mode="test")
+        model.forward(np.zeros((2, 4, 3, 5)), mode="test")
 
 
 # -- parameter counts --------------------------------------------------------
@@ -120,29 +124,29 @@ def test_forward_rejects_bad_shape_and_mode():
 def test_hand_counted_parameters_tiny_unistream():
     # ConvLSTM(1->2, 3x3): 4 gates x (18 + 36 + 2) = 224
     # BatchNorm(2): 4    Dense(30->7): 217    Dense(7->2): 16
-    assert ModelGraph(tiny("unistream")).count_params() == 224 + 4 + 217 + 16
+    assert n_params(ModelGraph(tiny("unistream"))) == 224 + 4 + 217 + 16
 
 
 def test_hand_counted_parameters_tiny_multistream():
     # Per stream: ConvLSTM(1->2) 224 + ConvLSTM(2->2) 296 = 520; two streams.
     # BatchNorm(4): 8    Dense(60->7): 427    Dense(7->2): 16
-    assert ModelGraph(tiny("multistream")).count_params() == 1040 + 8 + 427 + 16
+    assert n_params(ModelGraph(tiny("multistream"))) == 1040 + 8 + 427 + 16
 
 
 def test_hand_counted_parameters_tiny_att_unistream():
     # Encoder on E=6 tokens, d_k=6, d_ff=12: QKV 108 + out 36 + two norms 24
     # + feed-forward 84 + 78 = 330 extra over the plain unistream.
-    assert ModelGraph(tiny("att_unistream")).count_params() == 461 + 330
+    assert n_params(ModelGraph(tiny("att_unistream"))) == 461 + 330
 
 
 def test_attention_adds_exactly_the_encoder_parameters():
     plain = ModelGraph(tiny("unistream"))
     att = ModelGraph(tiny("att_unistream"))
-    assert att.count_params() - plain.count_params() == att.encoder.count_params()
+    assert n_params(att) - n_params(plain) == n_params(att.encoder)
 
 
 def test_default_configurations_have_similar_parameter_counts():
-    counts = {v: ModelGraph(ModelConfig(variant=v)).count_params() for v in VARIANTS}
+    counts = {v: n_params(ModelGraph(ModelConfig(variant=v))) for v in VARIANTS}
     assert counts == {
         "unistream": 5_413_574,
         "att_unistream": 5_384_582,
@@ -158,7 +162,6 @@ def test_running_stats_are_saved_but_not_counted():
     params = dict(model.named_parameters())
     assert "norm.running_mean" in state
     assert "norm.running_mean" not in params
-    assert model.count_params() == sum(p.size for p in params.values())
 
 
 # -- stream symmetry ---------------------------------------------------------
@@ -175,7 +178,7 @@ def test_streams_are_exchangeable():
     model.norm.running_var = stats_rng.uniform(0.5, 2.0, 4)
 
     batch = batch_for(cfg, n=2)
-    reference = model(batch).data
+    reference = model.forward(batch).data
 
     for a, b in zip(model.streams[0].conv, model.streams[1].conv):
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
@@ -194,7 +197,7 @@ def test_streams_are_exchangeable():
 
     half = cfg.lags_per_stream
     swapped_batch = np.concatenate([batch[:, half:], batch[:, :half]], axis=1)
-    assert np.abs(model(swapped_batch).data - reference).max() < 1e-12
+    assert np.abs(model.forward(swapped_batch).data - reference).max() < 1e-12
 
 
 def test_four_streams():
@@ -202,7 +205,7 @@ def test_four_streams():
     model = ModelGraph(cfg)
     assert cfg.lags_per_stream == 2
     assert cfg.merged_channels == 8
-    assert model(batch_for(cfg)).shape == (3, 2)
+    assert model.forward(batch_for(cfg)).shape == (3, 2)
 
 
 # -- configuration -----------------------------------------------------------
@@ -287,7 +290,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, variant):
     for (name, a), (_, b) in zip(model.named_state(), clone.named_state()):
         np.testing.assert_array_equal(a, b, err_msg=name)
     batch = batch_for(cfg)
-    np.testing.assert_array_equal(model(batch).data, clone(batch).data)
+    np.testing.assert_array_equal(model.forward(batch).data, clone.forward(batch).data)
 
 
 def test_checkpoint_state_names_are_pinned():
@@ -346,10 +349,10 @@ def test_checkpoint_restores_predictions_after_reinit(tmp_path):
     cfg = tiny("multistream")
     model = ModelGraph(cfg)
     batch = batch_for(cfg)
-    expected = model(batch).data
+    expected = model.forward(batch).data
     path = tmp_path / "model.wxtn"
     save_checkpoint(model, path)
     fresh = ModelGraph(tiny("multistream", seed=123))  # different init
-    assert not np.array_equal(fresh(batch).data, expected)
+    assert not np.array_equal(fresh.forward(batch).data, expected)
     clone, _ = load_checkpoint(path)
-    np.testing.assert_array_equal(clone(batch).data, expected)
+    np.testing.assert_array_equal(clone.forward(batch).data, expected)

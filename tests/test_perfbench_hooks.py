@@ -15,6 +15,8 @@ import numpy as np
 from stationcast import autodiff, layers
 from stationcast.autodiff import Tensor
 
+from gradcheck import total
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -37,7 +39,7 @@ def test_tracer_installs_records_and_uninstalls():
         layer = layers.ConvLSTM(rng, 1, 2)
         seq = Tensor(rng.uniform(-1, 1, (2, 3, 1, 4, 4)), requires_grad=True)
         tracer.begin_op(1)
-        layer(seq).sum().backward()
+        total(layer(seq)).backward()
         tracer.end_op()
     finally:
         tracer.uninstall()
@@ -71,7 +73,7 @@ def test_tracer_spans_nest_with_the_worker_running(monkeypatch):
         layer = layers.ConvLSTM(rng, 1, 2)
         seq = Tensor(rng.uniform(-1, 1, (2, 3, 1, 4, 4)), requires_grad=True)
         tracer.begin_op(1)
-        layer(seq).sum().backward()
+        total(layer(seq)).backward()
         tracer.end_op()
     finally:
         tracer.uninstall()
