@@ -291,14 +291,21 @@ def _load_run(args):
 def cmd_eval(args) -> int:
     model, scaler, _, windows, _, out_dir = _load_run(args)
     pred, truth = descaled_predictions(model, windows, scaler)
-    table = eval_table(pred, truth, windows)
-    write_text(out_dir / "eval_table.csv", table.to_csv())
+    table = eval_table(pred, truth, windows).to_csv()
+    target = out_dir / "eval_table.csv"
+    # Without --out that is the table train wrote and its manifest hashes.
+    if args.out is None and target.is_file() and target.read_bytes() != table.encode():
+        raise UsageError(
+            f"{target} holds another table, which the run manifest hashes; "
+            "pass --out to write this one elsewhere"
+        )
+    write_text(target, table)
     for j, city in enumerate(windows.target_cities):
         lines = ["index,actual,predicted"]
         pairs = zip(truth[:, j].tolist(), pred[:, j].tolist())
         lines.extend(f"{i},{a!r},{p!r}" for i, (a, p) in enumerate(pairs))
         write_text(out_dir / f"predictions_{city}.csv", "\n".join(lines) + "\n")
-    sys.stdout.write(table.to_csv())
+    sys.stdout.write(table)
     print(f"artifacts in: {out_dir}")
     return 0
 

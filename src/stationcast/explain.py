@@ -9,6 +9,9 @@ Two techniques:
   a set of samples.  Bigger positive change = the region mattered more.
   One sweep forwards each masked input once and scores every requested
   target (one city, or the whole output vector) from those predictions.
+  The spatial sweep stacks the unmasked inputs and every masked copy and
+  forwards the stack in slices of ``PREDICT_BATCH`` rows, the last one
+  padded to whole BLAS blocks.
   The temporal sweep reruns only the ConvLSTM steps a masked lag changes:
   the steps before it and the other streams come from the unmasked pass.
 * Score maximization: gradient ascent on the input itself to maximize
@@ -33,7 +36,7 @@ from .errors import (
     InfiniteScoreError,
     NumericalError,
 )
-from .models import ModelGraph
+from .models import PREDICT_BATCH, ModelGraph
 
 OCCLUSION_MODES = ("feature_row", "city_column", "patch", "temporal")
 
@@ -152,11 +155,35 @@ class SaliencyMap:
         return "\n".join(lines) + "\n"
 
 
-def _masked(inputs: np.ndarray, index: tuple, fill_grid: np.ndarray) -> np.ndarray:
-    """A copy of ``inputs`` with the region ``index`` set to the fill."""
-    masked = inputs.copy()
-    masked[index] = fill_grid[index[2], index[3]]
-    return masked
+def _predict_masked_positions(
+    model: ModelGraph, inputs: np.ndarray, positions: list[tuple], fill_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions ``(N, n)`` for ``inputs`` and ``(P, N, n)`` for each copy
+    with one spatial position set to the fill.
+
+    The rows are the N inputs, then N masked copies per position.  They go
+    through ``model.predict`` in slices of ``PREDICT_BATCH`` rows, each built
+    only when it runs.  The last slice repeats its last row up to a multiple
+    of ``_block_unit(F*C)`` rows, and to at least 2, so no row falls in a
+    partial 8-column BLAS block or a matrix-vector product.  Then a mask that
+    leaves its inputs as they were reads exactly 0, unless BLAS picks another
+    kernel for the shorter last slice by its size.
+    """
+    n = len(inputs)
+    total = n * (len(positions) + 1)
+    unit = ad._block_unit(inputs.shape[2] * inputs.shape[3])
+    parts = []
+    for start in range(0, total, PREDICT_BATCH):
+        stop = min(start + PREDICT_BATCH, total)
+        chunk = inputs[np.arange(start, stop) % n]
+        for block in range(max(start // n, 1), (stop - 1) // n + 1):
+            index = positions[block - 1]
+            lo, hi = max(block * n, start), min(block * n + n, stop)
+            chunk[lo - start : hi - start][index] = fill_grid[index[2], index[3]]
+        padding = [(0, max(-len(chunk) % unit, 2 - len(chunk)))] + [(0, 0)] * 3
+        parts.append(model.predict(np.pad(chunk, padding, mode="edge"))[: stop - start])
+    predictions = np.concatenate(parts)
+    return predictions[:n], predictions[n:].reshape(len(positions), n, -1)
 
 
 def occlusion_map(
@@ -234,9 +261,8 @@ def occlusion_map(
         # model reuses the unmasked steps, so all predictions come at once.
         reference, masked_preds = model.predict_masked_lags(inputs, fill_grid)
     else:
-        reference = model.predict(inputs)
-        masked_preds = (
-            model.predict(_masked(inputs, index, fill_grid)) for index in positions
+        reference, masked_preds = _predict_masked_positions(
+            model, inputs, positions, fill_grid
         )
 
     def squared_errors(pred: np.ndarray) -> np.ndarray:

@@ -49,8 +49,10 @@ _DEFAULT_DENSE = {
     "att_multistream": (256,),
 }
 
-# Samples per forward slice in ``predict`` and ``predict_masked_lags``: the
-# masked predictions equal ``predict``'s bitwise only while the slices match.
+# Rows per forward slice in ``predict``, ``predict_masked_lags`` and the
+# spatial occlusion sweep, which stacks the (position, sample) rows and pads
+# its last slice to whole BLAS blocks.  The lag-masked predictions equal
+# ``predict``'s bitwise only while the slices match.
 PREDICT_BATCH = 16
 
 

@@ -6,6 +6,7 @@ eval/occlude/scoremax tests; determinism gets its own pair of runs.
 
 import argparse
 import dataclasses
+import hashlib
 import re
 import struct
 from pathlib import Path
@@ -147,6 +148,24 @@ def test_rerunning_train_after_eval_keeps_the_manifest(tmp_path, demo):
     assert main(["eval", "--checkpoint", checkpoint, "--data", str(demo["data"])]) == 0
     assert main(argv) == 0
     assert (run_dir / "manifest.txt").read_bytes() == first
+
+
+def test_eval_on_other_data_keeps_the_hashed_table(demo, tmp_path, capsys):
+    table = demo["run"] / "eval_table.csv"
+    digest = hashlib.sha256(table.read_bytes()).hexdigest()
+    manifest = (demo["run"] / "manifest.txt").read_text()
+    assert f"artifact = eval_table.csv sha256={digest}" in manifest
+    other = tmp_path / "other.csv"
+    write_demo_csv(other, days=60, seed=1, missing=3)
+    checkpoint = str(demo["run"] / "checkpoint.wxtn")
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "pass --out" in err
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+    out = tmp_path / "elsewhere"
+    argv = ["eval", "--checkpoint", checkpoint, "--data", str(other), "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "eval_table.csv").read_bytes() != table.read_bytes()
 
 
 def test_train_config_file_with_cli_override(tmp_path, demo, capsys):

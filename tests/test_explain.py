@@ -3,6 +3,7 @@ and a transparent single-cell model, one shared sweep for every target, and
 gradient-ascent score maximization."""
 
 import itertools
+import tracemalloc
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -299,6 +300,82 @@ def test_every_target_shares_one_forward_pass_per_position():
         )
         assert len(maps) == len(targets)
         assert probe.forwarded == 5 * (4 + 1)  # N x (P + 1)
+
+
+class _RecordingModel:
+    """Records the row count of every ``predict`` call."""
+
+    def __init__(self):
+        self.rows = []
+
+    def predict(self, inputs):
+        self.rows.append(len(inputs))
+        return inputs[:, 0, 0, :2] + 1.0
+
+
+@pytest.mark.parametrize(
+    "features, cities, spec, n",
+    [
+        (18, 18, OcclusionSpec(mode="feature_row"), 7),  # 133 rows, unit 2
+        (18, 18, OcclusionSpec(mode="patch"), 1),  # 325 rows, unit 2
+        (3, 5, OcclusionSpec(mode="city_column"), 3),  # 18 rows, unit 8
+        (4, 4, OcclusionSpec(mode="feature_row"), 20),  # 100 rows, unit 1
+        (4, 4, OcclusionSpec(mode="feature_row"), 13),  # 65 rows, unit 1
+    ],
+)
+def test_spatial_sweep_forwards_block_aligned_slices(features, cities, spec, n):
+    inputs = np.random.default_rng(n).uniform(0.1, 0.9, (n, 8, features, cities))
+    truths = np.zeros((n, 2))
+    positions, _, _ = mask_layout(spec.mode, 8, "x" * features, "y" * cities)
+    rows = n * (len(positions) + 1)
+    probe = _RecordingModel()
+    tracemalloc.start()
+    try:
+        occlusion_map(
+            probe, spec, inputs, truths, "x" * features, "y" * cities, ("c0", "c1")
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = ad._block_unit(features * cities)
+    assert max(probe.rows) <= PREDICT_BATCH
+    assert all(count % unit == 0 and count >= 2 for count in probe.rows)
+    assert len(probe.rows) == -(-rows // PREDICT_BATCH)
+    assert sum(probe.rows) - rows < max(unit, 2)
+    # The masked stack is never built whole: a few slices at most are alive.
+    assert peak < 4 * PREDICT_BATCH * inputs[0].nbytes
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 11, 13, 20])
+@pytest.mark.parametrize("variant", ["unistream", "multistream"])
+@pytest.mark.parametrize("features, cities, patch", [(18, 18, 3), (4, 6, 2)])
+def test_a_mask_over_its_own_fill_reads_exactly_zero(
+    features, cities, patch, variant, n
+):
+    # The last position's rows end the stacked sweep, in its shortest slice
+    # (a single row at some n, unless padded).  Its entry reads exactly 0
+    # only if a row's prediction has the same bits in whichever slice it lands.
+    model = ModelGraph(
+        ModelConfig(
+            variant=variant, lags=2, features=features, cities=cities,
+            n_targets=2, filters=2, dense=(4,), seed=3,
+        )
+    )
+    rng = np.random.default_rng(n)
+    inputs = rng.uniform(0.1, 0.9, (n, 2, features, cities))
+    inputs[:, :, -1] = 0.0  # the last feature row
+    inputs[:, :, :, -1] = 0.0  # the last city column
+    inputs[:, :, -patch:, -patch:] = 0.0  # the last patch
+    truths = rng.uniform(0.1, 0.9, (n, 2))
+    rows, cols = [f"f{k}" for k in range(features)], [f"c{k}" for k in range(cities)]
+    for spec in (
+        OcclusionSpec(mode="feature_row"),
+        OcclusionSpec(mode="city_column"),
+        OcclusionSpec(mode="patch", patch_size=patch),
+    ):
+        (out,) = occlusion_map(model, spec, inputs, truths, rows, cols, ("c0", "c1"))
+        assert out.values[-1, -1] == 0.0, spec.mode
+        assert np.count_nonzero(out.values) == out.values.size - 1, spec.mode
 
 
 def test_unknown_target_fails_before_any_forward_pass():
