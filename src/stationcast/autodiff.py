@@ -127,7 +127,6 @@ class TapeNode:
     the tensors that own them.
     """
 
-    op: str
     parents: tuple["Tensor", ...]
     backward: Callable[[Array], Sequence[Optional[Array]]]
 
@@ -261,11 +260,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(data: Array, op: str, parents: Sequence[Tensor], backward) -> Tensor:
+def _record(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.node = TapeNode(op, tuple(parents), backward)
+        out.node = TapeNode(tuple(parents), backward)
     return out
 
 
@@ -291,7 +290,7 @@ def add(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record(a.data + b.data, "add", (a, b), backward)
+    return _record(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -300,7 +299,7 @@ def sub(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record(a.data - b.data, "sub", (a, b), backward)
+    return _record(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -309,7 +308,7 @@ def mul(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record(a.data * b.data, "mul", (a, b), backward)
+    return _record(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -320,7 +319,7 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
 
-    return _record(a.data / b.data, "div", (a, b), backward)
+    return _record(a.data / b.data, (a, b), backward)
 
 
 def sqrt(a) -> Tensor:
@@ -330,7 +329,7 @@ def sqrt(a) -> Tensor:
     def backward(g):
         return (g * 0.5 / root,)
 
-    return _record(root, "sqrt", (a,), backward)
+    return _record(root, (a,), backward)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -363,7 +362,7 @@ def matmul(a, b) -> Tensor:
             gb = a.data.reshape(-1, k).T @ g_rows if need_b else None
             return ga, gb
 
-        return _record(out, "matmul", (a, b), backward)
+        return _record(out, (a, b), backward)
 
     def backward(g):
         ga = gb = None
@@ -373,7 +372,7 @@ def matmul(a, b) -> Tensor:
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
-    return _record(a.data @ b.data, "matmul", (a, b), backward)
+    return _record(a.data @ b.data, (a, b), backward)
 
 
 def _columns(xb: Array, kh: int, kw: int, out: Optional[Array] = None) -> Array:
@@ -481,7 +480,7 @@ def conv2d(x, kernel) -> Tensor:
             gx = interior.transpose(1, 0, 2, 3)
         return gx, gk
 
-    return _record(out, "conv2d", (x, kernel), backward)
+    return _record(out, (x, kernel), backward)
 
 
 def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
@@ -635,7 +634,7 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
         dw_h = sum(parts[1:], parts[0]).reshape(w_h.shape) if need_w else None
         return (dxpre, dw_h, dpre.sum(axis=1), *(() if dstate is None else dstate))
 
-    return _record(out, "conv_lstm", parents, backward)
+    return _record(out, parents, backward)
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -650,7 +649,7 @@ def relu(x) -> Tensor:
 
     # np.maximum (unlike np.where on the mask) lets NaN through, so a
     # poisoned activation surfaces as a non-finite loss instead of a zero.
-    return _record(np.maximum(x.data, 0.0), "relu", (x,), backward)
+    return _record(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def softmax_rows(x) -> Tensor:
@@ -663,7 +662,7 @@ def softmax_rows(x) -> Tensor:
     def backward(g):
         return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
-    return _record(s, "softmax_rows", (x,), backward)
+    return _record(s, (x,), backward)
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -681,7 +680,7 @@ def reshape(x, new_shape) -> Tensor:
     def backward(g):
         return (g.reshape(x.shape),)
 
-    return _record(data, "reshape", (x,), backward)
+    return _record(data, (x,), backward)
 
 
 def transpose(x, axes) -> Tensor:
@@ -692,7 +691,7 @@ def transpose(x, axes) -> Tensor:
     def backward(g):
         return (np.transpose(g, inverse),)
 
-    return _record(np.transpose(x.data, axes), "transpose", (x,), backward)
+    return _record(np.transpose(x.data, axes), (x,), backward)
 
 
 def swap_last(x) -> Tensor:
@@ -727,7 +726,7 @@ def concat(parts, axis: int = 0) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _record(data, "concat", tuple(parts), backward)
+    return _record(data, tuple(parts), backward)
 
 
 def take(x, index) -> Tensor:
@@ -739,7 +738,7 @@ def take(x, index) -> Tensor:
         grad[index] = g
         return (grad,)
 
-    return _record(x.data[index], "take", (x,), backward)
+    return _record(x.data[index], (x,), backward)
 
 
 # -- reductions --------------------------------------------------------------
@@ -762,5 +761,5 @@ def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
         spread = np.broadcast_to(g.reshape(kept) / count, x.shape)
         return (np.ascontiguousarray(spread),)
 
-    return _record(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), backward)
+    return _record(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
 

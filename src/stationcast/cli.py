@@ -35,9 +35,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .explain import (
-    OCCLUSION_MODES, OcclusionSpec, SaliencyMap, occlusion_map, score_maximize
-)
+from .explain import OCCLUSION_MODES, SaliencyMap, occlusion_map, score_maximize
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from .runconfig import RUN_KEYS, RUN_META, RunConfig
@@ -323,10 +321,10 @@ def cmd_occlude(args) -> int:
     else:
         requested = list(run.target_cities)
 
-    spec = OcclusionSpec(mode=args.mode, patch_size=args.patch_size, fill=args.fill)
     maps = occlusion_map(
-        model, spec, inputs, truths, cube.features, cube.cities, run.target_cities,
-        scaler=scaler, target_feature=run.target_feature, targets=requested,
+        model, inputs, truths, cube.features, cube.cities, run.target_cities,
+        scaler, run.target_feature, mode=args.mode, patch_size=args.patch_size,
+        fill=args.fill, targets=requested,
     )
     title = f"Occlusion analysis ({args.mode})"
     for target, saliency in zip(requested, maps):
@@ -384,7 +382,7 @@ def cmd_scoremax(args) -> int:
     trajectory.extend(f"{i},{h!r}" for i, h in enumerate(result.scores))
     write_text(out_dir / "scoremax_scores.csv", "\n".join(trajectory) + "\n")
     print(
-        f"score: {result.initial_score!r} -> {result.final_score!r} "
+        f"score: {result.scores[0]!r} -> {result.scores[-1]!r} "
         f"({args.iterations} iterations)"
     )
     return 0

@@ -344,6 +344,10 @@ class Scaler:
         return values * spans + mins
 
     def target_columns(self, feature: str, cities: Sequence[str]):
+        missing = [] if feature in self.features else [f"feature {feature!r}"]
+        missing += [f"city {c!r}" for c in cities if c not in self.cities]
+        if missing:
+            raise ConfigurationError(f"scaler does not cover {', '.join(missing)}")
         i = self.features.index(feature)
         cols = [self.cities.index(c) for c in cities]
         return self.mins[i, cols], self.spans[i, cols]

@@ -10,8 +10,8 @@ Two techniques:
   One sweep forwards each masked input once and scores every requested
   target (one city, or the whole output vector) from those predictions.
   The spatial sweep stacks the unmasked inputs and every masked copy and
-  forwards the stack in slices of ``PREDICT_BATCH`` rows, the last one
-  padded to whole BLAS blocks.
+  forwards the stack in slices of exactly ``PREDICT_BATCH`` rows, the last
+  one padded.
   The temporal sweep reruns only the ConvLSTM steps a masked lag changes:
   the steps before it and the other streams come from the unmasked pass.
 * Score maximization: gradient ascent on the input itself to maximize
@@ -39,36 +39,6 @@ from .errors import (
 from .models import PREDICT_BATCH, ModelGraph
 
 OCCLUSION_MODES = ("feature_row", "city_column", "patch", "temporal")
-
-
-@dataclass(frozen=True)
-class OcclusionSpec:
-    """What to mask and what to fill it with.
-
-    ``fill`` is ``"zero"`` (scaled-space 0, the column minimum in raw units)
-    or ``"mean"`` (per-column mean of the sample set).  Which outputs are
-    scored is not part of the spec: :func:`occlusion_map` takes a list of
-    targets and scores them all from one sweep.
-    """
-
-    mode: str
-    patch_size: int = 1
-    fill: str = "zero"
-
-    def __post_init__(self):
-        if self.mode not in OCCLUSION_MODES:
-            raise ConfigurationError(
-                f"unknown occlusion mode {self.mode!r}; "
-                f"expected one of {OCCLUSION_MODES}"
-            )
-        if self.patch_size < 1:
-            raise ConfigurationError(
-                f"patch size must be >= 1, got {self.patch_size}"
-            )
-        if self.fill not in ("zero", "mean"):
-            raise ConfigurationError(
-                f"fill must be 'zero' or 'mean', got {self.fill!r}"
-            )
 
 
 def _block_labels(names: Sequence[str], size: int) -> tuple[str, ...]:
@@ -163,15 +133,12 @@ def _predict_masked_positions(
 
     The rows are the N inputs, then N masked copies per position.  They go
     through ``model.predict`` in slices of ``PREDICT_BATCH`` rows, each built
-    only when it runs.  The last slice repeats its last row up to a multiple
-    of ``_block_unit(F*C)`` rows, and to at least 2, so no row falls in a
-    partial 8-column BLAS block or a matrix-vector product.  Then a mask that
-    leaves its inputs as they were reads exactly 0, unless BLAS picks another
-    kernel for the shorter last slice by its size.
+    only when it runs.  The last slice repeats its last row up to a full
+    ``PREDICT_BATCH``, so every product has the same row count wherever a
+    row lands, and a mask that leaves its inputs as they were reads exactly 0.
     """
     n = len(inputs)
     total = n * (len(positions) + 1)
-    unit = ad._block_unit(inputs.shape[2] * inputs.shape[3])
     parts = []
     for start in range(0, total, PREDICT_BATCH):
         stop = min(start + PREDICT_BATCH, total)
@@ -180,7 +147,7 @@ def _predict_masked_positions(
             index = positions[block - 1]
             lo, hi = max(block * n, start), min(block * n + n, stop)
             chunk[lo - start : hi - start][index] = fill_grid[index[2], index[3]]
-        padding = [(0, max(-len(chunk) % unit, 2 - len(chunk)))] + [(0, 0)] * 3
+        padding = [(0, PREDICT_BATCH - len(chunk))] + [(0, 0)] * 3
         parts.append(model.predict(np.pad(chunk, padding, mode="edge"))[: stop - start])
     predictions = np.concatenate(parts)
     return predictions[:n], predictions[n:].reshape(len(positions), n, -1)
@@ -188,14 +155,17 @@ def _predict_masked_positions(
 
 def occlusion_map(
     model: ModelGraph,
-    spec: OcclusionSpec,
     inputs: np.ndarray,
     truths: np.ndarray,
     feature_names: Sequence[str],
     city_names: Sequence[str],
     target_cities: Sequence[str],
-    scaler: Optional[Scaler] = None,
-    target_feature: Optional[str] = None,
+    scaler: Scaler,
+    target_feature: str,
+    *,
+    mode: str,
+    patch_size: int = 1,
+    fill: str = "zero",
     targets: Sequence[Optional[str]] = (None,),
 ) -> list[SaliencyMap]:
     """Average percentage MSE change per mask position, one map per target.
@@ -205,13 +175,23 @@ def occlusion_map(
     target city scored alone, or ``None`` for the whole output vector; all
     maps come from one sweep that forwards each masked input once.  Spatial
     masks cover all L lags at once; the temporal mask blanks one whole lag,
-    and its predictions come from ``model.predict_masked_lags``.
-    Passing a scaler computes the MSEs on descaled values (identical Δ for
-    single-city maps, reweighted for aggregate ones).  Each map skips, with a
+    and its predictions come from ``model.predict_masked_lags``.  ``fill`` is
+    ``"zero"`` (scaled-space 0, the column minimum in raw units) or ``"mean"``
+    (per-column mean of the sample set).  The MSEs are on values descaled by
+    ``scaler`` for ``target_feature`` (identical Δ for single-city maps,
+    weighted by the column spans for aggregate ones).  Each map skips, with a
     warning, the samples whose reference MSE for its target is exactly zero;
     the temporal reference comes with the masked predictions, so there a
     sweep in which every sample is skipped raises after the masked passes.
     """
+    if mode not in OCCLUSION_MODES:
+        raise ConfigurationError(
+            f"unknown occlusion mode {mode!r}; expected one of {OCCLUSION_MODES}"
+        )
+    if patch_size < 1:
+        raise ConfigurationError(f"patch size must be >= 1, got {patch_size}")
+    if fill not in ("zero", "mean"):
+        raise ConfigurationError(f"fill must be 'zero' or 'mean', got {fill!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     target_cities = tuple(target_cities)
@@ -235,14 +215,9 @@ def occlusion_map(
                 f"{target!r} is not a target city ({list(target_cities)})"
             )
 
-    # Optional raw-unit error weighting: multiply per-column errors by the
-    # column spans before squaring (the offset cancels in pred - truth).
-    if scaler is not None:
-        if target_feature is None:
-            raise ConfigurationError("a scaler needs target_feature to descale")
-        _, weights = scaler.target_columns(target_feature, target_cities)
-    else:
-        weights = np.ones(len(target_cities))
+    # Raw-unit errors: multiply per-column errors by the column spans before
+    # squaring (the offset cancels in pred - truth).
+    _, weights = scaler.target_columns(target_feature, target_cities)
 
     if (len(feature_names), len(city_names)) != (n_feat, n_city):
         raise ConfigurationError(
@@ -250,13 +225,13 @@ def occlusion_map(
             f"not match the {n_feat} x {n_city} grid"
         )
     positions, rows, cols = mask_layout(
-        spec.mode, lags, feature_names, city_names, spec.patch_size
+        mode, lags, feature_names, city_names, patch_size
     )
-    if spec.fill == "mean":
+    if fill == "mean":
         fill_grid = inputs.mean(axis=(0, 1))
     else:
         fill_grid = np.zeros((n_feat, n_city))
-    if spec.mode == "temporal":
+    if mode == "temporal":
         # A masked lag leaves every ConvLSTM step before it unchanged; the
         # model reuses the unmasked steps, so all predictions come at once.
         reference, masked_preds = model.predict_masked_lags(inputs, fill_grid)
@@ -309,14 +284,6 @@ class ScoreMaxResult:
 
     input_map: np.ndarray  # (L, F, C), clipped into [0, 1]
     scores: tuple[float, ...]  # h before each step, then h of the final map
-
-    @property
-    def initial_score(self) -> float:
-        return self.scores[0]
-
-    @property
-    def final_score(self) -> float:
-        return self.scores[-1]
 
 
 def score_maximize(

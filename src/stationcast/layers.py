@@ -212,11 +212,9 @@ class ConvLSTM(Layer):
         kernel: tuple[int, int] = (3, 3),
         return_sequence: bool = False,
     ):
-        self.in_channels = in_channels
         self.filters = filters
-        self.kernel = tuple(kernel)
         self.return_sequence = return_sequence
-        kh, kw = self.kernel
+        kh, kw = kernel
         taps = kh * kw
         rows = 4 * filters
         self.w_x = Tensor(np.empty((rows, in_channels, kh, kw)), requires_grad=True)

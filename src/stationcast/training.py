@@ -2,7 +2,7 @@
 
 Training shuffles the windowed samples each epoch with a seeded generator,
 logs scaled train/validation MSE per epoch, keeps the best-validation
-parameter snapshot, and restores it when the patience budget runs out.
+parameter snapshot, and restores it when training stops.
 Evaluation reports one MSE per target city in the target feature's physical
 units (predictions and truths are descaled first).
 """
@@ -153,25 +153,26 @@ def _epoch_mse(model: ModelGraph, windows: WindowedSet) -> float:
 def train(
     model: ModelGraph,
     train_set: WindowedSet,
-    val_set: Optional[WindowedSet],
+    val_set: WindowedSet,
     cfg: TrainConfig,
 ) -> TrainingLog:
     """Mini-batch Adam on MSE with early stopping on validation MSE.
 
     Batches that would reach batch norm with fewer than 2 samples (a trailing
-    remainder of 1) are dropped, so a set of 1 window is rejected.  With a
-    validation set, the best-validation parameter snapshot is restored before
-    returning; without one, training runs to ``max_epochs`` unless
-    ``stop_train_mse`` is hit first.
+    remainder of 1) are dropped, so a set of 1 window is rejected.  The
+    validation set needs at least 1 window.  The best-validation parameter
+    snapshot is restored before returning.
     """
     if len(train_set) < 2:
         raise ContractError(f"training set needs 2 windows, has {len(train_set)}")
+    if val_set is None or len(val_set) == 0:
+        raise ContractError("training needs a validation set of at least 1 window")
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(
         [p for p in model.parameters() if p.requires_grad], lr=cfg.lr
     )
     log = TrainingLog()
-    best_state: Optional[dict[str, np.ndarray]] = None
+    # Validation MSEs are finite, so epoch 1 always takes the first snapshot.
     best_val = float("inf")
     stale = 0
 
@@ -201,32 +202,23 @@ def train(
             count += yb.size
         train_mse = total / count
 
-        if val_set is not None and len(val_set) > 0:
-            val_mse = _epoch_mse(model, val_set)
-            if not np.isfinite(val_mse):
-                raise NumericalError(f"non-finite validation MSE at epoch {epoch}")
-            log.entries.append((epoch, train_mse, val_mse))
-            if val_mse < best_val:
-                best_val = val_mse
-                log.best_epoch = epoch
-                best_state = {
-                    name: arr.copy() for name, arr in model.named_state()
-                }
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+        val_mse = _epoch_mse(model, val_set)
+        if not np.isfinite(val_mse):
+            raise NumericalError(f"non-finite validation MSE at epoch {epoch}")
+        log.entries.append((epoch, train_mse, val_mse))
+        if val_mse < best_val:
+            best_val = val_mse
+            log.best_epoch = epoch
+            best_state = {name: arr.copy() for name, arr in model.named_state()}
+            stale = 0
         else:
-            log.entries.append((epoch, train_mse, float("nan")))
-            if log.best_epoch == 0 or train_mse < best_val:
-                best_val = train_mse
-                log.best_epoch = epoch
+            stale += 1
+            if stale >= cfg.patience:
+                break
         if cfg.stop_train_mse is not None and train_mse < cfg.stop_train_mse:
             break
 
-    if best_state is not None:
-        model.load_state(best_state)
+    model.load_state(best_state)
     return log
 
 
@@ -262,18 +254,10 @@ def descaled_predictions(
             f"model predicts {model.cfg.n_targets} cities but the windows "
             f"target {len(windows.target_cities)}"
         )
-    unknown = [c for c in windows.target_cities if c not in scaler.cities]
-    if unknown or windows.target_feature not in scaler.features:
-        raise ConfigurationError(
-            f"scaler does not cover feature {windows.target_feature!r} "
-            f"and cities {list(windows.target_cities)}"
-        )
     feature, cities = windows.target_feature, windows.target_cities
-    pred = model.predict(windows.inputs)
-    return (
-        scaler.inverse(pred, feature, cities),
-        scaler.inverse(windows.targets, feature, cities),
-    )
+    # The truths first: a scaler that does not cover them fails before predict.
+    truth = scaler.inverse(windows.targets, feature, cities)
+    return scaler.inverse(model.predict(windows.inputs), feature, cities), truth
 
 
 def eval_table(pred: np.ndarray, truth: np.ndarray, windows: WindowedSet) -> EvalTable:

@@ -27,7 +27,7 @@ def sigmoid(x) -> Tensor:
     def backward(g):
         return (g * s * (1.0 - s),)
 
-    return ad._record(s, "sigmoid", (x,), backward)
+    return ad._record(s, (x,), backward)
 
 
 def tanh(x) -> Tensor:
@@ -37,7 +37,7 @@ def tanh(x) -> Tensor:
     def backward(g):
         return (g * (1.0 - t * t),)
 
-    return ad._record(t, "tanh", (x,), backward)
+    return ad._record(t, (x,), backward)
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:

@@ -30,6 +30,7 @@ from stationcast.data import (
     CITIES,
     FEATURES,
     TABLE_CITY_ORDER,
+    Scaler,
     WeatherCube,
     fit_scaler,
     scale_cube,
@@ -37,7 +38,7 @@ from stationcast.data import (
     window_block,
     write_demo_csv,
 )
-from stationcast.explain import OcclusionSpec, occlusion_map, score_maximize
+from stationcast.explain import occlusion_map, score_maximize
 from stationcast.layers import (
     AttentionHead,
     BatchNorm,
@@ -283,7 +284,7 @@ def test_criterion_04_overfit_capacity(capsys):
             log = train(
                 model,
                 windows,
-                None,
+                windows,
                 TrainConfig(
                     lr=1e-4,
                     batch_size=4,
@@ -329,9 +330,11 @@ def test_criterion_06_occlusion_oracle(capsys):
         rng = np.random.default_rng(6)
         inputs = rng.uniform(0.1, 0.9, (4, 4, 4, 4))
         truths = rng.uniform(0.1, 0.9, (4, 2))
-        spec = OcclusionSpec(mode="patch", patch_size=2)
+        # Spans of 1, so the errors are the scaled ones, bit for bit.
+        unit = Scaler(np.zeros((1, 2)), np.ones((1, 2)), ("wind",), ("a", "b"))
+        common = FEATURES[:4], CITIES[:4], ("a", "b"), unit, "wind"
         (grid,) = occlusion_map(
-            model, spec, inputs, truths, FEATURES[:4], CITIES[:4], ("a", "b")
+            model, inputs, truths, *common, mode="patch", patch_size=2
         )
 
         def predict(x):
@@ -348,13 +351,7 @@ def test_criterion_06_occlusion_oracle(capsys):
         assert np.abs(grid.values - brute).max() < 1e-12
 
         (silent,) = occlusion_map(
-            model,
-            spec,
-            np.zeros((4, 4, 4, 4)),
-            truths,
-            FEATURES[:4],
-            CITIES[:4],
-            ("a", "b"),
+            model, np.zeros((4, 4, 4, 4)), truths, *common, mode="patch", patch_size=2
         )
         np.testing.assert_array_equal(silent.values, np.zeros((2, 2)))
 
@@ -392,7 +389,7 @@ def test_criterion_07_score_maximization_contract(capsys):
         lin_sample = rng.uniform(0.2, 0.8, (2, 3, 3))
         lin_truth = rng.uniform(-1, 1, 2)
         result = score_maximize(linear, lin_sample, lin_truth, iterations=50, lr=0.01)
-        assert result.final_score >= result.initial_score
+        assert result.scores[-1] >= result.scores[0]
         assert result.input_map.min() >= 0.0
         assert result.input_map.max() <= 1.0
 

@@ -654,6 +654,21 @@ def test_occlude_patch_size_must_divide_the_grid(demo, tmp_path, capsys):
     assert "valid sizes: [1, 2, 3, 6, 9, 18]" in err
 
 
+@pytest.mark.parametrize("mode", ["feature_row", "temporal", "patch"])
+def test_occlude_rejects_a_patch_size_below_one_in_every_mode(
+    demo, tmp_path, capsys, mode
+):
+    out = tmp_path / "x"
+    code = main(
+        ["occlude", *run_inputs(demo, ["--out", str(out)]),
+         "--mode", mode, "--patch-size", "0", "--samples", "2"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: patch size must be >= 1, got 0" in err
+    assert not list(out.glob("occlusion_*"))
+
+
 def test_occlude_patch_grid_shape(demo, tmp_path):
     out = tmp_path / "occ"
     code = main(

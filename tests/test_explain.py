@@ -3,6 +3,7 @@ and a transparent single-cell model, one shared sweep for every target, and
 gradient-ascent score maximization."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -22,7 +23,6 @@ from stationcast.errors import (
 )
 from stationcast.explain import (
     OCCLUSION_MODES,
-    OcclusionSpec,
     SaliencyMap,
     mask_layout,
     occlusion_map,
@@ -49,6 +49,14 @@ def tiny_model(seed=3, n_targets=2, variant="unistream", lags=2):
 
 FEATS = ("f0", "f1", "f2", "f3")
 CITY_GRID = ("g0", "g1", "g2", "g3")
+
+
+def unit_scaler(cities=("c0", "c1")):
+    """Spans of 1: raw-unit errors equal the scaled ones, bit for bit."""
+    return Scaler(
+        mins=np.zeros((1, len(cities))), maxs=np.ones((1, len(cities))),
+        features=("wind",), cities=tuple(cities),
+    )
 
 
 def samples(n=5, seed=0, lags=2):
@@ -122,14 +130,20 @@ def test_patch_size_must_divide_both_axes():
         mask_layout("patch", 2, "abcd", "abcdef", patch_size=4)
 
 
-def test_occlusion_spec_validation():
-    with pytest.raises(ConfigurationError, match="unknown occlusion mode"):
-        OcclusionSpec(mode="row")
-    with pytest.raises(ConfigurationError, match="patch size"):
-        OcclusionSpec(mode="patch", patch_size=0)
-    with pytest.raises(ConfigurationError, match="fill"):
-        OcclusionSpec(mode="temporal", fill="noise")
-    assert OcclusionSpec(mode="feature_row").fill == "zero"
+def test_occlusion_arguments_are_checked_before_any_forward_pass():
+    probe = _CountingModel(lag=0, feat=1, city=1)
+    inputs, truths = samples()
+    bad = [({"mode": "row"}, "unknown occlusion mode 'row'; expected one of")]
+    for mode in OCCLUSION_MODES:
+        bad.append(({"mode": mode, "patch_size": 0}, "patch size must be >= 1, got 0"))
+        bad.append(({"mode": mode, "fill": "noise"}, "fill must be 'zero' or 'mean'"))
+    for kwargs, message in bad:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            occlusion_map(
+                probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
+                unit_scaler(), "wind", **kwargs,
+            )
+    assert probe.forwarded == 0
     assert set(OCCLUSION_MODES) == {"feature_row", "city_column", "patch", "temporal"}
 
 
@@ -142,8 +156,8 @@ def test_masking_with_the_existing_values_changes_nothing():
     zeros = np.zeros((5, 2, 4, 4))
     for mode in OCCLUSION_MODES:
         (out,) = occlusion_map(
-            model, OcclusionSpec(mode=mode), zeros, truths, FEATS, CITY_GRID,
-            ("c0", "c1"),
+            model, zeros, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+            "wind", mode=mode,
         )
         np.testing.assert_array_equal(out.values, np.zeros_like(out.values))
         assert out.samples_used == 5
@@ -154,9 +168,8 @@ def test_mean_fill_on_constant_inputs_changes_nothing():
     truths = samples()[1]
     constant = np.full((5, 2, 4, 4), 0.5)  # dyadic, so the mean is exact
     (out,) = occlusion_map(
-        model,
-        OcclusionSpec(mode="city_column", fill="mean"),
-        constant, truths, FEATS, CITY_GRID, ("c0", "c1"),
+        model, constant, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+        "wind", mode="city_column", fill="mean",
     )
     np.testing.assert_array_equal(out.values, np.zeros((4, 1)))
 
@@ -172,16 +185,16 @@ def test_only_masks_covering_the_used_cell_matter():
     }
     for mode, hot in cases.items():
         (out,) = occlusion_map(
-            probe, OcclusionSpec(mode=mode), inputs, truths,
-            FEATS, CITY_GRID, ("c0",),
+            probe, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
+            "wind", mode=mode,
         )
         flat = out.values.ravel()
         assert flat[hot] != 0.0
         cold = np.delete(flat, hot)
         np.testing.assert_array_equal(cold, np.zeros_like(cold))
     (patch,) = occlusion_map(
-        probe, OcclusionSpec(mode="patch", patch_size=2), inputs, truths,
-        FEATS, CITY_GRID, ("c0",),
+        probe, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
+        "wind", mode="patch", patch_size=2,
     )
     assert patch.values.shape == (2, 2)
     assert patch.values[1, 1] != 0.0  # cell (2, 3) lives in block (1, 1)
@@ -192,8 +205,8 @@ def test_patch_deltas_match_brute_force():
     model = tiny_model()
     inputs, truths = samples(seed=4)
     (out,) = occlusion_map(
-        model, OcclusionSpec(mode="patch", patch_size=2), inputs, truths,
-        FEATS, CITY_GRID, ("c0", "c1"),
+        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+        "wind", mode="patch", patch_size=2,
     )
 
     def predict(x):
@@ -216,8 +229,8 @@ def test_stacked_equals_per_sample_averaging():
     model = tiny_model()
     inputs, truths = samples(seed=5)
     (out,) = occlusion_map(
-        model, OcclusionSpec(mode="feature_row"), inputs, truths,
-        FEATS, CITY_GRID, ("c0", "c1"),
+        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+        "wind", mode="feature_row",
     )
 
     def predict(x):
@@ -243,16 +256,15 @@ def test_per_city_target_selects_one_output():
     truths = np.stack(
         [inputs[:, 0, 1, 1] + 0.5, np.zeros(5)], axis=1
     )  # second column is a decoy
-    spec = OcclusionSpec(mode="feature_row")
     with pytest.raises(ConfigurationError, match="not a target city"):
         occlusion_map(
-            probe, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-            targets=("here",),
+            probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+            "wind", mode="feature_row", targets=("here",),
         )
     # probe output has one column; score only city c0 of a 1-target setup
     (out,) = occlusion_map(
-        probe, spec, inputs, truths[:, :1], FEATS, CITY_GRID, ("c0",),
-        targets=("c0",),
+        probe, inputs, truths[:, :1], FEATS, CITY_GRID, ("c0",),
+        unit_scaler(("c0",)), "wind", mode="feature_row", targets=("c0",),
     )
     assert out.values[1, 0] != 0.0
 
@@ -266,20 +278,20 @@ def test_one_sweep_maps_equal_single_target_calls():
     )
     targets = ("c0", "c1", None)
     for spec in (
-        OcclusionSpec(mode="feature_row"),
-        OcclusionSpec(mode="city_column", fill="mean"),
-        OcclusionSpec(mode="patch", patch_size=2),
-        OcclusionSpec(mode="temporal", fill="mean"),
+        {"mode": "feature_row"},
+        {"mode": "city_column", "fill": "mean"},
+        {"mode": "patch", "patch_size": 2},
+        {"mode": "temporal", "fill": "mean"},
     ):
         shared = occlusion_map(
-            model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-            scaler=scaler, target_feature="wind", targets=targets,
+            model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler, "wind",
+            **spec, targets=targets,
         )
         assert len(shared) == len(targets)
         for target, grid in zip(targets, shared):
             (alone,) = occlusion_map(
-                model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-                scaler=scaler, target_feature="wind", targets=(target,),
+                model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler,
+                "wind", **spec, targets=(target,),
             )
             np.testing.assert_array_equal(grid.values, alone.values)
             assert (grid.row_labels, grid.col_labels) == (
@@ -291,15 +303,15 @@ def test_every_target_shares_one_forward_pass_per_position():
     inputs, _ = samples()
     cell = inputs[:, 0, 1, 1]
     truths = np.stack([cell + 0.5, 2.0 * cell - 0.25], axis=1)
-    spec = OcclusionSpec(mode="feature_row")  # 4 positions
     for targets in (("c0",), ("c0", "c1", None)):
         probe = _CountingModel(lag=0, feat=1, city=1)
         maps = occlusion_map(
-            probe, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-            targets=targets,
+            probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+            "wind", mode="feature_row", targets=targets,  # 4 positions
         )
         assert len(maps) == len(targets)
-        assert probe.forwarded == 5 * (4 + 1)  # N x (P + 1)
+        # N x (P + 1) = 25 rows, forwarded in full slices of 16
+        assert probe.forwarded == 32
 
 
 class _RecordingModel:
@@ -316,66 +328,84 @@ class _RecordingModel:
 @pytest.mark.parametrize(
     "features, cities, spec, n",
     [
-        (18, 18, OcclusionSpec(mode="feature_row"), 7),  # 133 rows, unit 2
-        (18, 18, OcclusionSpec(mode="patch"), 1),  # 325 rows, unit 2
-        (3, 5, OcclusionSpec(mode="city_column"), 3),  # 18 rows, unit 8
-        (4, 4, OcclusionSpec(mode="feature_row"), 20),  # 100 rows, unit 1
-        (4, 4, OcclusionSpec(mode="feature_row"), 13),  # 65 rows, unit 1
+        (18, 18, {"mode": "feature_row"}, 7),  # 133 rows
+        (18, 18, {"mode": "patch"}, 1),  # 325 rows
+        (3, 5, {"mode": "city_column"}, 3),  # 18 rows
+        (4, 4, {"mode": "feature_row"}, 20),  # 100 rows
+        (4, 4, {"mode": "feature_row"}, 13),  # 65 rows
     ],
 )
 def test_spatial_sweep_forwards_block_aligned_slices(features, cities, spec, n):
     inputs = np.random.default_rng(n).uniform(0.1, 0.9, (n, 8, features, cities))
     truths = np.zeros((n, 2))
-    positions, _, _ = mask_layout(spec.mode, 8, "x" * features, "y" * cities)
+    positions, _, _ = mask_layout(spec["mode"], 8, "x" * features, "y" * cities)
     rows = n * (len(positions) + 1)
     probe = _RecordingModel()
     tracemalloc.start()
     try:
         occlusion_map(
-            probe, spec, inputs, truths, "x" * features, "y" * cities, ("c0", "c1")
+            probe, inputs, truths, "x" * features, "y" * cities, ("c0", "c1"),
+            unit_scaler(), "wind", **spec,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    unit = ad._block_unit(features * cities)
-    assert max(probe.rows) <= PREDICT_BATCH
-    assert all(count % unit == 0 and count >= 2 for count in probe.rows)
-    assert len(probe.rows) == -(-rows // PREDICT_BATCH)
-    assert sum(probe.rows) - rows < max(unit, 2)
+    # Every slice is a full one, the last padded: -(-rows // 16) slices.
+    assert probe.rows == [PREDICT_BATCH] * -(-rows // PREDICT_BATCH)
     # The masked stack is never built whole: a few slices at most are alive.
     assert peak < 4 * PREDICT_BATCH * inputs[0].nbytes
 
 
-@pytest.mark.parametrize("n", [1, 3, 7, 11, 13, 20])
-@pytest.mark.parametrize("variant", ["unistream", "multistream"])
-@pytest.mark.parametrize("features, cities, patch", [(18, 18, 3), (4, 6, 2)])
+@pytest.mark.parametrize(
+    "features, cities, patch, variant, n",
+    [
+        (features, cities, patch, variant, n)
+        for features, cities, patch in [(18, 18, 3), (4, 6, 2)]
+        for variant in ["unistream", "multistream"]
+        for n in [1, 3, 7, 11, 13, 20]
+    ]
+    + [
+        # The full-size model (patch None), feature rows only: its wide
+        # dense head is where a row's bits depend on the slice's row count.
+        pytest.param(18, 18, None, "unistream", n, id=f"default-unistream-{n}")
+        for n in [1, 7]
+    ],
+)
 def test_a_mask_over_its_own_fill_reads_exactly_zero(
     features, cities, patch, variant, n
 ):
-    # The last position's rows end the stacked sweep, in its shortest slice
-    # (a single row at some n, unless padded).  Its entry reads exactly 0
-    # only if a row's prediction has the same bits in whichever slice it lands.
-    model = ModelGraph(
-        ModelConfig(
+    # The last position's rows end the stacked sweep, in its padded last
+    # slice.  Its entry reads exactly 0 only if a row's prediction has the
+    # same bits in whichever slice it lands.
+    if patch is None:
+        cfg = ModelConfig(variant=variant, seed=3)
+        specs = [{"mode": "feature_row"}]
+    else:
+        cfg = ModelConfig(
             variant=variant, lags=2, features=features, cities=cities,
             n_targets=2, filters=2, dense=(4,), seed=3,
         )
-    )
+        specs = [
+            {"mode": "feature_row"},
+            {"mode": "city_column"},
+            {"mode": "patch", "patch_size": patch},
+        ]
+    model = ModelGraph(cfg)
     rng = np.random.default_rng(n)
-    inputs = rng.uniform(0.1, 0.9, (n, 2, features, cities))
+    inputs = rng.uniform(0.1, 0.9, (n, cfg.lags, features, cities))
     inputs[:, :, -1] = 0.0  # the last feature row
     inputs[:, :, :, -1] = 0.0  # the last city column
-    inputs[:, :, -patch:, -patch:] = 0.0  # the last patch
-    truths = rng.uniform(0.1, 0.9, (n, 2))
+    inputs[:, :, -(patch or 1):, -(patch or 1):] = 0.0  # the last patch
+    truths = rng.uniform(0.1, 0.9, (n, cfg.n_targets))
     rows, cols = [f"f{k}" for k in range(features)], [f"c{k}" for k in range(cities)]
-    for spec in (
-        OcclusionSpec(mode="feature_row"),
-        OcclusionSpec(mode="city_column"),
-        OcclusionSpec(mode="patch", patch_size=patch),
-    ):
-        (out,) = occlusion_map(model, spec, inputs, truths, rows, cols, ("c0", "c1"))
-        assert out.values[-1, -1] == 0.0, spec.mode
-        assert np.count_nonzero(out.values) == out.values.size - 1, spec.mode
+    targets = tuple(cols[: cfg.n_targets])
+    for spec in specs:
+        (out,) = occlusion_map(
+            model, inputs, truths, rows, cols, targets, unit_scaler(targets), "wind",
+            **spec,
+        )
+        assert out.values[-1, -1] == 0.0, spec
+        assert np.count_nonzero(out.values) == out.values.size - 1, spec
 
 
 def test_unknown_target_fails_before_any_forward_pass():
@@ -383,8 +413,8 @@ def test_unknown_target_fails_before_any_forward_pass():
     probe = _CountingModel(lag=0, feat=1, city=1)
     with pytest.raises(ConfigurationError, match="not a target city"):
         occlusion_map(
-            probe, OcclusionSpec(mode="temporal"), inputs, truths,
-            FEATS, CITY_GRID, ("c0", "c1"), targets=("c0", "Atlantis"),
+            probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+            "wind", mode="temporal", targets=("c0", "Atlantis"),
         )
     assert probe.forwarded == 0
 
@@ -397,17 +427,18 @@ def test_zero_reference_samples_are_dropped_per_target():
     targets = ("c0", "c1", None)
     with pytest.warns(UserWarning, match="skipped 1 of 5"):
         shared = occlusion_map(
-            _CountingModel(lag=0, feat=1, city=1), OcclusionSpec(mode="feature_row"),
-            inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=targets,
+            _CountingModel(lag=0, feat=1, city=1), inputs, truths, FEATS,
+            CITY_GRID, ("c0", "c1"), unit_scaler(), "wind", mode="feature_row",
+            targets=targets,
         )
     assert [grid.samples_used for grid in shared] == [4, 5, 5]
     for target, grid in zip(targets, shared):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             (alone,) = occlusion_map(
-                _CountingModel(lag=0, feat=1, city=1),
-                OcclusionSpec(mode="feature_row"),
-                inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=(target,),
+                _CountingModel(lag=0, feat=1, city=1), inputs, truths, FEATS,
+                CITY_GRID, ("c0", "c1"), unit_scaler(), "wind", mode="feature_row",
+                targets=(target,),
             )
         np.testing.assert_array_equal(grid.values, alone.values)
 
@@ -419,8 +450,8 @@ def test_zero_reference_samples_are_skipped_with_warning():
     truths[2, 0] = inputs[2, 0, 0, 0]  # sample 2 is predicted perfectly
     with pytest.warns(UserWarning, match="skipped 1 of 5"):
         (out,) = occlusion_map(
-            probe, OcclusionSpec(mode="temporal"), inputs, truths,
-            FEATS, CITY_GRID, ("c0",),
+            probe, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
+            "wind", mode="temporal",
         )
     assert out.samples_used == 4
 
@@ -433,8 +464,8 @@ def test_all_samples_perfect_is_an_error():
         warnings.simplefilter("ignore")
         with pytest.raises(ContractError, match="zero reference MSE"):
             occlusion_map(
-                probe, OcclusionSpec(mode="temporal"), inputs, truths,
-                FEATS, CITY_GRID, ("c0",),
+                probe, inputs, truths, FEATS, CITY_GRID, ("c0",),
+                unit_scaler(("c0",)), "wind", mode="temporal",
             )
 
 
@@ -446,13 +477,13 @@ def test_scaler_weighting_is_invariant_for_single_city_maps():
         mins=np.array([[5.0]]), maxs=np.array([[12.0]]),  # span 7
         features=("wind",), cities=("c0",),
     )
-    spec = OcclusionSpec(mode="city_column")
     (scaled_units,) = occlusion_map(
-        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0",), targets=("c0",)
+        model, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
+        "wind", mode="city_column", targets=("c0",),
     )
     (raw_units,) = occlusion_map(
-        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0",),
-        scaler=scaler, target_feature="wind", targets=("c0",),
+        model, inputs, truths, FEATS, CITY_GRID, ("c0",), scaler, "wind",
+        mode="city_column", targets=("c0",),
     )
     assert np.abs(scaled_units.values - raw_units.values).max() < 1e-12
 
@@ -464,11 +495,13 @@ def test_scaler_weighting_changes_aggregate_maps():
         mins=np.array([[0.0, 0.0]]), maxs=np.array([[1.0, 100.0]]),
         features=("wind",), cities=("c0", "c1"),
     )
-    spec = OcclusionSpec(mode="feature_row")
-    (plain,) = occlusion_map(model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"))
+    (plain,) = occlusion_map(
+        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+        "wind", mode="feature_row",
+    )
     (weighted,) = occlusion_map(
-        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-        scaler=scaler, target_feature="wind",
+        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler, "wind",
+        mode="feature_row",
     )
     assert np.abs(plain.values - weighted.values).max() > 1e-6
 
@@ -500,7 +533,6 @@ def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
     channels = model.cfg.merged_channels
     model.norm.running_mean[:] = np.random.default_rng(8).normal(0.0, 0.1, channels)
     inputs, truths = samples(n=n, seed=9, lags=4)
-    spec = OcclusionSpec(mode="temporal", fill=fill)
     targets = ("c0", None, "c1")
     fill_grid = inputs.mean(axis=(0, 1)) if fill == "mean" else np.zeros((4, 4))
 
@@ -510,11 +542,12 @@ def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
     np.testing.assert_array_equal(got[1], want[1])
 
     shared = occlusion_map(
-        model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), targets=targets
+        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+        "wind", mode="temporal", fill=fill, targets=targets,
     )
     brute = occlusion_map(
-        _WholeWindowModel(model), spec, inputs, truths, FEATS, CITY_GRID,
-        ("c0", "c1"), targets=targets,
+        _WholeWindowModel(model), inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
+        unit_scaler(), "wind", mode="temporal", fill=fill, targets=targets,
     )
     assert len(shared) == len(targets)
     for grid, oracle in zip(shared, brute):
@@ -569,8 +602,8 @@ def test_temporal_sweep_runs_each_convlstm_step_once_per_prefix(
         steps.clear()
         inputs, truths = samples(n=n, seed=10, lags=lags)
         occlusion_map(
-            model, OcclusionSpec(mode="temporal"), inputs, truths,
-            FEATS, CITY_GRID, ("c0", "c1"), targets=("c0", "c1", None),
+            model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
+            "wind", mode="temporal", targets=("c0", "c1", None),
         )
         assert sum(steps) == chunks * per_chunk
         # One whole-window forward per masked copy plus the reference.
@@ -616,21 +649,27 @@ def test_lag_masked_predictions_check_their_shapes():
 def test_occlusion_input_validation():
     model = tiny_model()
     inputs, truths = samples()
-    spec = OcclusionSpec(mode="temporal")
+    common = (FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(), "wind")
     with pytest.raises(ConfigurationError, match=r"\(N, L, F, C\)"):
-        occlusion_map(model, spec, inputs[0], truths, FEATS, CITY_GRID, ("c0", "c1"))
+        occlusion_map(model, inputs[0], truths, *common, mode="temporal")
     with pytest.raises(ContractError, match="at least one sample"):
-        occlusion_map(
-            model, spec, inputs[:0], truths[:0], FEATS, CITY_GRID, ("c0", "c1")
-        )
-    with pytest.raises(ConfigurationError, match="target_feature"):
-        occlusion_map(
-            model, spec, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-            scaler=Scaler(
-                mins=np.zeros((1, 2)), maxs=np.ones((1, 2)),
-                features=("wind",), cities=("c0", "c1"),
-            ),
-        )
+        occlusion_map(model, inputs[:0], truths[:0], *common, mode="temporal")
+
+
+@pytest.mark.parametrize("mode", OCCLUSION_MODES)
+def test_a_scaler_that_lacks_a_target_fails_before_any_forward_pass(mode):
+    probe = _CountingModel(lag=0, feat=1, city=1)
+    inputs, truths = samples()
+    for scaler, feature, missing in [
+        (unit_scaler(("c0", "elsewhere")), "wind", "city 'c1'"),
+        (unit_scaler(), "rain", "feature 'rain'"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"does not cover {missing}"):
+            occlusion_map(
+                probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler,
+                feature, mode=mode, patch_size=2,
+            )
+    assert probe.forwarded == 0
 
 
 @pytest.mark.parametrize("mode", OCCLUSION_MODES)
@@ -641,10 +680,10 @@ def test_occlusion_input_validation():
 def test_names_that_do_not_match_the_grid_are_rejected(mode, feature_names, city_names):
     model = _CountingModel(lag=0, feat=1, city=2)
     inputs, truths = samples()
-    spec = OcclusionSpec(mode=mode, patch_size=2 if mode == "patch" else 1)
     with pytest.raises(ConfigurationError, match="do not match the 4 x 4 grid"):
         occlusion_map(
-            model, spec, inputs, truths, feature_names, city_names, ("c0", "c1")
+            model, inputs, truths, feature_names, city_names, ("c0", "c1"),
+            unit_scaler(), "wind", mode=mode, patch_size=2,
         )
     assert model.forwarded == 0
 
@@ -675,7 +714,7 @@ def test_zero_rate_ascent_returns_the_sample_unchanged():
     result = score_maximize(model, sample, truth, iterations=3, lr=0.0)
     np.testing.assert_array_equal(result.input_map, sample)
     assert len(result.scores) == 4
-    assert result.initial_score == result.final_score
+    assert result.scores[0] == result.scores[-1]
 
 
 def test_ascent_does_not_decrease_the_score():
@@ -684,8 +723,8 @@ def test_ascent_does_not_decrease_the_score():
     sample = rng.uniform(0.2, 0.8, (2, 4, 4))
     truth = rng.uniform(0, 1, 2)
     result = score_maximize(model, sample, truth, iterations=50, lr=0.01)
-    assert result.final_score >= result.initial_score
-    assert result.final_score > 0
+    assert result.scores[-1] >= result.scores[0]
+    assert result.scores[-1] > 0
 
 
 def test_ascended_map_respects_bounds():

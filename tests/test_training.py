@@ -211,7 +211,8 @@ def test_zero_learning_rate_leaves_parameters_untouched():
     model = tiny_model()
     before = {k: v.data.copy() for k, v in model.named_parameters()}
     train(
-        model, toy_windows(), None, TrainConfig(lr=0.0, batch_size=4, max_epochs=2)
+        model, toy_windows(), toy_windows(n=6, seed=3),
+        TrainConfig(lr=0.0, batch_size=4, max_epochs=2),
     )
     for name, p in model.named_parameters():
         np.testing.assert_array_equal(p.data, before[name], err_msg=name)
@@ -221,7 +222,8 @@ def test_learning_moves_parameters_and_lowers_loss():
     model = tiny_model()
     windows = toy_windows(n=16)
     log = train(
-        model, windows, None, TrainConfig(lr=3e-3, batch_size=8, max_epochs=12, seed=2)
+        model, windows, windows,
+        TrainConfig(lr=3e-3, batch_size=8, max_epochs=12, seed=2),
     )
     assert log.entries[-1][1] < log.entries[0][1]
 
@@ -231,7 +233,9 @@ def test_non_finite_loss_is_reported_with_location():
     windows = toy_windows()
     windows.inputs[0] = np.nan
     with pytest.raises(NumericalError, match="epoch 1"):
-        train(model, windows, None, TrainConfig(batch_size=12, max_epochs=1))
+        train(
+            model, windows, toy_windows(n=4), TrainConfig(batch_size=12, max_epochs=1)
+        )
 
 
 def test_non_finite_validation_mse_is_reported_with_location():
@@ -249,7 +253,8 @@ def test_trailing_single_sample_batch_is_dropped():
     model = tiny_model()
     # 5 samples, batch 4: the leftover singleton would break batch norm.
     log = train(
-        model, toy_windows(n=5), None, TrainConfig(batch_size=4, max_epochs=1)
+        model, toy_windows(n=5), toy_windows(n=4),
+        TrainConfig(batch_size=4, max_epochs=1),
     )
     assert log.epochs_run == 1
 
@@ -257,8 +262,14 @@ def test_trailing_single_sample_batch_is_dropped():
 def test_empty_training_set_rejected():
     # One window makes a batch of 1, which batch norm cannot take.
     for n in (0, 1):
-        with pytest.raises(ContractError):
-            train(tiny_model(), toy_windows(n=n), None, TrainConfig())
+        with pytest.raises(ContractError, match="training set needs 2 windows"):
+            train(tiny_model(), toy_windows(n=n), toy_windows(n=4), TrainConfig())
+
+
+def test_training_without_a_validation_window_is_rejected():
+    for val in (None, toy_windows(n=0)):
+        with pytest.raises(ContractError, match="validation set of at least 1"):
+            train(tiny_model(), toy_windows(), val, TrainConfig())
 
 
 def test_stop_train_mse_halts_once_reached():
@@ -267,7 +278,7 @@ def test_stop_train_mse_halts_once_reached():
     log = train(
         model,
         windows,
-        None,
+        windows,
         TrainConfig(batch_size=4, max_epochs=50, stop_train_mse=1e-12),
     )
     assert log.epochs_run == 1
@@ -299,16 +310,6 @@ def test_early_stopping_restores_best_snapshot(monkeypatch):
     assert log.entries[log.best_epoch - 1][2] == 1.0
     for name, arr in model.named_state():
         np.testing.assert_array_equal(arr, captured[name], err_msg=name)
-
-
-def test_no_validation_set_runs_to_max_epochs():
-    model = tiny_model()
-    log = train(
-        model, toy_windows(), None, TrainConfig(lr=1e-3, batch_size=4, max_epochs=4)
-    )
-    assert log.epochs_run == 4
-    assert all(np.isnan(entry[2]) for entry in log.entries)
-    assert log.best_epoch > 0
 
 
 def test_log_text_round_trips_floats():
