@@ -12,14 +12,15 @@ gradients keep accumulating across calls until cleared with
 All data is stored as float64; convolution is cross-correlation with zero
 same-padding, computed as one matrix product with a column matrix.
 
-The heaviest kernels (``conv2d``, ``conv_lstm`` and the Adam update) split
-their work into two fixed halves with :func:`run_halves`; the second half
-may run on a worker thread, but the halves, and so every number, depend only
-on the input shapes.
+The heaviest kernels (``conv2d``, ``conv_lstm``, the 2-D products of
+``matmul`` and the Adam update) split their work into two fixed halves with
+:func:`run_halves`; the second half may run on a worker thread, but the
+halves, and so every number, depend only on the input shapes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import os
@@ -36,13 +37,18 @@ Array = np.ndarray
 
 _grad_enabled = True
 
-# Multiply-adds at and above which an op hands its second half to the
-# worker thread.  A hand-off costs about 0.2-0.4 ms, and two threads that
-# page-fault fresh multi-megabyte arrays slow each other down, so smaller
-# ops run both halves here.  At the default sizes every op of a score-ascent
-# iteration (batch 1) stays here, while a 16-sample occlusion pass hands
-# over its recurrences and some of its input convolutions.
+# Work, in convolution multiply-adds, at and above which an op hands its
+# second half to the worker thread.  A hand-off costs about 0.2-0.4 ms, and
+# two threads that page-fault fresh multi-megabyte arrays slow each other
+# down, so smaller ops run both halves here.  At the default sizes every op
+# of a score-ascent iteration (batch 1) stays here, while a 16-sample
+# occlusion pass hands over its recurrences, some of its input convolutions
+# and most of its encoder and dense-head products.
 SPLIT_WORK = 1 << 27
+# A matrix product's multiply-add counts this much work: its halves write
+# into one result allocated up front and fault in no fresh buffers, so a
+# product pays for the hand-off from 2**25 multiply-adds on.
+GEMM_WORK = 4
 
 _worker: Optional[ThreadPoolExecutor] = None
 
@@ -72,11 +78,14 @@ def run_halves(
 
     ``mid`` is the largest multiple of ``unit`` that is at most ``n // 2``.
     The halves are the same on every machine; only where the second one runs
-    is decided here.  With ``work`` (the op's multiply-adds) at least
-    :data:`SPLIT_WORK` and two usable CPUs it runs on one lazily started
-    worker thread while the caller runs the first.  ``half`` must touch numpy
-    arrays only: no ``Tensor``, no tape and no traced function.  If either
-    half raises, the error reaches the caller after both halves have stopped.
+    is decided here.  With ``work`` (the op's cost in convolution
+    multiply-adds) at least :data:`SPLIT_WORK` and two usable CPUs it runs on
+    one lazily started worker thread while the caller runs the first, in a
+    copy of the caller's context, so numpy's error state (``np.errstate``)
+    holds there too.
+    ``half`` must touch numpy arrays only: no ``Tensor``, no tape and no
+    traced function.  If either half raises, the error reaches the caller
+    after both halves have stopped.
     """
     global _worker
     mid = n // 2 // unit * unit
@@ -86,7 +95,7 @@ def run_halves(
         return [half(0, mid), half(mid, n)]
     if _worker is None:
         _worker = ThreadPoolExecutor(1, thread_name_prefix="stationcast-half")
-    second = _worker.submit(half, mid, n)
+    second = _worker.submit(contextvars.copy_context().run, half, mid, n)
     try:
         first = half(0, mid)
     finally:
@@ -339,7 +348,8 @@ def matmul(a, b) -> Tensor:
     """Matrix product ``a @ b``; the left operand may carry batch axes.
 
     With a 2-D right operand the left operand's batch axes fold into rows,
-    so the product and both gradients are single 2-D matrix products.
+    so the product and both gradients are single 2-D matrix products; past
+    the split gate each runs in two halves of its own output rows.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -354,15 +364,20 @@ def matmul(a, b) -> Tensor:
 
     if b.ndim == 2:
         k, n = b.shape
-        out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
+        a_rows = a.data.reshape(-1, k)
+        work = GEMM_WORK * a_rows.size * n
+        out = _product_in_halves(a_rows, b.data, work)
 
         def backward(g):
             g_rows = g.reshape(-1, n)
-            ga = (g_rows @ b.data.T).reshape(a.shape) if need_a else None
-            gb = a.data.reshape(-1, k).T @ g_rows if need_b else None
+            ga = gb = None
+            if need_a:
+                ga = _product_in_halves(g_rows, b.data.T, work).reshape(a.shape)
+            if need_b:
+                gb = _product_in_halves(a.data.reshape(-1, k).T, g_rows, work)
             return ga, gb
 
-        return _record(out, (a, b), backward)
+        return _record(out.reshape(a.shape[:-1] + (n,)), (a, b), backward)
 
     def backward(g):
         ga = gb = None
@@ -373,6 +388,28 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _record(a.data @ b.data, (a, b), backward)
+
+
+def _product_in_halves(x: Array, y: Array, work: float) -> Array:
+    """``x @ y``; from :data:`SPLIT_WORK` on, with the rows of the result in
+    two halves (:func:`run_halves`).
+
+    Each half is the product of its own rows of ``x`` with all of ``y``, so
+    every element keeps its whole sum over the inner axis; no halves are
+    added.  A smaller product stays whole, as halves on one core buy it
+    nothing, and keeps its bits: a half of one row would take BLAS's
+    matrix-vector path, which rounds differently.
+    """
+    out = np.empty((x.shape[0], y.shape[1]))
+
+    def rows(lo: int, hi: int) -> None:
+        np.matmul(x[lo:hi], y, out=out[lo:hi])
+
+    if work < SPLIT_WORK:
+        rows(0, len(out))
+    else:
+        run_halves(len(out), work, rows)
+    return out
 
 
 def _columns(xb: Array, kh: int, kw: int, out: Optional[Array] = None) -> Array:

@@ -150,6 +150,9 @@ def _epoch_mse(model: ModelGraph, windows: WindowedSet) -> float:
     return float(((pred - windows.targets) ** 2).mean())
 
 
+# A diverging run overflows inside the ops; the finite-loss checks report it,
+# so numpy's own warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: ModelGraph,
     train_set: WindowedSet,

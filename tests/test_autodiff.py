@@ -385,6 +385,66 @@ def test_split_error_surfaces_after_both_halves_stop(monkeypatch, failing):
     assert stopped == [failing == "caller"]
 
 
+def test_worker_half_sees_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setattr(ad, "SPLIT_WORK", 0)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    caller = threading.current_thread()
+
+    def half(lo, hi):
+        return threading.current_thread() is not caller, np.geterr()
+
+    with np.errstate(over="ignore", invalid="raise", divide="warn"):
+        wanted = np.geterr()
+        halves = ad.run_halves(4, 0, half)
+    assert halves == [(False, wanted), (True, wanted)]
+    assert wanted != np.geterr()
+
+
+def _matmul_products(a, b, g):
+    """``matmul``'s forward value and both gradients for output gradient ``g``."""
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = ad.matmul(ta, tb)
+    ga, gb = out.node.backward(g)
+    return out.data, ga, gb
+
+
+# The default-size products past the split gate at batch 16: the encoder
+# projection, the feed-forward pair and the first head layer of the
+# attention models, the first head layer of unistream; and a head with an
+# odd batch.
+@pytest.mark.parametrize(
+    "m, k, n",
+    [(288, 576, 576), (288, 576, 1152), (288, 1152, 576), (16, 10368, 256),
+     (16, 10368, 512), (15, 10368, 256)],
+)
+def test_matmul_in_halves_is_bitwise_the_undivided_products(halves, m, k, n):
+    a, b, g = rand(m, k, seed=67), rand(k, n, seed=68), rand(m, n, seed=69)
+    out, ga, gb = _matmul_products(a, b, g)
+    np.testing.assert_array_equal(out, a @ b)
+    np.testing.assert_array_equal(ga, g @ b.T)
+    np.testing.assert_array_equal(gb, a.T @ g)
+    assert len(halves) == 3
+
+
+def test_matmul_halves_hold_under_rapid_thread_switches(monkeypatch):
+    monkeypatch.setattr(ad, "SPLIT_WORK", 0)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+    a, b, g = rand(96, 80, seed=70), rand(80, 64, seed=71), rand(96, 64, seed=72)
+    wanted = (a @ b, g @ b.T, a.T @ g)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        rounds = 0
+        while rounds < 300 and time.monotonic() < deadline:
+            for got, want in zip(_matmul_products(a, b, g), wanted):
+                np.testing.assert_array_equal(got, want)
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds >= 10
+
+
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

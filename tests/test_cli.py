@@ -7,8 +7,11 @@ eval/occlude/scoremax tests; determinism gets its own pair of runs.
 import argparse
 import dataclasses
 import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -277,6 +280,25 @@ def test_train_rejects_non_finite_hyperparameters_before_reading_data(
     argv = ["train", "--data", str(demo["data"]), "--out", str(out), flag, value]
     assert main(argv) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_diverging_run_reports_one_numerical_failure_line(tmp_path, demo):
+    # In a child process, so numpy's warnings would print as they do for a
+    # user instead of failing the test run.
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(demo["data"]), "--out", str(out),
+            *TRAIN_FLAGS, "--lr", "1e300"]
+    source = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(source))
+    done = subprocess.run(
+        [sys.executable, "-m", "stationcast.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 3
+    assert done.stderr == (
+        "numerical failure: non-finite training loss at epoch 1, batch 1\n"
+    )
     assert not out.exists()
 
 
