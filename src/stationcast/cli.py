@@ -253,6 +253,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _warn_on_other_data(manifest: Path, data: Path) -> None:
+    """One stderr warning if the run's manifest hashed another ``--data``."""
+    if not manifest.is_file():
+        return
+    for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
+        key, _, recorded = line.partition(" = ")
+        if key == "data_sha256" and recorded != _sha256(data):
+            print(
+                f"warning: {data} is not the data this run was trained on "
+                f"(sha256 differs from the manifest's data_sha256 {recorded})",
+                file=sys.stderr,
+            )
+
+
 def _load_run(args):
     """Shared eval/occlude/scoremax setup: model, scaler, test windows."""
     ckpt = Path(args.checkpoint)
@@ -275,6 +289,7 @@ def _load_run(args):
     run.apply({k: extras[k] for k in RUN_META}, f"{ckpt} metadata")
 
     cube = load_dataset(args.data)
+    _warn_on_other_data(ckpt.parent / "manifest.txt", Path(args.data))
     scaled = scale_cube(cube, scaler)
     _, _, test_days = split_days(cube.days, run.split_ratio, run.val_fraction)
     windows = window_block(

@@ -345,6 +345,9 @@ def score_maximize(
                 )
             history.append(value)
             h.backward()
+            # Release this iteration's tape (and the old ``current`` it
+            # holds) before the next forward pass.
+            del pred, diff, h
             grad = current.grad
             if grad is None or not np.isfinite(grad).all():
                 raise NumericalError(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,13 +102,28 @@ def test_conv2d_batched_rectangular_kernels_match_loop_oracle(extent):
         np.testing.assert_allclose(got[b], conv_reference(x[b], k), atol=1e-12)
 
 
+def _conv2d_and_input_gradient(xs, k, g):
+    x = Tensor(xs, requires_grad=True)
+    out = ad.conv2d(x, Tensor(k))
+    return out.data, out.node.backward(g)[0]
+
+
 def test_conv2d_batched_equals_per_sample():
-    xs = rand(2, 3, 4, 4, seed=12)
-    k = rand(2, 3, 1, 3, seed=13)
-    batched = ad.conv2d(Tensor(xs), Tensor(k)).data
-    for b in range(2):
-        single = ad.conv2d(Tensor(xs[b : b + 1]), Tensor(k)).data
-        np.testing.assert_array_equal(batched[b : b + 1], single)
+    # Besides two images: batches of several column blocks per half that end
+    # in a partial block (whole groups of 2 images on 18 x 18, of 1 on 4 x 4).
+    cases = [((2, 3, 4, 4), (1, 3)), ((11, 3, 18, 18), (3, 3)),
+             ((11, 3, 4, 4), (3, 3)), ((19, 2, 18, 18), (3, 3))]
+    for x_shape, extent in cases:
+        xs = rand(*x_shape, seed=12)
+        k = rand(2, x_shape[1], *extent, seed=13)
+        g = rand(x_shape[0], 2, *x_shape[2:], seed=14)
+        batched, batched_gx = _conv2d_and_input_gradient(xs, k, g)
+        for b in range(x_shape[0]):
+            single, single_gx = _conv2d_and_input_gradient(
+                xs[b : b + 1], k, g[b : b + 1]
+            )
+            np.testing.assert_array_equal(batched[b : b + 1], single)
+            np.testing.assert_array_equal(batched_gx[b : b + 1], single_gx)
 
 
 def test_conv2d_identity_kernel_is_identity():
@@ -354,7 +370,10 @@ def test_conv2d_gradient_both_arguments():
 
 
 @pytest.mark.parametrize(
-    "x_shape, extent", [((3, 2, 4, 4), (3, 3)), ((2, 3, 4, 6), (1, 3))]
+    "x_shape, extent",
+    # The last two span several column blocks per half.
+    [((3, 2, 4, 4), (3, 3)), ((2, 3, 4, 6), (1, 3)), ((11, 2, 4, 4), (3, 3)),
+     ((19, 1, 3, 5), (3, 3))],
 )
 def test_conv2d_gradient_in_halves(halves, x_shape, extent):
     k = Tensor(rand(2, x_shape[1], *extent, seed=64), requires_grad=True)
@@ -363,6 +382,30 @@ def test_conv2d_gradient_in_halves(halves, x_shape, extent):
     k.zero_grad()
     anchor = Tensor(rand(*x_shape, seed=66))
     assert grad_check(lambda t: weighted(ad.conv2d(anchor, t)), k) < 1e-6
+    assert halves
+
+
+def test_conv2d_builds_columns_a_few_images_at_a_time(halves):
+    # The default second-layer shape: 80 images (16 samples x 5 lags) of
+    # 16 channels into 64 on the 18 x 18 grid.  A half's columns would take
+    # 15 MB; a block of four images' columns takes 1.5 MB.
+    x = Tensor(rand(80, 16, 18, 18, seed=80), requires_grad=True)
+    k = Tensor(rand(64, 16, 3, 3, seed=81), requires_grad=True)
+    g = rand(80, 64, 18, 18, seed=82)
+    mb = 1 << 20
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, k)
+        forward_peak = tracemalloc.get_traced_memory()[1] - entry
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out.node.backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < out.data.nbytes + 4 * mb, forward_peak / mb
+    assert backward_peak < 12 * mb, backward_peak / mb
     assert halves
 
 
@@ -473,3 +516,46 @@ def test_grad_check_restores_tensor_state():
     grad_check(lambda t: t * t, x)
     assert not x.requires_grad and x.grad is None
     np.testing.assert_array_equal(x.data, before)
+
+
+def _conv_lstm_with_states(seed=70):
+    """``conv_lstm`` with states at batch 3 (4 x 4 grid, 2 filters, 3 lags,
+    3 x 3 kernel): its five inputs, uniform in (-1, 1) from seeds
+    ``seed..seed+4``, and the weighted op of a list of them."""
+    shapes = [(9, 8, 4, 4), (8, 2, 3, 3), (8,), (3, 2, 4, 4), (3, 2, 4, 4)]
+    inputs = [
+        Tensor(rand(*shape, seed=seed + i, lo=-1.0, hi=1.0))
+        for i, shape in enumerate(shapes)
+    ]
+
+    def op(args):
+        return weighted(ad.conv_lstm(args[0], 3, args[1], args[2], tuple(args[3:])))
+
+    return inputs, op
+
+
+def test_grad_check_passes_correct_tiny_gradients():
+    # Counted whole, finite-difference rounding alone puts a pre-activation
+    # gradient of 7.7e-6 (the largest is 1.9) 1.1e-5 off, relative, and one
+    # of the initial cell state's 2.0e-6 off.
+    inputs, op = _conv_lstm_with_states()
+    for i, t in enumerate(inputs):
+        err = grad_check(lambda x: op(inputs[:i] + [x] + inputs[i + 1 :]), t)
+        assert err < 1e-6, (i, err)
+
+
+@pytest.mark.parametrize("where", [np.argmax, np.argmin], ids=["largest", "smallest"])
+def test_grad_check_fails_a_gradient_wrong_in_one_coordinate(where):
+    inputs, op = _conv_lstm_with_states()
+    xpre = Tensor(inputs[0].data, requires_grad=True)
+    total(op([xpre] + inputs[1:])).backward()
+    scale = np.abs(xpre.grad)
+    error = np.zeros(scale.size)
+    error[where(scale)] = 1e-4 * scale.max()
+    error = error.reshape(scale.shape)
+
+    def skewed(x):
+        """``x``, with ``error`` added to the gradient that reaches it."""
+        return ad._record(x.data, (x,), lambda g: (g + error,))
+
+    assert grad_check(lambda x: op([skewed(x)] + inputs[1:]), inputs[0]) > 1e-6

@@ -434,6 +434,32 @@ def test_eval_reproduces_the_training_table(demo, tmp_path, capsys):
         np.testing.assert_array_equal(rows[:, 2], pred[:, j])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["eval"], ["occlude", "--mode", "temporal", "--samples", "1"],
+     ["scoremax", "--iterations", "1", "--lags", "1"]],
+    ids=["eval", "occlude", "scoremax"],
+)
+def test_data_other_than_the_manifest_hashed_is_reported(
+    demo, tmp_path, capsys, command
+):
+    assert main([*command, *run_inputs(demo, ["--out", str(tmp_path / "same")])]) == 0
+    assert "warning" not in capsys.readouterr().err
+    # One edited temperature: the same grid and split, another file.
+    lines = demo["data"].read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = repr(float(cells[2]) + 1.0)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    argv = [
+        *command, "--checkpoint", str(demo["run"] / "checkpoint.wxtn"),
+        "--data", str(edited), "--out", str(tmp_path / "edited"),
+    ]
+    assert main(argv) == 0
+    (warning,) = capsys.readouterr().err.splitlines()
+    assert warning.startswith(f"warning: {edited} is not the data")
+
+
 def test_eval_missing_checkpoint(demo, capsys):
     code = main(
         ["eval", "--checkpoint", "nowhere.wxtn", "--data", str(demo["data"])]

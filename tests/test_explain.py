@@ -2,6 +2,7 @@
 and a transparent single-cell model, one shared sweep for every target, and
 gradient-ascent score maximization."""
 
+import gc
 import itertools
 import re
 import tracemalloc
@@ -749,6 +750,35 @@ def test_ascent_leaves_model_parameters_untouched():
     for name, p in model.named_parameters():
         np.testing.assert_array_equal(p.data, before[name], err_msg=name)
     assert [p.requires_grad for p in model.parameters()] == flags
+
+
+def test_each_ascent_iteration_releases_its_tape_before_the_next(monkeypatch):
+    # Weak references to each forward pass's input and output nodes: the
+    # input's holds that iteration's ``current``.  With the cycle collector
+    # off, a tape counts as released only once reference counts free it.
+    model = tiny_model()
+    nodes, alive_at_forward = [], []
+    original = model.forward
+
+    def recording_forward(batch, mode="infer"):
+        alive_at_forward.append(sum(ref() is not None for ref in nodes))
+        pred = original(batch, mode)
+        nodes.extend(weakref.ref(t.node) for t in (batch, pred) if t.node)
+        return pred
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    rng = np.random.default_rng(12)
+    gc.disable()
+    try:
+        score_maximize(
+            model, rng.uniform(0.2, 0.8, (2, 4, 4)), rng.uniform(0, 1, 2),
+            iterations=4, lr=0.05,
+        )
+    finally:
+        gc.enable()
+    assert len(nodes) == 8
+    # Four ascent iterations, then the final no-gradient forward pass.
+    assert alive_at_forward == [0] * 5
 
 
 def test_perfect_initial_prediction_is_rejected():

@@ -1,6 +1,9 @@
 """Training-loop tests: the loss and its gradient, Adam's update identities,
-deterministic runs, early stopping with best-snapshot restore, and the
-descaled per-city evaluation table."""
+deterministic runs, early stopping with best-snapshot restore, one tape
+alive at a time, and the descaled per-city evaluation table."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +250,40 @@ def test_non_finite_validation_mse_is_reported_with_location():
             model, toy_windows(), val,
             TrainConfig(batch_size=4, max_epochs=3, patience=1),
         )
+
+
+def test_each_batch_tape_is_released_before_the_next_pass(monkeypatch):
+    # Weak references to each batch's loss node; the cycle collector is off,
+    # so a tape counts as released only once reference counts free it.
+    model = tiny_model()
+    losses, passes = [], []
+
+    def recording_mse(pred, truth):
+        loss = mse(pred, truth)
+        losses.append(weakref.ref(loss.node))
+        return loss
+
+    def checking(name, run):
+        def wrapped(*args, **kwargs):
+            passes.append((name, sum(ref() is not None for ref in losses)))
+            return run(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(training, "mse", recording_mse)
+    monkeypatch.setattr(model, "predict", checking("validation", model.predict))
+    monkeypatch.setattr(model, "forward", checking("forward", model.forward))
+    gc.disable()
+    try:
+        train(model, toy_windows(n=12), toy_windows(n=4, seed=1),
+              TrainConfig(batch_size=4, max_epochs=2, lr=1e-3))
+    finally:
+        gc.enable()
+    assert len(losses) == 6
+    # Each epoch: three batch forwards, then validation (whose own forward
+    # passes follow its entry).
+    epoch = [("forward", 0)] * 3 + [("validation", 0), ("forward", 0)]
+    assert passes == epoch * 2
 
 
 def test_trailing_single_sample_batch_is_dropped():
