@@ -418,19 +418,16 @@ def _product_in_halves(x: Array, y: Array, work: float) -> Array:
     return out
 
 
-def _columns(xb: Array, kh: int, kw: int, out: Optional[Array] = None) -> Array:
-    """The same-padded column matrix of ``(B, Cin, H, W)``.
+def _columns(xb: Array, kh: int, kw: int, out: Array) -> Array:
+    """The same-padded column matrix of ``(B, Cin, H, W)``, written into ``out``.
 
     Row ``(c, i, j)`` and column ``(b, y, x)`` hold the padded input at
-    ``(b, c, y + i, x + j)``; the shape is ``(Cin*Kh*Kw, B*H*W)``.  It is
-    written into ``out`` when one is given.
+    ``(b, c, y + i, x + j)``; the shape is ``(Cin*Kh*Kw, B*H*W)``.
     """
     nb, cin, h, w = xb.shape
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((cin, nb, h + 2 * ph, w + 2 * pw))
     padded[:, :, ph : ph + h, pw : pw + w] = xb.transpose(1, 0, 2, 3)
-    if out is None:
-        out = np.empty((cin * kh * kw, nb * h * w))
     cols = out.reshape(cin, kh, kw, nb, h, w)
     for i in range(kh):
         for j in range(kw):
@@ -760,13 +757,6 @@ def transpose(x, axes) -> Tensor:
         return (np.transpose(g, inverse),)
 
     return _record(np.transpose(x.data, axes), (x,), backward)
-
-
-def swap_last(x) -> Tensor:
-    """Transpose the trailing two axes (matrix transpose with batch axes)."""
-    x = as_tensor(x)
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return transpose(x, axes)
 
 
 def concat(parts, axis: int = 0) -> Tensor:

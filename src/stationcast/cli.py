@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,7 @@ def build_parser() -> _Parser:
         help="start from uniform noise instead of the anchor sample",
     )
     scoremax.add_argument(
-        "--seed", type=int, default=0, help="seed for --random-init"
+        "--seed", type=int, default=None, help="seed for --random-init (default 0)"
     )
     scoremax.set_defaults(func=cmd_scoremax)
     return parser
@@ -298,11 +299,11 @@ def _load_run(args):
     )
     out_dir = Path(args.out) if args.out else ckpt.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    return model, scaler, cube, windows, run, out_dir
+    return model, scaler, windows, run, out_dir
 
 
 def cmd_eval(args) -> int:
-    model, scaler, _, windows, _, out_dir = _load_run(args)
+    model, scaler, windows, _, out_dir = _load_run(args)
     pred, truth = descaled_predictions(model, windows, scaler)
     table = eval_table(pred, truth, windows).to_csv()
     target = out_dir / "eval_table.csv"
@@ -324,11 +325,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    model, scaler, cube, windows, run, out_dir = _load_run(args)
+    # Sizes below 1 are the library's error in every mode.
+    if args.patch_size > 1 and args.mode != "patch":
+        raise UsageError(f"--patch-size {args.patch_size} applies only to --mode patch")
+    model, scaler, windows, run, out_dir = _load_run(args)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    inputs = windows.inputs[: args.samples]
-    truths = windows.targets[: args.samples]
     if args.aggregate:
         requested = [None]
     elif args.city is not None:
@@ -336,9 +338,10 @@ def cmd_occlude(args) -> int:
     else:
         requested = list(run.target_cities)
 
+    k = args.samples
+    first = replace(windows, inputs=windows.inputs[:k], targets=windows.targets[:k])
     maps = occlusion_map(
-        model, inputs, truths, cube.features, cube.cities, run.target_cities,
-        scaler, run.target_feature, mode=args.mode, patch_size=args.patch_size,
+        model, first, scaler, mode=args.mode, patch_size=args.patch_size,
         fill=args.fill, targets=requested,
     )
     title = f"Occlusion analysis ({args.mode})"
@@ -354,9 +357,11 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_scoremax(args) -> int:
-    if args.seed < 0:
+    if args.seed is not None and not args.random_init:
+        raise UsageError("--seed applies only with --random-init")
+    if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    model, scaler, cube, windows, run, out_dir = _load_run(args)
+    model, _, windows, run, out_dir = _load_run(args)
     if not 0 <= args.sample_index < len(windows):
         raise UsageError(
             f"--sample-index {args.sample_index} outside the test set "
@@ -364,7 +369,7 @@ def cmd_scoremax(args) -> int:
         )
     truth = windows.targets[args.sample_index]
     if args.random_init:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(args.seed or 0)
         sample = rng.uniform(0.0, 1.0, size=windows.inputs[args.sample_index].shape)
     else:
         # Test-split values can stray slightly outside the train-fitted [0, 1]
@@ -384,7 +389,9 @@ def cmd_scoremax(args) -> int:
         model, sample, truth, iterations=args.iterations, lr=args.lr
     )
     for lag in lag_numbers:
-        saliency = SaliencyMap(result.input_map[lag - 1], cube.features, cube.cities)
+        saliency = SaliencyMap(
+            result.input_map[lag - 1], windows.features, windows.cities
+        )
         subtitle = (
             f"{model.cfg.variant}, {run.target_feature} +{run.horizon}d, "
             f"lag {lag}/{model.cfg.lags}, "

@@ -406,6 +406,21 @@ class WindowedSet:
     targets: np.ndarray  # (N, n) scaled
     target_feature: str
     target_cities: tuple[str, ...]
+    features: tuple[str, ...]  # the labels of the grid the windows come from
+    cities: tuple[str, ...]
+
+    def __post_init__(self):
+        n, grid = len(self.target_cities), self.inputs.shape[2:]
+        if self.inputs.ndim != 4 or self.targets.shape != (len(self.inputs), n):
+            raise ConfigurationError(
+                f"need (N, L, F, C) inputs and (N, {n}) targets, "
+                f"got {self.inputs.shape} and {self.targets.shape}"
+            )
+        if grid != (len(self.features), len(self.cities)):
+            raise ConfigurationError(
+                f"{len(self.features)} feature and {len(self.cities)} city names "
+                f"do not match the {grid[0]} x {grid[1]} grid"
+            )
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -509,7 +524,10 @@ def window_block(
     starts = np.arange(days.start, days.start + n)
     inputs = scaled.values[starts[:, None] + np.arange(lags)[None, :]]
     targets = scaled.values[starts + lags - 1 + horizon][:, f_idx][:, c_idx]
-    return WindowedSet(inputs, targets, target_feature, tuple(target_cities))
+    return WindowedSet(
+        inputs, targets, target_feature, tuple(target_cities), scaled.features,
+        scaled.cities,
+    )
 
 
 # -- synthetic data ----------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .data import Scaler
+from .data import Scaler, WindowedSet
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -93,7 +93,9 @@ def mask_layout(
             for b in range(cities // p)
         ]
         return positions, _block_labels(feature_names, p), _block_labels(city_names, p)
-    raise ConfigurationError(f"unknown occlusion mode {mode!r}")
+    raise ConfigurationError(
+        f"unknown occlusion mode {mode!r}; expected one of {OCCLUSION_MODES}"
+    )
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,8 @@ def _predict_masked_positions(
 
 def occlusion_map(
     model: ModelGraph,
-    inputs: np.ndarray,
-    truths: np.ndarray,
-    feature_names: Sequence[str],
-    city_names: Sequence[str],
-    target_cities: Sequence[str],
+    windows: WindowedSet,
     scaler: Scaler,
-    target_feature: str,
     *,
     mode: str,
     patch_size: int = 1,
@@ -170,39 +167,30 @@ def occlusion_map(
 ) -> list[SaliencyMap]:
     """Average percentage MSE change per mask position, one map per target.
 
-    ``inputs`` is the scaled ``(N, L, F, C)`` sample stack with ``truths``
-    ``(N, n)``, one column per target city.  Each entry of ``targets`` is a
-    target city scored alone, or ``None`` for the whole output vector; all
-    maps come from one sweep that forwards each masked input once.  Spatial
-    masks cover all L lags at once; the temporal mask blanks one whole lag,
-    and its predictions come from ``model.predict_masked_lags``.  ``fill`` is
+    ``windows`` holds the scaled ``(N, L, F, C)`` samples, their ``(N, n)``
+    targets and the grid labels the maps are named by.  Each entry of
+    ``targets`` is one of its target cities scored alone, or ``None`` for the
+    whole output vector; all maps come from one sweep that forwards each
+    masked input once.  Spatial masks cover all L lags at once; the temporal
+    mask blanks one whole lag, and its predictions come from
+    ``model.predict_masked_lags``.  ``fill`` is
     ``"zero"`` (scaled-space 0, the column minimum in raw units) or ``"mean"``
     (per-column mean of the sample set).  The MSEs are on values descaled by
-    ``scaler`` for ``target_feature`` (identical Δ for single-city maps,
+    ``scaler`` for the target feature (identical Δ for single-city maps,
     weighted by the column spans for aggregate ones).  Each map skips, with a
     warning, the samples whose reference MSE for its target is exactly zero;
     the temporal reference comes with the masked predictions, so there a
     sweep in which every sample is skipped raises after the masked passes.
     """
-    if mode not in OCCLUSION_MODES:
-        raise ConfigurationError(
-            f"unknown occlusion mode {mode!r}; expected one of {OCCLUSION_MODES}"
-        )
     if patch_size < 1:
         raise ConfigurationError(f"patch size must be >= 1, got {patch_size}")
     if fill not in ("zero", "mean"):
         raise ConfigurationError(f"fill must be 'zero' or 'mean', got {fill!r}")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    target_cities = tuple(target_cities)
-    if inputs.ndim != 4 or truths.shape != (len(inputs), len(target_cities)):
-        raise ConfigurationError(
-            f"need (N, L, F, C) inputs and (N, {len(target_cities)}) truths, "
-            f"got {inputs.shape} and {truths.shape}"
-        )
-    if inputs.shape[0] == 0:
+    if len(windows) == 0:
         raise ContractError("occlusion needs at least one sample")
-    n_samples, lags, n_feat, n_city = inputs.shape
+    inputs, truths = windows.inputs, windows.targets
+    target_cities = windows.target_cities
+    n_samples, lags = inputs.shape[:2]
 
     columns = []
     for target in targets:
@@ -217,20 +205,15 @@ def occlusion_map(
 
     # Raw-unit errors: multiply per-column errors by the column spans before
     # squaring (the offset cancels in pred - truth).
-    _, weights = scaler.target_columns(target_feature, target_cities)
+    _, weights = scaler.target_columns(windows.target_feature, target_cities)
 
-    if (len(feature_names), len(city_names)) != (n_feat, n_city):
-        raise ConfigurationError(
-            f"{len(feature_names)} feature and {len(city_names)} city names do "
-            f"not match the {n_feat} x {n_city} grid"
-        )
     positions, rows, cols = mask_layout(
-        mode, lags, feature_names, city_names, patch_size
+        mode, lags, windows.features, windows.cities, patch_size
     )
     if fill == "mean":
         fill_grid = inputs.mean(axis=(0, 1))
     else:
-        fill_grid = np.zeros((n_feat, n_city))
+        fill_grid = np.zeros(inputs.shape[2:])
     if mode == "temporal":
         # A masked lag leaves every ConvLSTM step before it unchanged; the
         # model reuses the unmasked steps, so all predictions come at once.

@@ -311,7 +311,8 @@ class AttentionHead(Layer):
         q = ad.matmul(tokens, self.w_q)
         k = ad.matmul(tokens, self.w_k)
         v = ad.matmul(tokens, self.w_v)
-        scores = ad.matmul(q, ad.swap_last(k)) * (1.0 / np.sqrt(self.key_dim))
+        k_t = ad.transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+        scores = ad.matmul(q, k_t) * (1.0 / np.sqrt(self.key_dim))
         return ad.matmul(ad.softmax_rows(scores), v)
 
 

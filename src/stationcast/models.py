@@ -51,8 +51,8 @@ _DEFAULT_DENSE = {
 
 # Rows per forward slice in ``predict``, ``predict_masked_lags`` and the
 # spatial occlusion sweep, which stacks the (position, sample) rows and pads
-# its last slice to whole BLAS blocks.  The lag-masked predictions equal
-# ``predict``'s bitwise only while the slices match.
+# its last slice to a full ``PREDICT_BATCH`` rows.  The lag-masked predictions
+# equal ``predict``'s bitwise only while the slices match.
 PREDICT_BATCH = 16
 
 

@@ -32,6 +32,7 @@ from stationcast.data import (
     TABLE_CITY_ORDER,
     Scaler,
     WeatherCube,
+    WindowedSet,
     fit_scaler,
     scale_cube,
     synthetic_cube,
@@ -332,9 +333,12 @@ def test_criterion_06_occlusion_oracle(capsys):
         truths = rng.uniform(0.1, 0.9, (4, 2))
         # Spans of 1, so the errors are the scaled ones, bit for bit.
         unit = Scaler(np.zeros((1, 2)), np.ones((1, 2)), ("wind",), ("a", "b"))
-        common = FEATURES[:4], CITIES[:4], ("a", "b"), unit, "wind"
+
+        def windows(x):
+            return WindowedSet(x, truths, "wind", ("a", "b"), FEATURES[:4], CITIES[:4])
+
         (grid,) = occlusion_map(
-            model, inputs, truths, *common, mode="patch", patch_size=2
+            model, windows(inputs), unit, mode="patch", patch_size=2
         )
 
         def predict(x):
@@ -351,7 +355,7 @@ def test_criterion_06_occlusion_oracle(capsys):
         assert np.abs(grid.values - brute).max() < 1e-12
 
         (silent,) = occlusion_map(
-            model, np.zeros((4, 4, 4, 4)), truths, *common, mode="patch", patch_size=2
+            model, windows(np.zeros((4, 4, 4, 4))), unit, mode="patch", patch_size=2
         )
         np.testing.assert_array_equal(silent.values, np.zeros((2, 2)))
 

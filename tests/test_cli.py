@@ -423,7 +423,7 @@ def test_eval_reproduces_the_training_table(demo, tmp_path, capsys):
         checkpoint=demo["run"] / "checkpoint.wxtn", data=demo["data"], scaler=None,
         out=out,
     )
-    model, scaler, _, windows, _, _ = cli._load_run(args)
+    model, scaler, windows, _, _ = cli._load_run(args)
     pred, truth = descaled_predictions(model, windows, scaler)
     for j, city in enumerate(windows.target_cities):
         rows = np.loadtxt(
@@ -717,6 +717,22 @@ def test_occlude_rejects_a_patch_size_below_one_in_every_mode(
     assert not list(out.glob("occlusion_*"))
 
 
+@pytest.mark.parametrize("mode, code", [("feature_row", 1), ("patch", 0)])
+def test_occlude_patch_size_applies_only_to_patch_mode(
+    demo, tmp_path, capsys, mode, code
+):
+    out = tmp_path / "x"
+    argv = ["occlude", *run_inputs(demo, ["--out", str(out)]), "--aggregate"]
+    assert main([*argv, "--mode", mode, "--patch-size", "3", "--samples", "2"]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "usage error: --patch-size 3 applies only to --mode patch" in err
+        assert not out.exists()
+    else:
+        lines = (out / "occlusion_patch_all_targets.csv").read_text().splitlines()
+        assert len(lines) == 7  # header + 18/3 block rows
+
+
 def test_occlude_patch_grid_shape(demo, tmp_path):
     out = tmp_path / "occ"
     code = main(
@@ -790,12 +806,12 @@ def test_scoremax_lag_map_is_that_lag_of_the_ascent(demo, tmp_path):
         checkpoint=demo["run"] / "checkpoint.wxtn", data=demo["data"], scaler=None,
         out=tmp_path / "api",
     )
-    model, _, cube, windows, _, _ = cli._load_run(args)
+    model, _, windows, _, _ = cli._load_run(args)
     sample = np.random.default_rng(4).uniform(0.0, 1.0, size=windows.inputs[1].shape)
     result = score_maximize(model, sample, windows.targets[1], iterations=3)
     lines = (out / "scoremax_lag4.csv").read_text().splitlines()
-    assert lines[0] == "," + ",".join(cube.cities)
-    assert [line.partition(",")[0] for line in lines[1:]] == list(cube.features)
+    assert lines[0] == "," + ",".join(windows.cities)
+    assert [line.partition(",")[0] for line in lines[1:]] == list(windows.features)
     written = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
     np.testing.assert_array_equal(written, result.input_map[3])
     assert not np.array_equal(written, result.input_map[0])
@@ -830,6 +846,40 @@ def test_scoremax_lags_must_be_integers(demo, tmp_path, capsys):
     )
     assert code == 1
     assert "--lags" in capsys.readouterr().err
+
+
+def test_scoremax_lags_must_select_one(demo, tmp_path, capsys):
+    code = main(
+        ["scoremax", *run_inputs(demo, ["--out", str(tmp_path / "x")]),
+         "--lags", ",", "--iterations", "1"]
+    )
+    assert code == 1
+    assert "usage error: --lags selected no lags" in capsys.readouterr().err
+
+
+def test_scoremax_seed_needs_random_init(demo, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(
+        ["scoremax", *run_inputs(demo, ["--out", str(out)]),
+         "--seed", "4", "--iterations", "1", "--lags", "1"]
+    )
+    assert code == 1
+    assert "usage error: --seed applies only with --random-init" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_random_init_alone_seeds_zero(demo, tmp_path):
+    outs = [tmp_path / "default", tmp_path / "zero"]
+    for out, seed in zip(outs, [[], ["--seed", "0"]]):
+        code = main(
+            ["scoremax", *run_inputs(demo, ["--out", str(out)]),
+             "--iterations", "2", "--lags", "2", "--random-init", *seed]
+        )
+        assert code == 0
+    for name in ("scoremax_lag2.csv", "scoremax_scores.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_scoremax_lag_outside_window(demo, tmp_path, capsys):

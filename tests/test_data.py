@@ -409,6 +409,22 @@ def test_window_validation():
         window_block(index_cube(11), range(11), lags=10, horizon=2, target_feature="f0")
 
 
+def test_windows_carry_and_check_the_grid_labels_of_their_cube():
+    cube = index_cube(12)
+    windows = window_block(cube, range(12), 4, 2, "f0", ("c0", "c1"))
+    assert (windows.features, windows.cities) == (cube.features, cube.cities)
+    shapes = r"need \(N, L, F, C\) inputs and \(N, 2\) targets"
+    for change, message in [
+        ({"inputs": windows.inputs[0]}, shapes),
+        ({"targets": windows.targets[:, :1]}, shapes),
+        ({"targets": windows.targets[1:]}, shapes),
+        ({"features": ("f0",)}, "1 feature and 3 city names do not match the 2 x 3"),
+        ({"cities": ("c0", "c1")}, "2 feature and 2 city names do not match the 2 x 3"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            replace(windows, **change)
+
+
 # -- splitting ---------------------------------------------------------------
 
 

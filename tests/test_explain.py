@@ -15,7 +15,7 @@ import pytest
 
 from stationcast import autodiff as ad
 from stationcast.autodiff import Tensor
-from stationcast.data import Scaler
+from stationcast.data import Scaler, WindowedSet
 from stationcast.errors import (
     ConfigurationError,
     ContractError,
@@ -57,6 +57,16 @@ def unit_scaler(cities=("c0", "c1")):
     return Scaler(
         mins=np.zeros((1, len(cities))), maxs=np.ones((1, len(cities))),
         features=("wind",), cities=tuple(cities),
+    )
+
+
+def windowed(
+    inputs, truths, cities=("c0", "c1"), feature="wind", features=FEATS,
+    grid_cities=CITY_GRID,
+):
+    """Samples and truths as the windows of a run over the 4 x 4 test grid."""
+    return WindowedSet(
+        inputs, truths, feature, tuple(cities), tuple(features), tuple(grid_cities)
     )
 
 
@@ -140,10 +150,7 @@ def test_occlusion_arguments_are_checked_before_any_forward_pass():
         bad.append(({"mode": mode, "fill": "noise"}, "fill must be 'zero' or 'mean'"))
     for kwargs, message in bad:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
-            occlusion_map(
-                probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-                unit_scaler(), "wind", **kwargs,
-            )
+            occlusion_map(probe, windowed(inputs, truths), unit_scaler(), **kwargs)
     assert probe.forwarded == 0
     assert set(OCCLUSION_MODES) == {"feature_row", "city_column", "patch", "temporal"}
 
@@ -156,10 +163,7 @@ def test_masking_with_the_existing_values_changes_nothing():
     truths = samples()[1]
     zeros = np.zeros((5, 2, 4, 4))
     for mode in OCCLUSION_MODES:
-        (out,) = occlusion_map(
-            model, zeros, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-            "wind", mode=mode,
-        )
+        (out,) = occlusion_map(model, windowed(zeros, truths), unit_scaler(), mode=mode)
         np.testing.assert_array_equal(out.values, np.zeros_like(out.values))
         assert out.samples_used == 5
 
@@ -169,8 +173,8 @@ def test_mean_fill_on_constant_inputs_changes_nothing():
     truths = samples()[1]
     constant = np.full((5, 2, 4, 4), 0.5)  # dyadic, so the mean is exact
     (out,) = occlusion_map(
-        model, constant, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-        "wind", mode="city_column", fill="mean",
+        model, windowed(constant, truths), unit_scaler(),
+        mode="city_column", fill="mean",
     )
     np.testing.assert_array_equal(out.values, np.zeros((4, 1)))
 
@@ -186,16 +190,15 @@ def test_only_masks_covering_the_used_cell_matter():
     }
     for mode, hot in cases.items():
         (out,) = occlusion_map(
-            probe, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
-            "wind", mode=mode,
+            probe, windowed(inputs, truths, ("c0",)), unit_scaler(("c0",)), mode=mode,
         )
         flat = out.values.ravel()
         assert flat[hot] != 0.0
         cold = np.delete(flat, hot)
         np.testing.assert_array_equal(cold, np.zeros_like(cold))
     (patch,) = occlusion_map(
-        probe, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
-        "wind", mode="patch", patch_size=2,
+        probe, windowed(inputs, truths, ("c0",)), unit_scaler(("c0",)),
+        mode="patch", patch_size=2,
     )
     assert patch.values.shape == (2, 2)
     assert patch.values[1, 1] != 0.0  # cell (2, 3) lives in block (1, 1)
@@ -206,8 +209,7 @@ def test_patch_deltas_match_brute_force():
     model = tiny_model()
     inputs, truths = samples(seed=4)
     (out,) = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-        "wind", mode="patch", patch_size=2,
+        model, windowed(inputs, truths), unit_scaler(), mode="patch", patch_size=2,
     )
 
     def predict(x):
@@ -230,8 +232,7 @@ def test_stacked_equals_per_sample_averaging():
     model = tiny_model()
     inputs, truths = samples(seed=5)
     (out,) = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-        "wind", mode="feature_row",
+        model, windowed(inputs, truths), unit_scaler(), mode="feature_row",
     )
 
     def predict(x):
@@ -259,13 +260,13 @@ def test_per_city_target_selects_one_output():
     )  # second column is a decoy
     with pytest.raises(ConfigurationError, match="not a target city"):
         occlusion_map(
-            probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-            "wind", mode="feature_row", targets=("here",),
+            probe, windowed(inputs, truths), unit_scaler(),
+            mode="feature_row", targets=("here",),
         )
     # probe output has one column; score only city c0 of a 1-target setup
     (out,) = occlusion_map(
-        probe, inputs, truths[:, :1], FEATS, CITY_GRID, ("c0",),
-        unit_scaler(("c0",)), "wind", mode="feature_row", targets=("c0",),
+        probe, windowed(inputs, truths[:, :1], ("c0",)), unit_scaler(("c0",)),
+        mode="feature_row", targets=("c0",),
     )
     assert out.values[1, 0] != 0.0
 
@@ -285,14 +286,12 @@ def test_one_sweep_maps_equal_single_target_calls():
         {"mode": "temporal", "fill": "mean"},
     ):
         shared = occlusion_map(
-            model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler, "wind",
-            **spec, targets=targets,
+            model, windowed(inputs, truths), scaler, **spec, targets=targets,
         )
         assert len(shared) == len(targets)
         for target, grid in zip(targets, shared):
             (alone,) = occlusion_map(
-                model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler,
-                "wind", **spec, targets=(target,),
+                model, windowed(inputs, truths), scaler, **spec, targets=(target,),
             )
             np.testing.assert_array_equal(grid.values, alone.values)
             assert (grid.row_labels, grid.col_labels) == (
@@ -307,8 +306,8 @@ def test_every_target_shares_one_forward_pass_per_position():
     for targets in (("c0",), ("c0", "c1", None)):
         probe = _CountingModel(lag=0, feat=1, city=1)
         maps = occlusion_map(
-            probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-            "wind", mode="feature_row", targets=targets,  # 4 positions
+            probe, windowed(inputs, truths), unit_scaler(),
+            mode="feature_row", targets=targets,  # 4 positions
         )
         assert len(maps) == len(targets)
         # N x (P + 1) = 25 rows, forwarded in full slices of 16
@@ -345,8 +344,9 @@ def test_spatial_sweep_forwards_block_aligned_slices(features, cities, spec, n):
     tracemalloc.start()
     try:
         occlusion_map(
-            probe, inputs, truths, "x" * features, "y" * cities, ("c0", "c1"),
-            unit_scaler(), "wind", **spec,
+            probe, windowed(inputs, truths, features="x" * features,
+                            grid_cities="y" * cities),
+            unit_scaler(), **spec,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -402,8 +402,8 @@ def test_a_mask_over_its_own_fill_reads_exactly_zero(
     targets = tuple(cols[: cfg.n_targets])
     for spec in specs:
         (out,) = occlusion_map(
-            model, inputs, truths, rows, cols, targets, unit_scaler(targets), "wind",
-            **spec,
+            model, windowed(inputs, truths, targets, features=rows, grid_cities=cols),
+            unit_scaler(targets), **spec,
         )
         assert out.values[-1, -1] == 0.0, spec
         assert np.count_nonzero(out.values) == out.values.size - 1, spec
@@ -414,8 +414,8 @@ def test_unknown_target_fails_before_any_forward_pass():
     probe = _CountingModel(lag=0, feat=1, city=1)
     with pytest.raises(ConfigurationError, match="not a target city"):
         occlusion_map(
-            probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-            "wind", mode="temporal", targets=("c0", "Atlantis"),
+            probe, windowed(inputs, truths), unit_scaler(),
+            mode="temporal", targets=("c0", "Atlantis"),
         )
     assert probe.forwarded == 0
 
@@ -428,18 +428,16 @@ def test_zero_reference_samples_are_dropped_per_target():
     targets = ("c0", "c1", None)
     with pytest.warns(UserWarning, match="skipped 1 of 5"):
         shared = occlusion_map(
-            _CountingModel(lag=0, feat=1, city=1), inputs, truths, FEATS,
-            CITY_GRID, ("c0", "c1"), unit_scaler(), "wind", mode="feature_row",
-            targets=targets,
+            _CountingModel(lag=0, feat=1, city=1), windowed(inputs, truths),
+            unit_scaler(), mode="feature_row", targets=targets,
         )
     assert [grid.samples_used for grid in shared] == [4, 5, 5]
     for target, grid in zip(targets, shared):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             (alone,) = occlusion_map(
-                _CountingModel(lag=0, feat=1, city=1), inputs, truths, FEATS,
-                CITY_GRID, ("c0", "c1"), unit_scaler(), "wind", mode="feature_row",
-                targets=(target,),
+                _CountingModel(lag=0, feat=1, city=1), windowed(inputs, truths),
+                unit_scaler(), mode="feature_row", targets=(target,),
             )
         np.testing.assert_array_equal(grid.values, alone.values)
 
@@ -451,8 +449,8 @@ def test_zero_reference_samples_are_skipped_with_warning():
     truths[2, 0] = inputs[2, 0, 0, 0]  # sample 2 is predicted perfectly
     with pytest.warns(UserWarning, match="skipped 1 of 5"):
         (out,) = occlusion_map(
-            probe, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
-            "wind", mode="temporal",
+            probe, windowed(inputs, truths, ("c0",)), unit_scaler(("c0",)),
+            mode="temporal",
         )
     assert out.samples_used == 4
 
@@ -465,8 +463,8 @@ def test_all_samples_perfect_is_an_error():
         warnings.simplefilter("ignore")
         with pytest.raises(ContractError, match="zero reference MSE"):
             occlusion_map(
-                probe, inputs, truths, FEATS, CITY_GRID, ("c0",),
-                unit_scaler(("c0",)), "wind", mode="temporal",
+                probe, windowed(inputs, truths, ("c0",)), unit_scaler(("c0",)),
+                mode="temporal",
             )
 
 
@@ -479,11 +477,11 @@ def test_scaler_weighting_is_invariant_for_single_city_maps():
         features=("wind",), cities=("c0",),
     )
     (scaled_units,) = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0",), unit_scaler(("c0",)),
-        "wind", mode="city_column", targets=("c0",),
+        model, windowed(inputs, truths, ("c0",)), unit_scaler(("c0",)),
+        mode="city_column", targets=("c0",),
     )
     (raw_units,) = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0",), scaler, "wind",
+        model, windowed(inputs, truths, ("c0",)), scaler,
         mode="city_column", targets=("c0",),
     )
     assert np.abs(scaled_units.values - raw_units.values).max() < 1e-12
@@ -497,12 +495,10 @@ def test_scaler_weighting_changes_aggregate_maps():
         features=("wind",), cities=("c0", "c1"),
     )
     (plain,) = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-        "wind", mode="feature_row",
+        model, windowed(inputs, truths), unit_scaler(), mode="feature_row",
     )
     (weighted,) = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler, "wind",
-        mode="feature_row",
+        model, windowed(inputs, truths), scaler, mode="feature_row",
     )
     assert np.abs(plain.values - weighted.values).max() > 1e-6
 
@@ -543,12 +539,12 @@ def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
     np.testing.assert_array_equal(got[1], want[1])
 
     shared = occlusion_map(
-        model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-        "wind", mode="temporal", fill=fill, targets=targets,
+        model, windowed(inputs, truths), unit_scaler(),
+        mode="temporal", fill=fill, targets=targets,
     )
     brute = occlusion_map(
-        _WholeWindowModel(model), inputs, truths, FEATS, CITY_GRID, ("c0", "c1"),
-        unit_scaler(), "wind", mode="temporal", fill=fill, targets=targets,
+        _WholeWindowModel(model), windowed(inputs, truths), unit_scaler(),
+        mode="temporal", fill=fill, targets=targets,
     )
     assert len(shared) == len(targets)
     for grid, oracle in zip(shared, brute):
@@ -603,8 +599,8 @@ def test_temporal_sweep_runs_each_convlstm_step_once_per_prefix(
         steps.clear()
         inputs, truths = samples(n=n, seed=10, lags=lags)
         occlusion_map(
-            model, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(),
-            "wind", mode="temporal", targets=("c0", "c1", None),
+            model, windowed(inputs, truths), unit_scaler(),
+            mode="temporal", targets=("c0", "c1", None),
         )
         assert sum(steps) == chunks * per_chunk
         # One whole-window forward per masked copy plus the reference.
@@ -650,11 +646,13 @@ def test_lag_masked_predictions_check_their_shapes():
 def test_occlusion_input_validation():
     model = tiny_model()
     inputs, truths = samples()
-    common = (FEATS, CITY_GRID, ("c0", "c1"), unit_scaler(), "wind")
     with pytest.raises(ConfigurationError, match=r"\(N, L, F, C\)"):
-        occlusion_map(model, inputs[0], truths, *common, mode="temporal")
+        occlusion_map(
+            model, windowed(inputs[0], truths), unit_scaler(), mode="temporal"
+        )
+    empty = windowed(inputs[:0], truths[:0])
     with pytest.raises(ContractError, match="at least one sample"):
-        occlusion_map(model, inputs[:0], truths[:0], *common, mode="temporal")
+        occlusion_map(model, empty, unit_scaler(), mode="temporal")
 
 
 @pytest.mark.parametrize("mode", OCCLUSION_MODES)
@@ -667,8 +665,8 @@ def test_a_scaler_that_lacks_a_target_fails_before_any_forward_pass(mode):
     ]:
         with pytest.raises(ConfigurationError, match=f"does not cover {missing}"):
             occlusion_map(
-                probe, inputs, truths, FEATS, CITY_GRID, ("c0", "c1"), scaler,
-                feature, mode=mode, patch_size=2,
+                probe, windowed(inputs, truths, feature=feature), scaler,
+                mode=mode, patch_size=2,
             )
     assert probe.forwarded == 0
 
@@ -679,12 +677,15 @@ def test_a_scaler_that_lacks_a_target_fails_before_any_forward_pass(mode):
     [(FEATS[:3], CITY_GRID), (FEATS, CITY_GRID + ("g4",))],
 )
 def test_names_that_do_not_match_the_grid_are_rejected(mode, feature_names, city_names):
+    # The windows check their labels when they are built, so no mode gets
+    # as far as a forward pass.
     model = _CountingModel(lag=0, feat=1, city=2)
     inputs, truths = samples()
     with pytest.raises(ConfigurationError, match="do not match the 4 x 4 grid"):
         occlusion_map(
-            model, inputs, truths, feature_names, city_names, ("c0", "c1"),
-            unit_scaler(), "wind", mode=mode, patch_size=2,
+            model,
+            windowed(inputs, truths, features=feature_names, grid_cities=city_names),
+            unit_scaler(), mode=mode, patch_size=2,
         )
     assert model.forwarded == 0
 

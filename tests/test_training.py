@@ -51,6 +51,7 @@ def toy_windows(n=12, n_targets=2, cities=4, seed=0, zero=False):
     return WindowedSet(
         inputs, targets, target_feature="f0",
         target_cities=tuple(f"c{i}" for i in range(n_targets)),
+        features=("f0", "f1"), cities=tuple(f"c{i}" for i in range(cities)),
     )
 
 
@@ -426,6 +427,8 @@ def test_report_rows_follow_the_fixed_city_order():
         rng.uniform(0, 1, (6, 6)),
         target_feature="f0",
         target_cities=TARGET_CITIES,  # alphabetical, unlike the report
+        features=("f0", "f1"),
+        cities=TARGET_CITIES,
     )
     scaler = Scaler(
         mins=np.zeros((1, 6)), maxs=np.ones((1, 6)),
