@@ -39,7 +39,7 @@ from .errors import (
 from .explain import OCCLUSION_MODES, SaliencyMap, occlusion_map, score_maximize
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
-from .runconfig import RUN_KEYS, RUN_META, RunConfig
+from .runconfig import RUN_KEYS, RUN_META, RunConfig, _parse_ints
 from .serialize import write_text
 from .training import (
     TrainConfig, descaled_predictions, eval_table, evaluate, train
@@ -177,6 +177,7 @@ def _write_manifest(run_dir: Path, details: list[str]) -> None:
 
 def _write_map(out_dir: Path, stem: str, saliency, title: str, subtitle: str) -> None:
     """Write ``<stem>.csv`` and its ``<stem>.svg`` heatmap, and say so."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_text(out_dir / f"{stem}.csv", saliency.to_csv())
     svg = svg_heatmap(
         saliency.values, saliency.row_labels, saliency.col_labels, title, subtitle
@@ -210,7 +211,7 @@ def cmd_train(args) -> int:
     train_cfg = cfg.sub_config(TrainConfig)
 
     cube = load_dataset(cfg.data)
-    bundle = prepare(
+    train_set, val_set, test_set, scaler = prepare(
         cube,
         cfg.lags,
         cfg.horizon,
@@ -226,15 +227,15 @@ def cmd_train(args) -> int:
         n_targets=len(cfg.target_cities),
     )
     model = ModelGraph(model_cfg)
-    log = train(model, bundle.train, bundle.val, train_cfg)
-    table = evaluate(model, bundle.test, bundle.scaler)
+    log = train(model, train_set, val_set, train_cfg)
+    table = evaluate(model, test_set, scaler)
 
     run_dir = Path(cfg.out) / f"run-{cfg.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_text(run_dir / "config.txt", cfg.to_text())
     write_text(run_dir / "training_log.csv", log.to_text())
     write_text(run_dir / "eval_table.csv", table.to_csv())
-    bundle.scaler.save(run_dir / "scaler.wxtn")
+    scaler.save(run_dir / "scaler.wxtn")
     save_checkpoint(
         model,
         run_dir / "checkpoint.wxtn",
@@ -297,9 +298,9 @@ def _load_run(args):
         scaled, test_days, model.cfg.lags, run.horizon, run.target_feature,
         run.target_cities,
     )
-    out_dir = Path(args.out) if args.out else ckpt.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return model, scaler, windows, run, out_dir
+    # Commands create the directory at their first write, so a refused run
+    # leaves none behind.
+    return model, scaler, windows, run, Path(args.out) if args.out else ckpt.parent
 
 
 def cmd_eval(args) -> int:
@@ -313,6 +314,7 @@ def cmd_eval(args) -> int:
             f"{target} holds another table, which the run manifest hashes; "
             "pass --out to write this one elsewhere"
         )
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_text(target, table)
     for j, city in enumerate(windows.target_cities):
         lines = ["index,actual,predicted"]
@@ -328,9 +330,9 @@ def cmd_occlude(args) -> int:
     # Sizes below 1 are the library's error in every mode.
     if args.patch_size > 1 and args.mode != "patch":
         raise UsageError(f"--patch-size {args.patch_size} applies only to --mode patch")
-    model, scaler, windows, run, out_dir = _load_run(args)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    model, scaler, windows, run, out_dir = _load_run(args)
     if args.aggregate:
         requested = [None]
     elif args.city is not None:
@@ -361,6 +363,12 @@ def cmd_scoremax(args) -> int:
         raise UsageError("--seed applies only with --random-init")
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    try:
+        lag_numbers = _parse_ints(args.lags)
+    except ValueError:
+        raise UsageError(f"--lags must be comma-separated integers: {args.lags!r}")
+    if not lag_numbers:
+        raise UsageError("--lags selected no lags")
     model, _, windows, run, out_dir = _load_run(args)
     if not 0 <= args.sample_index < len(windows):
         raise UsageError(
@@ -375,12 +383,6 @@ def cmd_scoremax(args) -> int:
         # Test-split values can stray slightly outside the train-fitted [0, 1]
         # scaling; the ascent bounds are hard, so anchor inside them.
         sample = np.clip(windows.inputs[args.sample_index], 0.0, 1.0)
-    try:
-        lag_numbers = [int(p) for p in args.lags.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"--lags must be comma-separated integers: {args.lags!r}")
-    if not lag_numbers:
-        raise UsageError("--lags selected no lags")
     for lag in lag_numbers:
         if not 1 <= lag <= model.cfg.lags:
             raise UsageError(f"--lags: lag {lag} outside 1..{model.cfg.lags}")

@@ -127,22 +127,6 @@ class WeatherCube:
     def days(self) -> int:
         return self.values.shape[0]
 
-    def feature_index(self, name: str) -> int:
-        try:
-            return self.features.index(name)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown feature {name!r}; cube has {list(self.features)}"
-            ) from None
-
-    def city_index(self, name: str) -> int:
-        try:
-            return self.cities.index(name)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown city {name!r}; cube has {list(self.cities)}"
-            ) from None
-
 
 def _parse_date(text: str, line: int) -> datetime.date:
     try:
@@ -448,16 +432,6 @@ def split_days(total: int, ratio: float = 0.9, val_fraction: float = 0.1):
     )
 
 
-@dataclass(frozen=True)
-class DataBundle:
-    """Everything a training run needs: split windows plus the fitted scaler."""
-
-    train: WindowedSet
-    val: WindowedSet
-    test: WindowedSet
-    scaler: Scaler
-
-
 def prepare(
     cube: WeatherCube,
     lags: int,
@@ -466,8 +440,9 @@ def prepare(
     target_cities: Sequence[str] = TARGET_CITIES,
     ratio: float = 0.9,
     val_fraction: float = 0.1,
-) -> DataBundle:
-    """Split chronologically, fit the scaler on train days only, window each block.
+) -> tuple[WindowedSet, WindowedSet, WindowedSet, Scaler]:
+    """Split chronologically, fit the scaler on train days only, window each
+    block; returns ``(train, val, test, scaler)``.
 
     Windows are built inside each block independently, so no window's input
     days or target day cross a split boundary.
@@ -484,7 +459,7 @@ def prepare(
         except TooFewDaysError as exc:
             raise ConfigurationError(f"{name} block too short: {exc}") from None
 
-    return DataBundle(
+    return (
         block(train_days, "train"),
         block(val_days, "validation"),
         block(test_days, "test"),
@@ -517,8 +492,14 @@ def window_block(
             f"{len(days)} days cannot fit even one window of {lags} lags "
             f"+ horizon {horizon}"
         )
-    f_idx = scaled.feature_index(target_feature)
-    c_idx = [scaled.city_index(c) for c in target_cities]
+
+    def index(labels: tuple[str, ...], name: str, axis: str) -> int:
+        if name not in labels:
+            raise ConfigurationError(f"unknown {axis} {name!r}; cube has {list(labels)}")
+        return labels.index(name)
+
+    f_idx = index(scaled.features, target_feature, "feature")
+    c_idx = [index(scaled.cities, c, "city") for c in target_cities]
     if len(set(c_idx)) < len(c_idx):
         raise ConfigurationError(f"target cities repeat: {list(target_cities)}")
     starts = np.arange(days.start, days.start + n)

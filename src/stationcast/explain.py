@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .data import Scaler, WindowedSet
 from .errors import (
     ConfigurationError,
@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
 )
 from .models import PREDICT_BATCH, ModelGraph
+from .training import mse
 
 OCCLUSION_MODES = ("feature_row", "city_column", "patch", "temporal")
 
@@ -179,7 +180,7 @@ def occlusion_map(
     ``scaler`` for the target feature (identical Δ for single-city maps,
     weighted by the column spans for aggregate ones).  Each map skips, with a
     warning, the samples whose reference MSE for its target is exactly zero;
-    the temporal reference comes with the masked predictions, so there a
+    the reference comes from the same pass as the masked predictions, so a
     sweep in which every sample is skipped raises after the masked passes.
     """
     if patch_size < 1:
@@ -227,7 +228,8 @@ def occlusion_map(
         return ((pred - truths) * weights) ** 2
 
     ref_errors = squared_errors(reference)
-    references = []
+    masked_errors = [squared_errors(pred) for pred in masked_preds]
+    maps = []
     for out_cols in columns:
         ref = ref_errors[:, out_cols].mean(axis=1)
         keep = ref > 0
@@ -242,11 +244,7 @@ def occlusion_map(
             raise ContractError(
                 "every sample had zero reference MSE; nothing to occlude"
             )
-        references.append((ref[keep], keep))
-    masked_errors = [squared_errors(pred) for pred in masked_preds]
-
-    maps = []
-    for out_cols, (ref, keep) in zip(columns, references):
+        ref = ref[keep]
         # Reduce one position at a time: a mean over the whole (P, N) block
         # rounds differently in the last digit.
         deltas = [
@@ -318,8 +316,7 @@ def score_maximize(
             pred = model.forward(
                 ad.reshape(current, (1,) + current.shape), mode="infer"
             )
-            diff = pred - Tensor(truth_row)
-            h = 1.0 / (diff * diff).mean()
+            h = 1.0 / mse(pred, truth_row)
             value = h.item()
             if not np.isfinite(value):
                 raise InfiniteScoreError(
@@ -330,7 +327,7 @@ def score_maximize(
             h.backward()
             # Release this iteration's tape (and the old ``current`` it
             # holds) before the next forward pass.
-            del pred, diff, h
+            del pred, h
             grad = current.grad
             if grad is None or not np.isfinite(grad).all():
                 raise NumericalError(
@@ -346,8 +343,7 @@ def score_maximize(
             p.requires_grad = was
 
     final = np.clip(current.data, 0.0, 1.0)
-    with no_grad():
-        pred = model.forward(Tensor(final[None]), mode="infer").data[0]
+    pred = model.predict(final[None])[0]
     final_mse = float(((pred - truth) ** 2).mean())
     if final_mse == 0:
         raise InfiniteScoreError("final map predicts the truth exactly; h infinite")

@@ -746,12 +746,14 @@ def test_occlude_patch_grid_shape(demo, tmp_path):
 
 
 def test_occlude_unknown_city(demo, tmp_path, capsys):
+    out = tmp_path / "x"
     code = main(
-        ["occlude", *run_inputs(demo, ["--out", str(tmp_path / "x")]),
+        ["occlude", *run_inputs(demo, ["--out", str(out)]),
          "--city", "Atlantis", "--samples", "2"]
     )
     assert code == 1
     assert "not a target city" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_occlude_city_and_aggregate_are_exclusive(demo, tmp_path, capsys):
@@ -766,12 +768,11 @@ def test_occlude_city_and_aggregate_are_exclusive(demo, tmp_path, capsys):
 
 
 def test_occlude_needs_a_positive_sample_budget(demo, tmp_path, capsys):
-    code = main(
-        ["occlude", *run_inputs(demo, ["--out", str(tmp_path / "x")]),
-         "--samples", "0"]
-    )
+    out = tmp_path / "x"
+    code = main(["occlude", *run_inputs(demo, ["--out", str(out)]), "--samples", "0"])
     assert code == 1
     assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- scoremax ----------------------------------------------------------------
@@ -831,21 +832,25 @@ def test_scoremax_is_deterministic(demo, tmp_path):
 
 
 def test_scoremax_sample_index_bounds(demo, tmp_path, capsys):
+    out = tmp_path / "x"
     code = main(
-        ["scoremax", *run_inputs(demo, ["--out", str(tmp_path / "x")]),
+        ["scoremax", *run_inputs(demo, ["--out", str(out)]),
          "--sample-index", "99", "--iterations", "1"]
     )
     assert code == 1
     assert "--sample-index" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scoremax_lags_must_be_integers(demo, tmp_path, capsys):
+    out = tmp_path / "x"
     code = main(
-        ["scoremax", *run_inputs(demo, ["--out", str(tmp_path / "x")]),
+        ["scoremax", *run_inputs(demo, ["--out", str(out)]),
          "--lags", "one,two", "--iterations", "1"]
     )
     assert code == 1
     assert "--lags" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scoremax_lags_must_select_one(demo, tmp_path, capsys):
@@ -922,6 +927,27 @@ def test_scoremax_rejects_a_non_finite_rate_before_the_ascent(
     assert code == 1
     assert "ascent rate must be finite" in capsys.readouterr().err
     assert not list(out.glob("scoremax_*"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["occlude", "--samples", "0"], "--samples must be >= 1"),
+        (["scoremax", "--lags", "one,two"], "--lags must be comma-separated"),
+        (["scoremax", "--lags", ","], "--lags selected no lags"),
+    ],
+    ids=["samples", "lags", "no-lags"],
+)
+def test_explain_flags_are_checked_before_any_file_is_read(
+    tmp_path, capsys, argv, message
+):
+    command, *flags = argv
+    code = main(
+        [command, "--checkpoint", str(tmp_path / "missing.wxtn"),
+         "--data", str(tmp_path / "missing.csv"), *flags]
+    )
+    assert code == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
 
 
 # -- parser-level behavior ---------------------------------------------------

@@ -239,9 +239,9 @@ def test_cube_label_mismatch():
 def test_cube_unknown_labels():
     cube = synthetic_cube(5)
     with pytest.raises(ConfigurationError, match="unknown feature"):
-        cube.feature_index("entropy")
+        window_block(cube, range(5), 2, 1, "entropy")
     with pytest.raises(ConfigurationError, match="unknown city"):
-        cube.city_index("Atlantis")
+        window_block(cube, range(5), 2, 1, "avg_temp", ("Paris", "Atlantis"))
 
 
 def test_reference_grid_is_18_by_18():
@@ -445,17 +445,19 @@ def test_split_validation():
 
 def test_prepare_blocks_do_not_straddle_boundaries():
     cube = index_cube(60, f=1, c=1)
-    bundle = prepare(cube, lags=3, horizon=1, target_feature="f0", target_cities=("c0",))
+    train, val, test, _ = prepare(
+        cube, lags=3, horizon=1, target_feature="f0", target_cities=("c0",)
+    )
     train_days, val_days, test_days = split_days(cube.days)
     assert (len(train_days), len(val_days), len(test_days)) == (49, 5, 6)
-    assert (len(bundle.train), len(bundle.val), len(bundle.test)) == (46, 2, 3)
+    assert (len(train), len(val), len(test)) == (46, 2, 3)
     # Every sample's input days and target day stay inside its own block; the
     # index cube makes the day number readable off the (scaled) values.
     span = 48.0  # min-max span of the day-index column over train days 0..48
     for windows, days in (
-        (bundle.train, train_days),
-        (bundle.val, val_days),
-        (bundle.test, test_days),
+        (train, train_days),
+        (val, val_days),
+        (test, test_days),
     ):
         source_days = np.rint(windows.inputs * span).astype(int)
         target_days = np.rint(windows.targets * span).astype(int)
@@ -468,11 +470,9 @@ def test_prepare_scaler_sees_only_training_days():
     values = cube.values.copy()
     values[49:] = 1e6  # validation and test blocks carry an absurd spike
     spiked = replace(cube, values=values)
-    bundle = prepare(spiked, 3, 1, "f0", ("c0",))
-    assert bundle.scaler.maxs.max() < 1e5
-    np.testing.assert_array_equal(
-        bundle.scaler.maxs, fit_scaler(spiked, range(0, 49)).maxs
-    )
+    _, _, _, scaler = prepare(spiked, 3, 1, "f0", ("c0",))
+    assert scaler.maxs.max() < 1e5
+    np.testing.assert_array_equal(scaler.maxs, fit_scaler(spiked, range(0, 49)).maxs)
 
 
 def test_prepare_reports_which_block_is_too_short():

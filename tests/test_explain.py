@@ -455,7 +455,8 @@ def test_zero_reference_samples_are_skipped_with_warning():
     assert out.samples_used == 4
 
 
-def test_all_samples_perfect_is_an_error():
+@pytest.mark.parametrize("mode", ["temporal", "feature_row"])
+def test_all_samples_perfect_is_an_error(mode):
     probe = _PickModel(lag=0, feat=0, city=0)
     inputs, _ = samples()
     truths = inputs[:, 0, 0, 0][:, None]
@@ -464,7 +465,7 @@ def test_all_samples_perfect_is_an_error():
         with pytest.raises(ContractError, match="zero reference MSE"):
             occlusion_map(
                 probe, windowed(inputs, truths, ("c0",)), unit_scaler(("c0",)),
-                mode="temporal",
+                mode=mode,
             )
 
 
