@@ -38,16 +38,15 @@ Array = np.ndarray
 _grad_enabled = True
 
 # Work, in convolution multiply-adds, at and above which an op hands its
-# second half to the worker thread.  A hand-off costs about 0.2-0.4 ms, and
-# two threads that page-fault fresh multi-megabyte arrays slow each other
-# down, so smaller ops run both halves here.  At the default sizes every op
-# of a score-ascent iteration (batch 1) stays here, while a 16-sample
-# occlusion pass hands over its recurrences, some of its input convolutions
-# and most of its encoder and dense-head products.
-SPLIT_WORK = 1 << 27
+# second half to the worker thread.  A hand-off costs about 15 us on a
+# 2-vCPU VM; there, gates of 2**22 to 2**24 ran occlusion 4-6 % faster than
+# 2**25 to 2**27 and training as fast, and this is the largest of them.
+# Every op of a one-stream score ascent (batch 1) stays here, while
+# training and occlusion hand over most of their heavy ops.
+SPLIT_WORK = 1 << 24
 # A matrix product's multiply-add counts this much work: its halves write
 # into one result allocated up front and fault in no fresh buffers, so a
-# product pays for the hand-off from 2**25 multiply-adds on.
+# product pays for the hand-off from 2**22 multiply-adds on.
 GEMM_WORK = 4
 
 _worker: Optional[ThreadPoolExecutor] = None
@@ -402,9 +401,9 @@ def _product_in_halves(x: Array, y: Array, work: float) -> Array:
 
     Each half is the product of its own rows of ``x`` with all of ``y``, so
     every element keeps its whole sum over the inner axis; no halves are
-    added.  A smaller product stays whole, as halves on one core buy it
-    nothing, and keeps its bits: a half of one row would take BLAS's
-    matrix-vector path, which rounds differently.
+    added.  The split falls on an even row: a half of one row would take
+    BLAS's matrix-vector path, which rounds differently.  A smaller
+    product stays whole, as halves on one core buy it nothing.
     """
     out = np.empty((x.shape[0], y.shape[1]))
 
@@ -414,7 +413,7 @@ def _product_in_halves(x: Array, y: Array, work: float) -> Array:
     if work < SPLIT_WORK:
         rows(0, len(out))
     else:
-        run_halves(len(out), work, rows)
+        run_halves(len(out), work, rows, unit=2)
     return out
 
 

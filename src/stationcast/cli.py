@@ -36,7 +36,9 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .explain import OCCLUSION_MODES, SaliencyMap, occlusion_map, score_maximize
+from .explain import (
+    OCCLUSION_MODES, SaliencyMap, check_ascent, occlusion_map, score_maximize
+)
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from .runconfig import RUN_KEYS, RUN_META, RunConfig, _parse_ints
@@ -369,6 +371,7 @@ def cmd_scoremax(args) -> int:
         raise UsageError(f"--lags must be comma-separated integers: {args.lags!r}")
     if not lag_numbers:
         raise UsageError("--lags selected no lags")
+    check_ascent(args.iterations, args.lr)
     model, _, windows, run, out_dir = _load_run(args)
     if not 0 <= args.sample_index < len(windows):
         raise UsageError(

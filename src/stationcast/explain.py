@@ -36,7 +36,7 @@ from .errors import (
     InfiniteScoreError,
     NumericalError,
 )
-from .models import PREDICT_BATCH, ModelGraph
+from .models import ModelGraph, in_full_slices
 from .training import mse
 
 OCCLUSION_MODES = ("feature_row", "city_column", "patch", "temporal")
@@ -135,24 +135,21 @@ def _predict_masked_positions(
     with one spatial position set to the fill.
 
     The rows are the N inputs, then N masked copies per position.  They go
-    through ``model.predict`` in slices of ``PREDICT_BATCH`` rows, each built
-    only when it runs.  The last slice repeats its last row up to a full
-    ``PREDICT_BATCH``, so every product has the same row count wherever a
-    row lands, and a mask that leaves its inputs as they were reads exactly 0.
+    through ``model.predict`` in full slices (:func:`in_full_slices`), so a
+    mask that leaves its inputs as they were reads exactly 0.
     """
     n = len(inputs)
-    total = n * (len(positions) + 1)
-    parts = []
-    for start in range(0, total, PREDICT_BATCH):
-        stop = min(start + PREDICT_BATCH, total)
+
+    def masked_rows(start: int, stop: int) -> np.ndarray:
         chunk = inputs[np.arange(start, stop) % n]
         for block in range(max(start // n, 1), (stop - 1) // n + 1):
             index = positions[block - 1]
             lo, hi = max(block * n, start), min(block * n + n, stop)
             chunk[lo - start : hi - start][index] = fill_grid[index[2], index[3]]
-        padding = [(0, PREDICT_BATCH - len(chunk))] + [(0, 0)] * 3
-        parts.append(model.predict(np.pad(chunk, padding, mode="edge"))[: stop - start])
-    predictions = np.concatenate(parts)
+        return chunk
+
+    total = n * (len(positions) + 1)
+    predictions = in_full_slices(model.predict, total, masked_rows)
     return predictions[:n], predictions[n:].reshape(len(positions), n, -1)
 
 
@@ -267,6 +264,15 @@ class ScoreMaxResult:
     scores: tuple[float, ...]  # h before each step, then h of the final map
 
 
+def check_ascent(iterations: int, lr: float) -> None:
+    """Refuse an ascent of fewer than one iteration or a rate that is not
+    finite and >= 0, naming the ``scoremax`` flag."""
+    if iterations < 1:
+        raise ConfigurationError(f"--iterations must be >= 1, got {iterations}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigurationError(f"--lr: ascent rate must be finite and >= 0, got {lr}")
+
+
 def score_maximize(
     model: ModelGraph,
     sample: np.ndarray,
@@ -283,10 +289,7 @@ def score_maximize(
     """
     sample = np.array(sample, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if not (np.isfinite(lr) and lr >= 0):
-        raise ConfigurationError(f"ascent rate must be finite and >= 0, got {lr}")
+    check_ascent(iterations, lr)
     if sample.min() < 0.0 or sample.max() > 1.0:
         raise ConfigurationError(
             "starting sample exceeds bounds [0.0, 1.0]: "

@@ -23,6 +23,13 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _draw(rng, shape, fan_in: int, fan_out: int):
+    """Glorot weights from ``rng``; without one, undrawn ones for a loaded state."""
+    if rng is None:
+        return np.empty(shape)
+    return glorot_uniform(rng, shape, fan_in, fan_out)
+
+
 class Layer:
     """Base class providing parameter traversal and state loading."""
 
@@ -86,7 +93,7 @@ class Dense(Layer):
         self, rng: np.random.Generator, n_in: int, n_out: int, relu: bool = False
     ):
         self.weight = Tensor(
-            glorot_uniform(rng, (n_in, n_out), n_in, n_out), requires_grad=True
+            _draw(rng, (n_in, n_out), n_in, n_out), requires_grad=True
         )
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
         self.relu = relu
@@ -224,7 +231,7 @@ class ConvLSTM(Layer):
         # order fixes the initial weights a seed gives.
         for _, block in self._gate_rows():
             for w, cin in ((self.w_x, in_channels), (self.w_h, filters)):
-                w.data[block] = glorot_uniform(
+                w.data[block] = _draw(
                     rng, (filters, cin, kh, kw), cin * taps, filters * taps
                 )
 
@@ -296,7 +303,7 @@ class AttentionHead(Layer):
                 self,
                 name,
                 Tensor(
-                    glorot_uniform(rng, (embed_dim, key_dim), embed_dim, key_dim),
+                    _draw(rng, (embed_dim, key_dim), embed_dim, key_dim),
                     requires_grad=True,
                 ),
             )
@@ -335,7 +342,7 @@ class EncoderBlock(Layer):
         hidden_dim = 2 * embed_dim if hidden_dim is None else hidden_dim
         self.head = AttentionHead(rng, embed_dim, key_dim)
         self.w_out = Tensor(
-            glorot_uniform(rng, (key_dim, embed_dim), key_dim, embed_dim),
+            _draw(rng, (key_dim, embed_dim), key_dim, embed_dim),
             requires_grad=True,
         )
         self.norm_attn = LayerNorm(embed_dim)

@@ -49,10 +49,8 @@ _DEFAULT_DENSE = {
     "att_multistream": (256,),
 }
 
-# Rows per forward slice in ``predict``, ``predict_masked_lags`` and the
-# spatial occlusion sweep, which stacks the (position, sample) rows and pads
-# its last slice to a full ``PREDICT_BATCH`` rows.  The lag-masked predictions
-# equal ``predict``'s bitwise only while the slices match.
+# Rows per forward slice in ``predict`` and in both occlusion sweeps, which
+# stack their rows and pad the last slice to full (:func:`in_full_slices`).
 PREDICT_BATCH = 16
 
 
@@ -182,9 +180,11 @@ class Stream(Layer):
 class ModelGraph(Layer):
     """One assembled architecture: layers, config and forward pass."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, state: Optional[dict] = None):
+        """Draw the initial weights from ``cfg.seed``, or draw none and load
+        ``state``, which :meth:`Layer.load_state` refuses if it misses a slot."""
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if state is None else None
         kernel = cfg.kernel
         if cfg.multistream:
             self.streams = [Stream(rng, cfg.filters, kernel) for _ in range(cfg.streams)]
@@ -202,6 +202,8 @@ class ModelGraph(Layer):
             width = out_width
         head.append(Dense(rng, width, cfg.n_targets))
         self.head = head
+        if state is not None:
+            self.load_state(state)
 
     def _stack(self, stream: int) -> list[ConvLSTM]:
         """The ConvLSTMs of one stream, input side first."""
@@ -220,18 +222,15 @@ class ModelGraph(Layer):
             x = layer(x, state)
         return x
 
-    @staticmethod
-    def _merge(maps: list[Tensor]) -> Tensor:
-        """The streams' final maps stacked on the channel axis."""
-        return maps[0] if len(maps) == 1 else ad.concat(maps, axis=1)
-
     def _convolve(self, batch: Tensor) -> Tensor:
-        """Run the recurrent front end; returns the merged (B, ch, F, C) map."""
+        """Run the recurrent front end; returns the merged (B, ch, F, C) map,
+        the streams' final maps stacked on the channel axis."""
         v = self.cfg.lags_per_stream
-        return self._merge([
+        maps = [
             self._front(s, batch[:, s * v : (s + 1) * v])
             for s in range(self.cfg.streams)
-        ])
+        ]
+        return maps[0] if len(maps) == 1 else ad.concat(maps, axis=1)
 
     def _attend(self, grid: Tensor) -> Tensor:
         """Encoder block over city tokens: (B, ch, F, C) -> same shape."""
@@ -288,14 +287,15 @@ class ModelGraph(Layer):
         ``inputs`` is ``(N, L, F, C)`` and ``fill`` the ``(F, C)`` grid that
         overwrites the masked lag.  Returns the unmasked predictions
         ``(N, n)`` and the masked ones ``(L, N, n)``, lag ``t`` masked in
-        entry ``t``; each equals :meth:`predict` of that input bitwise, since
-        both run slices of ``PREDICT_BATCH`` samples and every product keeps
-        its shape.
+        entry ``t``; they equal, bitwise, :meth:`predict` of the stacked
+        unmasked and lag-masked copies in :func:`in_full_slices`.
 
-        Each slice walks each stream forward once from zeros, one
-        :meth:`ConvLSTM.step` per lag.  Before stepping lag ``t``, the walk
-        reruns lags ``t..`` of that stream from its current states with lag
-        ``t`` masked, and copies out the rerun's final map.
+        Each slice of ``PREDICT_BATCH`` samples, padded to whole 8-column
+        blocks (:func:`autodiff._block_unit`), walks each stream forward once
+        from zeros, one :meth:`ConvLSTM.step` per lag.  Before stepping lag
+        ``t``, the walk reruns lags ``t..`` of that stream from its current
+        states with lag ``t`` masked, and copies out the rerun's final map.
+        The back end then runs once over the slice's (L + 1) stacked maps.
         """
         cfg = self.cfg
         self._check_batch(inputs.shape)
@@ -303,31 +303,56 @@ class ModelGraph(Layer):
             raise DimensionError(
                 f"fill {fill.shape} does not match the {inputs.shape[2:]} grid"
             )
-        v = cfg.lags_per_stream
-        reference, masked = [], []
+        v, width = cfg.lags_per_stream, cfg.filters
+        unit = ad._block_unit(cfg.features * cfg.cities)
+        parts = []
         with ad.no_grad():
             for start in range(0, len(inputs), PREDICT_BATCH):
                 chunk = inputs[start : start + PREDICT_BATCH]
-                finals, rows = [], []
+                m = len(chunk)
+                chunk = pad_rows(chunk, -(-m // unit) * unit)
+                # Entry 0 holds the unmasked merged final maps, entry t + 1
+                # those with lag t masked; each stream fills its channels.
+                grids = np.empty((cfg.lags + 1, m, cfg.merged_channels) + fill.shape)
                 for s in range(cfg.streams):
                     layers = self._stack(s)
                     states = [None] * len(layers)
+                    own = slice(s * width, (s + 1) * width)
                     for t in range(s * v, (s + 1) * v):
                         lags = chunk[:, t : (s + 1) * v].copy()
                         lags[:, 0] = fill
-                        rows.append(self._front(s, Tensor(lags), states).data.copy())
+                        rerun = self._front(s, Tensor(lags), states)
+                        grids[t + 1, :, own] = rerun.data[:m]
                         x = Tensor(chunk[:, t : t + 1])
                         for k, layer in enumerate(layers):
                             states[k] = layer.step(x, states[k])
                             x = states[k][0]
-                    finals.append(x)
-                reference.append(self._back(self._merge(finals)).data)
-                for t, rerun in enumerate(rows):
-                    maps = list(finals)
-                    maps[t // v] = Tensor(rerun)
-                    rows[t] = self._back(self._merge(maps)).data
-                masked.append(rows)
-        return np.concatenate(reference), np.concatenate(masked, axis=1)
+                    unmasked = [0] + [u + 1 for u in range(cfg.lags) if u // v != s]
+                    grids[unmasked, :, own] = x.data[:m]
+                stack = grids.reshape((-1,) + grids.shape[2:])
+                parts.append(in_full_slices(
+                    lambda rows: self._back(Tensor(rows)).data, len(stack),
+                    lambda lo, hi: stack[lo:hi]).reshape(cfg.lags + 1, m, -1))
+        predictions = np.concatenate(parts, axis=1)
+        return predictions[0], predictions[1:]
+
+
+def pad_rows(rows: np.ndarray, count: int) -> np.ndarray:
+    """``rows`` with its last row repeated up to ``count`` rows."""
+    padding = [(0, count - len(rows))] + [(0, 0)] * (rows.ndim - 1)
+    return np.pad(rows, padding, mode="edge")
+
+
+def in_full_slices(run, total: int, rows) -> np.ndarray:
+    """``run`` over ``rows(start, stop)`` of ``total`` rows in slices of
+    ``PREDICT_BATCH``, each built only when it runs.  The last slice repeats
+    its last row up to a full one, so every product has the same row count
+    wherever a row lands; the padding's outputs are dropped."""
+    parts = []
+    for start in range(0, total, PREDICT_BATCH):
+        stop = min(start + PREDICT_BATCH, total)
+        parts.append(run(pad_rows(rows(start, stop), PREDICT_BATCH))[: stop - start])
+    return np.concatenate(parts)
 
 
 def save_checkpoint(model: ModelGraph, path, extras: Optional[dict] = None):
@@ -342,6 +367,4 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict[str, str]]:
     """Rebuild a model from a checkpoint; returns it plus the extra meta."""
     arrays, meta = load_arrays(path)
     cfg, extras = ModelConfig.from_text(meta)
-    model = ModelGraph(cfg)
-    model.load_state(arrays)
-    return model, extras
+    return ModelGraph(cfg, arrays), extras

@@ -469,6 +469,17 @@ def test_matmul_in_halves_is_bitwise_the_undivided_products(halves, m, k, n):
     assert len(halves) == 3
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_a_head_of_a_few_rows_keeps_its_bits_in_halves(halves, m):
+    # The split falls on an even row, so no half is a single row, which BLAS
+    # would compute as a matrix-vector product that rounds differently.
+    a, b, g = rand(m, 10368, seed=73), rand(10368, 256, seed=74), rand(m, 256, seed=75)
+    out, ga, gb = _matmul_products(a, b, g)
+    np.testing.assert_array_equal(out, a @ b)
+    np.testing.assert_array_equal(ga, g @ b.T)
+    np.testing.assert_array_equal(gb, a.T @ g)
+
+
 def test_matmul_halves_hold_under_rapid_thread_switches(monkeypatch):
     monkeypatch.setattr(ad, "SPLIT_WORK", 0)
     monkeypatch.setattr(ad, "usable_cpus", lambda: 2)

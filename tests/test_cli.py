@@ -930,6 +930,26 @@ def test_scoremax_rejects_a_non_finite_rate_before_the_ascent(
 
 
 @pytest.mark.parametrize(
+    "flags, flag",
+    [(["--iterations", "0"], "--iterations"), (["--lr", "nan"], "--lr"),
+     (["--lr", "-0.5"], "--lr")],
+    ids=["iterations", "nan-rate", "negative-rate"],
+)
+def test_scoremax_checks_the_ascent_before_loading_the_run(
+    tmp_path, capsys, flags, flag
+):
+    out = tmp_path / "x"
+    code = main(
+        ["scoremax", "--checkpoint", str(tmp_path / "missing.wxtn"),
+         "--data", str(tmp_path / "missing.csv"), "--out", str(out), *flags]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {flag}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["occlude", "--samples", "0"], "--samples must be >= 1"),

@@ -25,6 +25,7 @@ from stationcast.errors import (
 from stationcast.explain import (
     OCCLUSION_MODES,
     SaliencyMap,
+    _predict_masked_positions,
     mask_layout,
     occlusion_map,
     score_maximize,
@@ -504,52 +505,79 @@ def test_scaler_weighting_changes_aggregate_maps():
     assert np.abs(plain.values - weighted.values).max() > 1e-6
 
 
-class _WholeWindowModel:
-    """A real model whose predictions all come from whole-window forward
-    passes, ``PREDICT_BATCH`` samples at a time: the brute-force temporal
-    oracle."""
-
-    predict_masked_lags = _PickModel.predict_masked_lags
+class _StackedModel:
+    """A real model whose lag-masked predictions come from whole-window
+    forward passes of the stacked masked copies, in the spatial sweep's full
+    slices: the brute-force temporal oracle."""
 
     def __init__(self, model):
         self.model = model
         self.cfg = model.cfg
+        self.predict = model.predict
 
-    def predict(self, inputs):
-        with ad.no_grad():
-            return np.concatenate([
-                self.model.forward(Tensor(inputs[s : s + PREDICT_BATCH])).data
-                for s in range(0, len(inputs), PREDICT_BATCH)
-            ])
+    def predict_masked_lags(self, inputs, fill):
+        lags, features, cities = inputs.shape[1:]
+        positions, _, _ = mask_layout("temporal", lags, "f" * features, "c" * cities)
+        return _predict_masked_positions(self.model, inputs, positions, fill)
 
 
-@pytest.mark.parametrize("n", [1, 70])
-@pytest.mark.parametrize("fill", ["zero", "mean"])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
-    model = tiny_model(seed=7, variant=variant, lags=4)
-    channels = model.cfg.merged_channels
+def temporal_case(spec, n, seed=9):
+    """A model with shifted running means, its ``n`` samples and truths, and
+    the windows an occlusion map reads.  ``spec`` is the variant of a tiny
+    4 x 4 model over 4 lags, or the config of a full-size one."""
+    if isinstance(spec, ModelConfig):
+        model = ModelGraph(spec)
+    else:
+        model = tiny_model(seed=7, variant=spec, lags=4)
+    cfg = model.cfg
+    channels = cfg.merged_channels
     model.norm.running_mean[:] = np.random.default_rng(8).normal(0.0, 0.1, channels)
-    inputs, truths = samples(n=n, seed=9, lags=4)
-    targets = ("c0", None, "c1")
-    fill_grid = inputs.mean(axis=(0, 1)) if fill == "mean" else np.zeros((4, 4))
+    rng = np.random.default_rng(seed)
+    inputs = rng.uniform(0.1, 0.9, (n, cfg.lags, cfg.features, cfg.cities))
+    truths = rng.uniform(0.1, 0.9, (n, cfg.n_targets))
+    features = [f"f{k}" for k in range(cfg.features)]
+    cities = [f"c{k}" for k in range(cfg.cities)]
+    targets = tuple(cities[: cfg.n_targets])
+    windows = windowed(inputs, truths, targets, features=features, grid_cities=cities)
+    return model, windows, unit_scaler(targets)
+
+
+# The full-size grid has 324 columns per sample: an odd sample count fills
+# whole 8-column blocks only because the walk pads its slice.
+FULL_SIZE_TEMPORAL = [
+    pytest.param(ModelConfig(variant=variant, seed=7), "zero", n,
+                 id=f"default-{variant}-{n}")
+    for variant in ("unistream", "att_multistream")
+    for n in (1, 3, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "variant, fill, n",
+    [(v, fill, n) for v in VARIANTS for fill in ("zero", "mean") for n in (1, 70)]
+    + FULL_SIZE_TEMPORAL,
+)
+def test_temporal_maps_equal_whole_window_forward_passes(variant, fill, n):
+    model, windows, scaler = temporal_case(variant, n)
+    inputs = windows.inputs
+    targets = (windows.target_cities[0], None, windows.target_cities[-1])
+    fill_grid = inputs.mean(axis=(0, 1)) if fill == "mean" else np.zeros(inputs.shape[2:])
 
     got = model.predict_masked_lags(inputs, fill_grid)
-    want = _WholeWindowModel(model).predict_masked_lags(inputs, fill_grid)
+    want = _StackedModel(model).predict_masked_lags(inputs, fill_grid)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
 
     shared = occlusion_map(
-        model, windowed(inputs, truths), unit_scaler(),
-        mode="temporal", fill=fill, targets=targets,
+        model, windows, scaler, mode="temporal", fill=fill, targets=targets
     )
     brute = occlusion_map(
-        _WholeWindowModel(model), windowed(inputs, truths), unit_scaler(),
-        mode="temporal", fill=fill, targets=targets,
+        _StackedModel(model), windows, scaler, mode="temporal", fill=fill,
+        targets=targets,
     )
     assert len(shared) == len(targets)
     for grid, oracle in zip(shared, brute):
-        assert grid.values.shape == (1, 4)
+        assert grid.values.shape == (1, model.cfg.lags)
         np.testing.assert_array_equal(grid.values, oracle.values)
 
 
@@ -565,9 +593,41 @@ def test_temporal_sweep_is_bitwise_wherever_the_halves_run(variant, monkeypatch)
     inputs, _ = samples(n=70, seed=9, lags=4)
     fill = np.zeros((4, 4))
     got = model.predict_masked_lags(inputs, fill)
-    want = _WholeWindowModel(model).predict_masked_lags(inputs, fill)
+    want = _StackedModel(model).predict_masked_lags(inputs, fill)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("variant", ["unistream", "att_multistream"])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_a_lag_over_its_own_fill_reads_exactly_zero(variant, n):
+    # The full-size temporal twin of the spatial test above: the walk's step
+    # of the last lag and its rerun with that lag masked see the same
+    # inputs, and the back end gives their rows the same bits wherever they
+    # land.
+    model, windows, scaler = temporal_case(ModelConfig(variant=variant, seed=7), n, n)
+    windows.inputs[:, -1] = 0.0
+    (out,) = occlusion_map(
+        model, windows, scaler, mode="temporal", targets=(windows.target_cities[0],)
+    )
+    assert out.values[-1, -1] == 0.0
+    assert np.count_nonzero(out.values) == out.values.size - 1
+
+
+@pytest.mark.parametrize("variant", ["unistream", "att_multistream"])
+def test_temporal_back_end_runs_in_full_slices(monkeypatch, variant):
+    model, windows, scaler = temporal_case(ModelConfig(variant=variant, seed=7), 4)
+    rows = []
+    original = ModelGraph._back
+
+    def recording_back(self, grid, training=False):
+        rows.append(grid.shape[0])
+        return original(self, grid, training)
+
+    monkeypatch.setattr(ModelGraph, "_back", recording_back)
+    model.predict_masked_lags(windows.inputs, np.zeros(windows.inputs.shape[2:]))
+    # 4 samples x 11 rows (the unmasked one and one per lag) in three slices.
+    assert rows == [PREDICT_BATCH] * 3
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stationcast import autodiff as ad
+from stationcast import layers
 from stationcast.autodiff import Tensor
 from stationcast.errors import ConfigurationError, DimensionError
 from stationcast.models import (
@@ -356,3 +357,18 @@ def test_checkpoint_restores_predictions_after_reinit(tmp_path):
     assert not np.array_equal(fresh.forward(batch).data, expected)
     clone, _ = load_checkpoint(path)
     np.testing.assert_array_equal(clone.forward(batch).data, expected)
+
+
+def test_checkpoint_loads_without_drawing_initial_weights(tmp_path, monkeypatch):
+    cfg = tiny("att_multistream")
+    model = ModelGraph(cfg)
+    path = tmp_path / "model.wxtn"
+    save_checkpoint(model, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew initial weights")
+
+    monkeypatch.setattr(layers, "glorot_uniform", no_draw)
+    clone, _ = load_checkpoint(path)
+    inputs = batch_for(cfg)
+    np.testing.assert_array_equal(clone.predict(inputs), model.predict(inputs))
