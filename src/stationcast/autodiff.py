@@ -564,8 +564,9 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     states go straight into the output, where the next lag's columns are
     read from.  One ``tanh`` covers the whole gate block, with
     ``sigmoid(x) = (1 + tanh(x/2)) / 2`` on the i, f, o rows.  Backward is
-    backpropagation through time over the saved gates and states; the
-    gradient it returns for ``xpre`` is the gate-gradient block.
+    backpropagation through time over the saved gates and cell states,
+    recomputing ``tanh(c_t)``.  It never reads ``xpre``; the gradient it
+    returns for ``xpre`` is the gate-gradient block.
 
     Samples never mix in the recurrence, so the forward pass and the
     backward pass each run per half of the samples (:func:`run_halves`),
@@ -616,15 +617,17 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
         """Samples ``lo:hi`` of the hidden state lag ``t`` starts from."""
         return out[lo:hi, t - 1] if t else state[0].data[lo:hi]
 
-    def forward(lo: int, hi: int) -> list:
-        """Run samples ``lo:hi``; per lag, return the activated gates,
-        ``c_{t-1}`` and ``tanh(c_t)`` when recording."""
+    def forward(lo: int, hi: int) -> tuple[list, list]:
+        """Run samples ``lo:hi``; when recording, return every lag's
+        activated gates and the cell states ``c_0 .. c_steps``."""
         m = (hi - lo) * hw
         c = np.zeros((n, m)) if state is None else channel_major(state[1].data[lo:hi])
-        saved = []
-        # One column buffer and one product buffer serve every lag.
+        gates, cells = [], [c]
+        # One column buffer, one product buffer and one tanh(c) buffer serve
+        # every lag.
         cols = np.empty((wh.shape[1], m))
         product = np.empty((4 * n, m))
+        tanh_c = np.empty((n, m))
         for t in range(steps):
             a = np.empty((4 * n, m))
             np.add(
@@ -642,16 +645,17 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
             c_new = f * c
             c_new += i * g
-            tanh_c = np.tanh(c_new)
+            np.tanh(c_new, out=tanh_c)
             np.multiply(grid(o), grid(tanh_c), out=out[lo:hi, t])
             if record:
-                saved.append((a, c, tanh_c))
+                gates.append(a)
+                cells.append(c_new)
             c = c_new
         out[lo:hi, steps] = grid(c)
-        return saved
+        return gates, cells
 
     halves = run_halves(nb, work, forward, unit)
-    need_w = w_h.requires_grad
+    need_w, need_b = w_h.requires_grad, bias.requires_grad
 
     def backward(gout):
         dpre = np.empty((4 * n, steps * nb * hw))
@@ -660,15 +664,17 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
 
         def half(lo: int, hi: int) -> Optional[Array]:
             """BPTT over samples ``lo:hi``; returns their share of ``dW_h``."""
-            saved = halves[0 if lo == 0 else 1]
+            gates, cells = halves[0 if lo == 0 else 1]
             m = (hi - lo) * hw
             dw = np.zeros_like(wh) if need_w else None
             dc = channel_major(gout[lo:hi, steps])
             dh = None  # gradient reaching h_t from lag t + 1, as (b, n, H, W)
             cols = np.empty((wh.shape[1], m))  # columns of h_t, then their gradient
             padded = np.empty((n, hi - lo, h + kh - 1, w + kw - 1))
+            tanh_c = np.empty((n, m))
             for t in reversed(range(steps)):
-                a, c_prev, tanh_c = saved[t]
+                a, c_prev = gates[t], cells[t]
+                np.tanh(cells[t + 1], out=tanh_c)
                 i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
                 d = dpre_lags[:, t, lo * hw : hi * hw]
                 dht = channel_major(gout[lo:hi, t])
@@ -696,7 +702,8 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
         parts = run_halves(nb, work, half, unit)
         dxpre = dpre.reshape(4 * n, steps * nb, h, w).transpose(1, 0, 2, 3)
         dw_h = sum(parts[1:], parts[0]).reshape(w_h.shape) if need_w else None
-        return (dxpre, dw_h, dpre.sum(axis=1), *(() if dstate is None else dstate))
+        db = dpre.sum(axis=1) if need_b else None
+        return (dxpre, dw_h, db, *(() if dstate is None else dstate))
 
     return _record(out, parents, backward)
 

@@ -139,8 +139,8 @@ def build_parser() -> _Parser:
     )
     scoremax.add_argument(
         "--lags",
-        default="1,5,10",
-        help="comma-separated 1-indexed lags to render",
+        help="comma-separated 1-indexed lags to render "
+        "(default: the model's first, middle and last lag)",
     )
     scoremax.add_argument(
         "--sample-index", type=int, default=0, help="test sample to anchor on"
@@ -366,10 +366,10 @@ def cmd_scoremax(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
-        lag_numbers = _parse_ints(args.lags)
+        lag_numbers = None if args.lags is None else _parse_ints(args.lags)
     except ValueError:
         raise UsageError(f"--lags must be comma-separated integers: {args.lags!r}")
-    if not lag_numbers:
+    if lag_numbers == ():
         raise UsageError("--lags selected no lags")
     check_ascent(args.iterations, args.lr)
     model, _, windows, run, out_dir = _load_run(args)
@@ -386,9 +386,12 @@ def cmd_scoremax(args) -> int:
         # Test-split values can stray slightly outside the train-fitted [0, 1]
         # scaling; the ascent bounds are hard, so anchor inside them.
         sample = np.clip(windows.inputs[args.sample_index], 0.0, 1.0)
+    lags = model.cfg.lags
+    if lag_numbers is None:  # the first, middle and last lag
+        lag_numbers = sorted({1, lags // 2 or 1, lags})
     for lag in lag_numbers:
-        if not 1 <= lag <= model.cfg.lags:
-            raise UsageError(f"--lags: lag {lag} outside 1..{model.cfg.lags}")
+        if not 1 <= lag <= lags:
+            raise UsageError(f"--lags: lag {lag} outside 1..{lags}")
 
     result = score_maximize(
         model, sample, truth, iterations=args.iterations, lr=args.lr

@@ -254,9 +254,14 @@ class ConvLSTM(Layer):
 
         ``x`` is ``(steps*B, Cin, F, C)``, lag-major, so that each lag's
         gate block is one contiguous column slab of the recurrence's gate
-        gradient.
+        gradient.  No backward pass reads the pre-activations, so they are
+        dropped once the recurrence has read them; their tensor stays on the
+        tape only to route its gradient to ``conv2d``.
         """
-        return ad.conv_lstm(ad.conv2d(x, self.w_x), steps, self.w_h, self.b, state)
+        xpre = ad.conv2d(x, self.w_x)
+        out = ad.conv_lstm(xpre, steps, self.w_h, self.b, state)
+        xpre.data = None
+        return out
 
     def step(self, x_t, state=None) -> tuple[Tensor, Tensor]:
         """One recurrence step over ``(B, Cin, F, C)`` input from an ``(h, c)``

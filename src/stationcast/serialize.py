@@ -80,65 +80,64 @@ def save_arrays(path, arrays: Mapping[str, np.ndarray], meta: str = "") -> None:
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
-    """Read a container written by :func:`save_arrays`."""
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)
-    offset = 0
+    """Read a container written by :func:`save_arrays`.
 
-    def unpack(fmt):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(blob):
-            raise IngestionError(f"{path}: truncated container")
-        values = struct.unpack_from(fmt, view, offset)
-        offset += size
-        return values
+    Each payload is read straight into its own array, once its extents are
+    known to fit in what is left of the file.
+    """
+    with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
 
-    def text(length, what):
-        nonlocal offset
-        raw = bytes(view[offset : offset + length])
-        offset += length
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise IngestionError(f"{path}: {what} is not valid UTF-8") from None
+        def read(size):
+            nonlocal left
+            if size > left:
+                raise IngestionError(f"{path}: truncated container")
+            left -= size
+            return f.read(size)
 
-    if bytes(view[:4]) != MAGIC:
-        raise IngestionError(f"{path}: not a parameter container (bad magic)")
-    offset = 4
-    (version,) = unpack("<I")
-    if version != VERSION:
-        raise IngestionError(f"{path}: unsupported container version {version}")
-    (meta_len,) = unpack("<Q")
-    meta = text(meta_len, "metadata")
-    (count,) = unpack("<Q")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = unpack("<I")
-        name = text(name_len, f"entry name #{len(arrays)}")
-        (ndim,) = unpack("<I")
-        if ndim > MAX_NDIM:
-            raise IngestionError(
-                f"{path}: entry {name!r} has {ndim} axes, more than {MAX_NDIM}"
-            )
-        shape = unpack(f"<{ndim}Q") if ndim else ()
-        # Extents are Python integers here, so no product can overflow.
-        n_values = math.prod(shape)
-        if 8 * n_values > len(blob) - offset:
-            raise IngestionError(f"{path}: truncated payload for entry {name!r}")
-        if 8 * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max:
-            raise IngestionError(
-                f"{path}: entry {name!r} has extents {shape} beyond any array"
-            )
-        payload = view[offset : offset + 8 * n_values]
-        offset += 8 * n_values
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-        )
-    if offset != len(blob):
-        raise IngestionError(
-            f"{path}: {len(blob) - offset} trailing bytes after the last entry"
-        )
+        def unpack(fmt):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        def text(length, what):
+            try:
+                return read(length).decode("utf-8")
+            except UnicodeDecodeError:
+                raise IngestionError(f"{path}: {what} is not valid UTF-8") from None
+
+        if f.read(4) != MAGIC:
+            raise IngestionError(f"{path}: not a parameter container (bad magic)")
+        left -= 4
+        (version,) = unpack("<I")
+        if version != VERSION:
+            raise IngestionError(f"{path}: unsupported container version {version}")
+        (meta_len,) = unpack("<Q")
+        meta = text(meta_len, "metadata")
+        (count,) = unpack("<Q")
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<I")
+            name = text(name_len, f"entry name #{len(arrays)}")
+            (ndim,) = unpack("<I")
+            if ndim > MAX_NDIM:
+                raise IngestionError(
+                    f"{path}: entry {name!r} has {ndim} axes, more than {MAX_NDIM}"
+                )
+            shape = unpack(f"<{ndim}Q") if ndim else ()
+            # Extents are Python integers here, so no product can overflow.
+            size = 8 * math.prod(shape)
+            if size > left:
+                raise IngestionError(f"{path}: truncated payload for entry {name!r}")
+            if 8 * math.prod(e or 1 for e in shape) > np.iinfo(np.intp).max:
+                raise IngestionError(
+                    f"{path}: entry {name!r} has extents {shape} beyond any array"
+                )
+            arr = np.empty(shape, dtype="<f8")
+            if f.readinto(arr) != size:
+                raise IngestionError(f"{path}: truncated payload for entry {name!r}")
+            left -= size
+            arrays[name] = arr.astype(np.float64, copy=False)
+    if left:
+        raise IngestionError(f"{path}: {left} trailing bytes after the last entry")
     return arrays, meta
 
 

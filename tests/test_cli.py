@@ -796,6 +796,16 @@ def test_scoremax_writes_maps_and_trajectory(demo, tmp_path, capsys):
     assert "score:" in capsys.readouterr().out
 
 
+def test_scoremax_default_lags_are_the_models_first_middle_and_last(demo, tmp_path):
+    out = tmp_path / "sm"
+    argv = ["scoremax", *run_inputs(demo, ["--out", str(out)]), "--iterations", "2"]
+    assert main(argv) == 0
+    maps = sorted(p.name for p in out.glob("scoremax_lag*"))
+    assert maps == [
+        f"scoremax_lag{lag}.{ext}" for lag in (1, 2, 4) for ext in ("csv", "svg")
+    ]
+
+
 def test_scoremax_lag_map_is_that_lag_of_the_ascent(demo, tmp_path):
     out = tmp_path / "sm"
     code = main(

@@ -469,19 +469,16 @@ def test_convlstm_resumes_bitwise_from_a_given_state():
     np.testing.assert_array_equal(rest, whole[:, 3:])
 
 
-def tape_nodes(out):
-    """Number of recorded operations ``out`` was computed through."""
-    seen, stack, nodes = {id(out)}, [out], 0
+def tape_tensors(out):
+    """Every tensor ``out`` was computed through, ``out`` included."""
+    seen, stack = {id(out): out}, [out]
     while stack:
         node = stack.pop().node
-        if node is None:
-            continue
-        nodes += 1
-        for parent in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
+        for parent in node.parents if node else ():
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return nodes
+    return list(seen.values())
 
 
 def test_convlstm_is_one_input_convolution_and_one_recurrence(monkeypatch):
@@ -502,9 +499,44 @@ def test_convlstm_is_one_input_convolution_and_one_recurrence(monkeypatch):
     for steps in (2, 5):
         calls.clear()
         seq = Tensor(rng(28).uniform(-1, 1, (2, steps, 2, 4, 4)), requires_grad=True)
-        nodes.append(tape_nodes(layer(seq)))
+        nodes.append(sum(t.node is not None for t in tape_tensors(layer(seq))))
         assert len(calls) == 1
     assert nodes[0] == nodes[1]
+
+
+def test_convlstm_tape_holds_no_preactivation_block():
+    layer = ConvLSTM(rng(30), 2, 3)
+    seq = rng(31).uniform(-1, 1, (2, 4, 2, 4, 5))
+    lag_major = seq.transpose(1, 0, 2, 3, 4).reshape(8, 2, 4, 5)
+    with ad.no_grad():
+        pre = ad.conv2d(lag_major, layer.w_x).data
+    out = layer(Tensor(seq, requires_grad=True))
+    arrays = [t.data for t in tape_tensors(out) if t.data is not None]
+    assert not any(a.shape == pre.shape and np.array_equal(a, pre) for a in arrays)
+
+
+def test_convlstm_backward_twice_adds_the_same_gradients_twice():
+    layer = ConvLSTM(rng(32), 2, 3)
+    seq = Tensor(rng(33).uniform(-1, 1, (3, 4, 2, 4, 5)), requires_grad=True)
+    h0, c0 = (Tensor(rng(s).uniform(-1, 1, (3, 3, 4, 5)), requires_grad=True)
+              for s in (34, 35))
+    weights = rng(36).uniform(-1, 1, (3, 3, 4, 5))
+    loss = total(layer(seq, (h0, c0)) * weights)
+    leaves = [seq, h0, c0, *layer.parameters()]
+    loss.backward()
+    once = [t.grad.copy() for t in leaves]
+    loss.backward()
+    for t, g in zip(leaves, once):
+        np.testing.assert_array_equal(t.grad, 2 * g)
+
+
+def test_convlstm_frozen_bias_gets_no_gradient():
+    layer = ConvLSTM(rng(37), 2, 3)
+    layer.b.requires_grad = False
+    out = layer(Tensor(rng(38).uniform(-1, 1, (2, 3, 2, 4, 4)), requires_grad=True))
+    (rec,) = [t for t in tape_tensors(out) if t.node and layer.b in t.node.parents]
+    grads = rec.node.backward(np.ones_like(rec.data))
+    assert grads[1] is not None and grads[2] is None
 
 
 # -- attention ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import builtins
 import errno
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,31 @@ def test_corrupt_containers_raise_ingestion_errors(tmp_path, corrupt, message):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(IngestionError, match=message):
         load_arrays(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_extents(2**14, 2**14), "truncated payload"),
+        (
+            lambda blob: blob[:8] + struct.pack("<Q", 2**40) + blob[16:],
+            "truncated container",
+        ),
+    ],
+    ids=["payload-2GiB", "metadata-1TiB"],
+)
+def test_huge_claims_raise_before_anything_is_allocated(tmp_path, corrupt, message):
+    path = tmp_path / "c.wxtn"
+    save_arrays(path, {"weights": np.ones(3)}, "key = value\n")
+    path.write_bytes(corrupt(path.read_bytes()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestionError, match=message):
+            load_arrays(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @pytest.fixture(scope="module")
