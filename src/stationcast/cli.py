@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    CITIES,
+    FEATURES,
     Scaler,
     emit_csv,
     load_dataset,
@@ -42,7 +44,7 @@ from .explain import (
 from .heatmap import svg_heatmap
 from .models import ModelConfig, ModelGraph, load_checkpoint, save_checkpoint
 from .runconfig import RUN_KEYS, RUN_META, RunConfig, _parse_ints
-from .serialize import write_text
+from .serialize import csv_text, write_text
 from .training import (
     TrainConfig, descaled_predictions, eval_table, evaluate, train
 )
@@ -180,7 +182,8 @@ def _write_manifest(run_dir: Path, details: list[str]) -> None:
 def _write_map(out_dir: Path, stem: str, saliency, title: str, subtitle: str) -> None:
     """Write ``<stem>.csv`` and its ``<stem>.svg`` heatmap, and say so."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_text(out_dir / f"{stem}.csv", saliency.to_csv())
+    rows = ((r, *v) for r, v in zip(saliency.row_labels, saliency.values))
+    write_text(out_dir / f"{stem}.csv", csv_text(("", *saliency.col_labels), rows))
     svg = svg_heatmap(
         saliency.values, saliency.row_labels, saliency.col_labels, title, subtitle
     )
@@ -211,6 +214,16 @@ def cmd_train(args) -> int:
     if cfg.data is None:
         raise UsageError("a dataset is required: pass --data or set it in --config")
     train_cfg = cfg.sub_config(TrainConfig)
+    # Every train cube carries the default labels, so the model and split
+    # flags (``split_days`` of no days checks the fractions) fail before the
+    # read; the target names and the horizon wait for the data.
+    model_cfg = cfg.sub_config(
+        ModelConfig,
+        features=len(FEATURES),
+        cities=len(CITIES),
+        n_targets=len(cfg.target_cities),
+    )
+    split_days(0, cfg.split_ratio, cfg.val_fraction)
 
     cube = load_dataset(cfg.data)
     train_set, val_set, test_set, scaler = prepare(
@@ -222,21 +235,16 @@ def cmd_train(args) -> int:
         cfg.split_ratio,
         cfg.val_fraction,
     )
-    model_cfg = cfg.sub_config(
-        ModelConfig,
-        features=len(cube.features),
-        cities=len(cube.cities),
-        n_targets=len(cfg.target_cities),
-    )
     model = ModelGraph(model_cfg)
     log = train(model, train_set, val_set, train_cfg)
-    table = evaluate(model, test_set, scaler)
+    table = csv_text(("city", "mse"), evaluate(model, test_set, scaler))
 
     run_dir = Path(cfg.out) / f"run-{cfg.digest()}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_text(run_dir / "config.txt", cfg.to_text())
-    write_text(run_dir / "training_log.csv", log.to_text())
-    write_text(run_dir / "eval_table.csv", table.to_csv())
+    header = ("epoch", "train_mse", "val_mse")
+    write_text(run_dir / "training_log.csv", csv_text(header, log.entries))
+    write_text(run_dir / "eval_table.csv", table)
     scaler.save(run_dir / "scaler.wxtn")
     save_checkpoint(
         model,
@@ -253,7 +261,7 @@ def cmd_train(args) -> int:
     )
     print(f"run directory: {run_dir}")
     print(f"epochs run: {log.epochs_run} (best epoch {log.best_epoch})")
-    sys.stdout.write(table.to_csv())
+    sys.stdout.write(table)
     return 0
 
 
@@ -308,7 +316,7 @@ def _load_run(args):
 def cmd_eval(args) -> int:
     model, scaler, windows, _, out_dir = _load_run(args)
     pred, truth = descaled_predictions(model, windows, scaler)
-    table = eval_table(pred, truth, windows).to_csv()
+    table = csv_text(("city", "mse"), eval_table(pred, truth, windows))
     target = out_dir / "eval_table.csv"
     # Without --out that is the table train wrote and its manifest hashes.
     if args.out is None and target.is_file() and target.read_bytes() != table.encode():
@@ -319,10 +327,9 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text(target, table)
     for j, city in enumerate(windows.target_cities):
-        lines = ["index,actual,predicted"]
-        pairs = zip(truth[:, j].tolist(), pred[:, j].tolist())
-        lines.extend(f"{i},{a!r},{p!r}" for i, (a, p) in enumerate(pairs))
-        write_text(out_dir / f"predictions_{city}.csv", "\n".join(lines) + "\n")
+        rows = zip(range(len(truth)), truth[:, j], pred[:, j])
+        text = csv_text(("index", "actual", "predicted"), rows)
+        write_text(out_dir / f"predictions_{city}.csv", text)
     sys.stdout.write(table)
     print(f"artifacts in: {out_dir}")
     return 0
@@ -371,6 +378,8 @@ def cmd_scoremax(args) -> int:
         raise UsageError(f"--lags must be comma-separated integers: {args.lags!r}")
     if lag_numbers == ():
         raise UsageError("--lags selected no lags")
+    if lag_numbers and len(set(lag_numbers)) < len(lag_numbers):
+        raise UsageError(f"--lags repeats a lag: {args.lags!r}")
     check_ascent(args.iterations, args.lr)
     model, _, windows, run, out_dir = _load_run(args)
     if not 0 <= args.sample_index < len(windows):
@@ -408,9 +417,8 @@ def cmd_scoremax(args) -> int:
         _write_map(
             out_dir, f"scoremax_lag{lag}", saliency, "Score maximization map", subtitle
         )
-    trajectory = ["iteration,h"]
-    trajectory.extend(f"{i},{h!r}" for i, h in enumerate(result.scores))
-    write_text(out_dir / "scoremax_scores.csv", "\n".join(trajectory) + "\n")
+    scores = csv_text(("iteration", "h"), enumerate(result.scores))
+    write_text(out_dir / "scoremax_scores.csv", scores)
     print(
         f"score: {result.scores[0]!r} -> {result.scores[-1]!r} "
         f"({args.iterations} iterations)"

@@ -120,13 +120,6 @@ class SaliencyMap:
                 f"{len(self.row_labels)} x {len(self.col_labels)} labels"
             )
 
-    def to_csv(self) -> str:
-        header = "," + ",".join(self.col_labels)
-        lines = [header]
-        for label, row in zip(self.row_labels, self.values):
-            lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def _predict_masked_positions(
     model: ModelGraph, inputs: np.ndarray, positions: list[tuple], fill_grid: np.ndarray

@@ -60,6 +60,19 @@ def write_text(path, text: str) -> None:
         out.write(text)
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of ``header`` and ``rows``, one line each.
+
+    A float cell, numpy's included, is written as ``repr(float(v))``, which
+    ``float()`` reads back bitwise; any other cell with ``str``.
+    """
+    return "".join(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in line)
+        + "\n"
+        for line in (header, *rows)
+    )
+
+
 def save_arrays(path, arrays: Mapping[str, np.ndarray], meta: str = "") -> None:
     """Write ``arrays`` (in mapping order) and ``meta`` to ``path``.
 

@@ -137,12 +137,6 @@ class TrainingLog:
     def epochs_run(self) -> int:
         return len(self.entries)
 
-    def to_text(self) -> str:
-        lines = ["epoch,train_mse,val_mse"]
-        for epoch, train, val in self.entries:
-            lines.append(f"{epoch},{train!r},{val!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _epoch_mse(model: ModelGraph, windows: WindowedSet) -> float:
     """Scaled MSE over a whole set, in fixed order, infer mode, no gradients."""
@@ -231,19 +225,6 @@ def train(
     return log
 
 
-@dataclass(frozen=True)
-class EvalTable:
-    """Per-city descaled MSE rows, in the fixed reporting order."""
-
-    rows: tuple[tuple[str, float], ...]
-
-    def to_csv(self) -> str:
-        lines = ["city,mse"]
-        for city, value in self.rows:
-            lines.append(f"{city},{value!r}")
-        return "\n".join(lines) + "\n"
-
-
 def _report_order(cities: Sequence[str]) -> list[str]:
     ordered = [c for c in TABLE_CITY_ORDER if c in cities]
     ordered.extend(c for c in cities if c not in ordered)
@@ -269,19 +250,17 @@ def descaled_predictions(
     return scaler.inverse(model.predict(windows.inputs), feature, cities), truth
 
 
-def eval_table(pred: np.ndarray, truth: np.ndarray, windows: WindowedSet) -> EvalTable:
-    """Per-city MSE of descaled predictions against the windows' truths."""
+def eval_table(pred: np.ndarray, truth: np.ndarray, windows: WindowedSet) -> list:
+    """Per-city ``(city, mse)`` rows of descaled predictions against the
+    windows' truths, in the fixed reporting order."""
     cities = windows.target_cities
     per_city = ((pred - truth) ** 2).sum(axis=0) / len(windows)
-    by_name = dict(zip(cities, per_city))
-    rows = tuple(
-        (city, float(by_name[city])) for city in _report_order(cities)
-    )
-    return EvalTable(rows)
+    by_name = dict(zip(cities, per_city.tolist()))
+    return [(city, by_name[city]) for city in _report_order(cities)]
 
 
-def evaluate(model: ModelGraph, windows: WindowedSet, scaler: Scaler) -> EvalTable:
-    """Descaled per-city MSE of the frozen model over a windowed set."""
+def evaluate(model: ModelGraph, windows: WindowedSet, scaler: Scaler) -> list:
+    """:func:`eval_table` of the frozen model over a windowed set."""
     pred, truth = descaled_predictions(model, windows, scaler)
     return eval_table(pred, truth, windows)
 

@@ -283,6 +283,27 @@ def test_train_rejects_non_finite_hyperparameters_before_reading_data(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--variant", "nope"], "unknown variant 'nope'"),
+        (["--split-ratio", "2"], "split ratio must be in (0, 1)"),
+        (["--val-fraction", "0"], "validation fraction must be in (0, 1)"),
+        (["--lags", "0"], "lags must be positive"),
+        (["--filters", "0"], "filters must be positive"),
+        (["--kernel", "2,2"], "kernel needs two odd positive extents"),
+    ],
+)
+def test_train_checks_flags_before_reading_data(tmp_path, capsys, flags, message):
+    """A missing dataset would exit 2; a bad flag is found before the read."""
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+            *flags]
+    assert main(argv) == 1
+    assert "configuration error: " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_diverging_run_reports_one_numerical_failure_line(tmp_path, demo):
     # In a child process, so numpy's warnings would print as they do for a
     # user instead of failing the test run.
@@ -359,7 +380,6 @@ def test_data_too_short_for_windows(tmp_path, capsys):
     [
         (["--target", "nosuch"], "unknown feature 'nosuch'"),
         (["--target-cities", "Paris,Atlantis"], "unknown city 'Atlantis'"),
-        (["--lags", "0"], "lags and horizon must be >= 1"),
         (["--horizon", "0"], "lags and horizon must be >= 1"),
     ],
 )
@@ -870,6 +890,15 @@ def test_scoremax_lags_must_select_one(demo, tmp_path, capsys):
     )
     assert code == 1
     assert "usage error: --lags selected no lags" in capsys.readouterr().err
+
+
+def test_scoremax_rejects_a_repeated_lag_before_reading(tmp_path, capsys):
+    code = main(
+        ["scoremax", "--checkpoint", str(tmp_path / "missing.wxtn"),
+         "--data", str(tmp_path / "missing.csv"), "--lags", "1,1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: --lags repeats a lag: '1,1'\n"
 
 
 def test_scoremax_seed_needs_random_init(demo, tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 
 from stationcast import autodiff as ad
 from stationcast.autodiff import Tensor
+from stationcast.cli import _write_map
 from stationcast.data import Scaler, WindowedSet
 from stationcast.errors import (
     ConfigurationError,
@@ -751,19 +752,15 @@ def test_names_that_do_not_match_the_grid_are_rejected(mode, feature_names, city
     assert model.forwarded == 0
 
 
-def test_saliency_map_csv_layout():
+def test_saliency_map_csv_layout(tmp_path):
     grid = SaliencyMap(
-        np.array([[1.5, -2.25], [0.0, 10.0]]),
-        ("alpha", "beta"),
-        ("x", "y"),
-        "patch",
+        np.array([[1.5, -2.25], [0.0, 10.0]]), ("alpha", "beta"), ("x", "y")
     )
-    lines = grid.to_csv().splitlines()
-    assert lines[0] == ",x,y"
-    assert lines[1] == "alpha,1.5,-2.25"
-    assert lines[2] == "beta,0.0,10.0"
+    _write_map(tmp_path, "grid", grid, "title", "subtitle")
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines == [",x,y", "alpha,1.5,-2.25", "beta,0.0,10.0"]
     with pytest.raises(ConfigurationError, match="does not match"):
-        SaliencyMap(np.zeros((2, 2)), ("a",), ("x", "y"), "patch")
+        SaliencyMap(np.zeros((2, 2)), ("a",), ("x", "y"))
 
 
 # -- score maximization ------------------------------------------------------

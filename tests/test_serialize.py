@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from stationcast.errors import ConfigurationError, IngestionError
 from stationcast.serialize import (
     atomic_open,
+    csv_text,
     load_arrays,
     parse_key_values,
     save_arrays,
@@ -196,6 +197,13 @@ def test_atomic_writes_replace_whole_files(tmp_path):
         out.write(b"\x00\x01")
     assert path.read_bytes() == b"\x00\x01"
     assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+
+def test_csv_text_writes_floats_as_their_repr():
+    value = np.float64(0.1) + np.float64(0.2)
+    text = csv_text(("", "x", "y"), [("a", value, 7), ("b", "word", 2.5)])
+    assert text == ",x,y\na,0.30000000000000004,7\nb,word,2.5\n"
+    assert float(text.splitlines()[1].split(",")[1]).hex() == value.hex()
 
 
 def test_parse_key_values_skips_blanks_and_comments():

@@ -18,6 +18,7 @@ from stationcast.errors import (
     NumericalError,
 )
 from stationcast.models import ModelConfig, ModelGraph
+from stationcast.serialize import csv_text
 from stationcast.training import (
     Adam,
     TrainConfig,
@@ -204,7 +205,7 @@ def test_training_is_deterministic():
     for _ in range(2):
         model = tiny_model()
         log = train(model, toy_windows(), toy_windows(n=6, seed=3), cfg)
-        logs.append(log.to_text())
+        logs.append(log.entries)
         finals.append({k: v.copy() for k, v in model.named_state()})
     assert logs[0] == logs[1]
     for name in finals[0]:
@@ -358,7 +359,7 @@ def test_log_text_round_trips_floats():
         toy_windows(n=6, seed=3),
         TrainConfig(lr=1e-3, batch_size=4, max_epochs=2),
     )
-    lines = log.to_text().strip().splitlines()
+    lines = csv_text(("epoch", "train_mse", "val_mse"), log.entries).splitlines()
     assert lines[0] == "epoch,train_mse,val_mse"
     epoch, train_mse, val_mse = lines[1].split(",")
     assert float(train_mse) == log.entries[0][1]  # repr() survives the trip
@@ -379,7 +380,7 @@ def constant_output_model(values, cities=4):
 def test_perfect_predictions_score_zero():
     windows = toy_windows(zero=True)
     table = evaluate(tiny_model(), windows, identity_scaler())
-    assert dict(table.rows) == {"c0": 0.0, "c1": 0.0}
+    assert dict(table) == {"c0": 0.0, "c1": 0.0}
 
 
 def test_constant_predictor_scores_the_per_city_variance():
@@ -388,7 +389,7 @@ def test_constant_predictor_scores_the_per_city_variance():
     model = constant_output_model(means)
     table = evaluate(model, windows, identity_scaler())
     np.testing.assert_allclose(
-        [dict(table.rows)[city] for city in ("c0", "c1")],
+        [dict(table)[city] for city in ("c0", "c1")],
         windows.targets.var(axis=0),
         atol=1e-12,
     )
@@ -399,7 +400,7 @@ def test_evaluation_is_batch_partition_invariant():
     one forward pass over all of them."""
     windows = toy_windows(n=17, seed=6)
     model = tiny_model()
-    got = dict(evaluate(model, windows, identity_scaler()).rows)
+    got = dict(evaluate(model, windows, identity_scaler()))
     whole = model.forward(Tensor(windows.inputs)).data
     want = ((whole - windows.targets) ** 2).mean(axis=0)
     for j, city in enumerate(windows.target_cities):
@@ -409,13 +410,13 @@ def test_evaluation_is_batch_partition_invariant():
 def test_descaled_mse_scales_with_the_squared_span():
     windows = toy_windows(n=15, seed=7)
     model = tiny_model()
-    base = dict(evaluate(model, windows, identity_scaler()).rows)
+    base = dict(evaluate(model, windows, identity_scaler()))
     stretched = Scaler(
         mins=np.array([[10.0, -4.0]]),
         maxs=np.array([[13.0, 1.0]]),  # spans 3 and 5
         features=("f0",), cities=("c0", "c1"),
     )
-    raw = dict(evaluate(model, windows, stretched).rows)
+    raw = dict(evaluate(model, windows, stretched))
     assert abs(raw["c0"] - 9.0 * base["c0"]) < 1e-9
     assert abs(raw["c1"] - 25.0 * base["c1"]) < 1e-9
 
@@ -435,8 +436,7 @@ def test_report_rows_follow_the_fixed_city_order():
         features=("f0",), cities=TARGET_CITIES,
     )
     table = evaluate(tiny_model(n_targets=6, cities=6), windows, scaler)
-    assert tuple(city for city, _ in table.rows) == TABLE_CITY_ORDER
-    assert table.to_csv().splitlines()[0] == "city,mse"
+    assert tuple(city for city, _ in table) == TABLE_CITY_ORDER
 
 
 def test_evaluate_validates_its_inputs():
