@@ -13,9 +13,10 @@ All data is stored as float64; convolution is cross-correlation with zero
 same-padding, computed as one matrix product with a column matrix.
 
 The heaviest kernels (``conv2d``, ``conv_lstm``, the 2-D products of
-``matmul`` and the Adam update) split their work into two fixed halves with
-:func:`run_halves`; the second half may run on a worker thread, but the
-halves, and so every number, depend only on the input shapes.
+``matmul`` and the Adam update) run through :func:`run_halves`: whole below
+a work gate, in two fixed halves from it on.  The second half may run on a
+worker thread, but the split, and so every number, depends only on the
+input shapes.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ Array = np.ndarray
 
 _grad_enabled = True
 
-# Work, in convolution multiply-adds, at and above which an op hands its
-# second half to the worker thread.  A hand-off costs about 15 us on a
-# 2-vCPU VM; there, gates of 2**22 to 2**24 ran occlusion 4-6 % faster than
-# 2**25 to 2**27 and training as fast, and this is the largest of them.
-# Every op of a one-stream score ascent (batch 1) stays here, while
-# training and occlusion hand over most of their heavy ops.
+# Work, in convolution multiply-adds, at and above which an op runs in two
+# halves, the second on the worker thread where two CPUs are usable.  A
+# hand-off costs about 15 us on a 2-vCPU VM; there, gates of 2**22 to 2**24
+# ran occlusion 4-6 % faster than 2**25 to 2**27 and training as fast, and
+# this is the largest of them.  Every op of a one-stream score ascent
+# (batch 1) stays whole, while training and occlusion split most of their
+# heavy ops.
 SPLIT_WORK = 1 << 24
 # A matrix product's multiply-add counts this much work: its halves write
 # into one result allocated up front and fault in no fresh buffers, so a
@@ -73,24 +75,24 @@ def usable_cpus() -> int:
 def run_halves(
     n: int, work: float, half: Callable[[int, int], object], unit: int = 1
 ) -> list:
-    """``[half(0, mid), half(mid, n)]``, or ``[half(0, n)]`` if ``mid`` is 0.
+    """``[half(0, mid), half(mid, n)]`` once ``work`` (the op's cost in
+    convolution multiply-adds) reaches :data:`SPLIT_WORK`, else ``[half(0, n)]``.
 
-    ``mid`` is the largest multiple of ``unit`` that is at most ``n // 2``.
-    The halves are the same on every machine; only where the second one runs
-    is decided here.  With ``work`` (the op's cost in convolution
-    multiply-adds) at least :data:`SPLIT_WORK` and two usable CPUs it runs on
-    one lazily started worker thread while the caller runs the first, in a
-    copy of the caller's context, so numpy's error state (``np.errstate``)
-    holds there too.
+    ``mid`` is the largest multiple of ``unit`` that is at most ``n // 2``;
+    if it is 0 the op runs whole too.  The split is the same on every
+    machine; only where the second half runs is decided here.  With two
+    usable CPUs it runs on one lazily started worker thread while the caller
+    runs the first, in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) holds there too; else it runs after the first.
     ``half`` must touch numpy arrays only: no ``Tensor``, no tape and no
     traced function.  If either half raises, the error reaches the caller
     after both halves have stopped.
     """
     global _worker
     mid = n // 2 // unit * unit
-    if mid == 0:
+    if mid == 0 or work < SPLIT_WORK:
         return [half(0, n)]
-    if work < SPLIT_WORK or usable_cpus() < 2:
+    if usable_cpus() < 2:
         return [half(0, mid), half(mid, n)]
     if _worker is None:
         _worker = ThreadPoolExecutor(1, thread_name_prefix="stationcast-half")
@@ -396,24 +398,19 @@ def matmul(a, b) -> Tensor:
 
 
 def _product_in_halves(x: Array, y: Array, work: float) -> Array:
-    """``x @ y``; from :data:`SPLIT_WORK` on, with the rows of the result in
-    two halves (:func:`run_halves`).
+    """``x @ y``, with the rows of the result in halves (:func:`run_halves`).
 
     Each half is the product of its own rows of ``x`` with all of ``y``, so
     every element keeps its whole sum over the inner axis; no halves are
     added.  The split falls on an even row: a half of one row would take
-    BLAS's matrix-vector path, which rounds differently.  A smaller
-    product stays whole, as halves on one core buy it nothing.
+    BLAS's matrix-vector path, which rounds differently.
     """
     out = np.empty((x.shape[0], y.shape[1]))
 
     def rows(lo: int, hi: int) -> None:
         np.matmul(x[lo:hi], y, out=out[lo:hi])
 
-    if work < SPLIT_WORK:
-        rows(0, len(out))
-    else:
-        run_halves(len(out), work, rows, unit=2)
+    run_halves(len(out), work, rows, unit=2)
     return out
 
 
@@ -458,14 +455,15 @@ def conv2d(x, kernel) -> Tensor:
 
     ``x`` is ``(B, Cin, H, W)``; ``kernel`` is ``(Cout, Cin, Kh, Kw)`` with
     odd spatial extents.  Output spatial extents equal the input's; padding
-    is zeros.  Each half of the images (:func:`run_halves`) walks its images
-    in blocks of :data:`COLUMN_IMAGES` or a few more, building one block's
-    columns at a time in one buffer.  The forward pass multiplies the
-    flattened kernel with each image's columns, which writes the output in
-    its ``(B, Cout, H, W)`` order directly; the backward pass rebuilds each
+    is zeros.  The images run whole, or past the split gate in two halves
+    (:func:`run_halves`); each part walks its images in blocks of
+    :data:`COLUMN_IMAGES` or a few more, building one block's columns at a
+    time in one buffer.  The forward pass multiplies the flattened kernel
+    with each image's columns, which writes the output in its
+    ``(B, Cout, H, W)`` order directly; the backward pass rebuilds each
     block's columns instead of keeping them on the tape.  The kernel
     gradient is a sum of per-block products, in block order within each
-    half, then over the halves.
+    part, then over the parts.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if kernel.ndim != 4:
@@ -568,10 +566,10 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     recomputing ``tanh(c_t)``.  It never reads ``xpre``; the gradient it
     returns for ``xpre`` is the gate-gradient block.
 
-    Samples never mix in the recurrence, so the forward pass and the
-    backward pass each run per half of the samples (:func:`run_halves`),
-    with their own buffers; the hidden kernel's gradient is the sum of the
-    two halves' sums.
+    Samples never mix in the recurrence, so past the split gate the forward
+    pass and the backward pass each run per half of the samples
+    (:func:`run_halves`), with their own buffers; the hidden kernel's
+    gradient is then the sum of the two halves' sums.
     """
     xpre, w_h, bias = as_tensor(xpre), as_tensor(w_h), as_tensor(bias)
     n, kh, kw = w_h.shape[1:]

@@ -285,18 +285,17 @@ def _load_run(args):
     if not ckpt.is_file():
         raise UsageError(f"checkpoint not found: {ckpt}")
     model, extras = load_checkpoint(ckpt)
-    scaler_name = extras.get("scaler_file", "scaler.wxtn")
-    scaler_path = Path(args.scaler) if args.scaler else ckpt.parent / scaler_name
+    for key in (*RUN_META, "scaler_file"):
+        if key not in extras:
+            raise ConfigurationError(
+                f"checkpoint meta lacks {key!r}; was it written by this tool?"
+            )
+    scaler_path = Path(args.scaler or ckpt.parent / extras["scaler_file"])
     if not scaler_path.is_file():
         raise UsageError(
             f"scaler not found: {scaler_path} (pass --scaler explicitly)"
         )
     scaler = Scaler.load(scaler_path)
-    for key in RUN_META:
-        if key not in extras:
-            raise ConfigurationError(
-                f"checkpoint meta lacks {key!r}; was it written by this tool?"
-            )
     run = RunConfig()
     run.apply({k: extras[k] for k in RUN_META}, f"{ckpt} metadata")
 

@@ -409,6 +409,23 @@ def test_conv2d_builds_columns_a_few_images_at_a_time(halves):
     assert halves
 
 
+def test_run_halves_splits_only_from_the_gate(monkeypatch):
+    asked = []
+    monkeypatch.setattr(ad, "usable_cpus", lambda: asked.append(1) or 1)
+    caller = threading.current_thread()
+    calls = []
+
+    def half(lo, hi):
+        calls.append((lo, hi, threading.current_thread() is caller))
+        return hi - lo
+
+    assert ad.run_halves(8, ad.SPLIT_WORK - 1, half, unit=2) == [8]
+    assert calls == [(0, 8, True)] and not asked
+    calls.clear()
+    assert ad.run_halves(8, ad.SPLIT_WORK, half, unit=2) == [4, 4]
+    assert calls == [(0, 4, True), (4, 8, True)] and asked == [1]
+
+
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_split_error_surfaces_after_both_halves_stop(monkeypatch, failing):
     monkeypatch.setattr(ad, "SPLIT_WORK", 0)

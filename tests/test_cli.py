@@ -603,7 +603,7 @@ def test_eval_rejects_a_bad_run_meta_value(demo, tmp_path, capsys, key, value):
     assert "configuration error" in err and repr(key) in err and repr(value) in err
 
 
-@pytest.mark.parametrize("key", RUN_META)
+@pytest.mark.parametrize("key", (*RUN_META, "scaler_file"))
 def test_eval_rejects_a_checkpoint_without_a_run_meta_key(demo, tmp_path, capsys, key):
     arrays, meta = load_arrays(demo["run"] / "checkpoint.wxtn")
     lines = [line for line in meta.splitlines() if line.partition(" =")[0] != key]
@@ -632,6 +632,24 @@ def test_foreign_checkpoint_meta_is_rejected(demo, tmp_path, capsys):
     (foreign / "scaler.wxtn").write_bytes((demo["run"] / "scaler.wxtn").read_bytes())
     code = main(
         ["eval", "--checkpoint", str(foreign / "checkpoint.wxtn"),
+         "--data", str(demo["data"])]
+    )
+    assert code == 1
+    assert "checkpoint meta lacks" in capsys.readouterr().err
+
+
+def test_checkpoint_without_meta_or_scaler_names_the_meta(tmp_path, capsys, demo):
+    # Without run metadata the checkpoint names no scaler: the missing
+    # metadata is the cause, not the missing scaler.
+    model = ModelGraph(
+        ModelConfig(
+            variant="unistream", lags=4, features=18, cities=18,
+            n_targets=6, filters=2, dense=(4,), seed=0,
+        )
+    )
+    save_checkpoint(model, tmp_path / "checkpoint.wxtn")
+    code = main(
+        ["eval", "--checkpoint", str(tmp_path / "checkpoint.wxtn"),
          "--data", str(demo["data"])]
     )
     assert code == 1

@@ -65,6 +65,24 @@ def test_default_shape_step_does_not_depend_on_the_worker(monkeypatch):
         np.testing.assert_array_equal(one_cpu, two_cpus)
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_default_size_predictions_are_bitwise_whole_or_split_at_the_gate(
+    variant, cpus, monkeypatch
+):
+    # The gate, not every op, is what must split: unistream's second head
+    # product (16 x 256 @ 256 x 256) stays below it, and in halves of 8 rows
+    # OpenBLAS's Haswell kernels give that product other bits.
+    queries = []
+    monkeypatch.setattr(ad, "usable_cpus", lambda: queries.append(cpus) or cpus)
+    model = ModelGraph(ModelConfig(variant=variant))
+    x = np.random.default_rng(6).uniform(0, 1, (16, 10, 18, 18))
+    split = model.predict(x)
+    assert queries
+    monkeypatch.setattr(ad, "SPLIT_WORK", 1 << 62)
+    np.testing.assert_array_equal(split, model.predict(x))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_output_shape(variant):
     cfg = tiny(variant)
