@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every forward operation optionally records a :class:`TapeNode` on its output.
-Calling :meth:`Tensor.backward` on a scalar loss replays the recorded tape in
-reverse creation order and accumulates ``d loss / d t`` into ``t.grad`` for
-every tracked leaf that the loss was computed from: a tensor with no tape
+Calling :meth:`Tensor.backward` on a scalar loss walks the recorded tape once,
+in reverse creation order, and accumulates ``d loss / d t`` into ``t.grad``
+for every tracked leaf that the loss was computed from: a tensor with no tape
 node, such as a parameter or an input.  Gradients of intermediate tensors
-flow through the walk and are dropped; their ``.grad`` stays ``None``.  Leaf
-gradients keep accumulating across calls until cleared with
+flow through the walk and are dropped; their ``.grad`` stays ``None``.  The
+walk ends by taking the loss off the tape, so a loss is walked at most once.
+Leaf gradients keep accumulating across losses until cleared with
 :meth:`Tensor.zero_grad`.
 
 All data is stored as float64; convolution is cross-correlation with zero
@@ -191,18 +192,25 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d self / d t into ``t.grad`` for every tracked leaf.
 
-        ``self`` must be a scalar reached from at least one tensor with
-        ``requires_grad`` set.  Only leaves (tensors without a tape node:
-        parameters and inputs) receive ``.grad``; intermediate gradients are
-        dropped once propagated.  Repeating the call adds the same gradients
-        again.
+        ``self`` must be a scalar on the tape: computed from at least one
+        tensor with ``requires_grad`` set, and not walked before.  Only
+        leaves (tensors without a tape node: parameters and inputs) receive
+        ``.grad``; intermediate gradients are dropped once propagated.  The
+        array that reaches a leaf becomes its ``.grad``, or is added to the
+        one it has.  A backward rule may hand one array to several leaves,
+        so ``.grad`` is read-only.  When the walk ends, ``self`` drops its
+        tape node, so the tape is freed unless the caller still holds a
+        tensor on it, and a second call raises.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        if not self.requires_grad:
-            raise ContractError("loss is not connected to any tracked tensor")
+        if self.node is None:
+            raise ContractError(
+                "loss is not on the tape: it has no tracked input, or "
+                "backward has already walked it"
+            )
 
         # Parents are always created before children, so descending creation
         # id is a valid topological order of the reachable tape.
@@ -221,32 +229,17 @@ class Tensor:
         reachable.sort(key=lambda t: t._id, reverse=True)
 
         flow: dict[int, Array] = {self._id: np.ones_like(self.data)}
-        # Pending gradients this walk allocated itself; only these may be
-        # added to in place, since a backward rule may return views or
-        # hand one array to several parents.
-        owned: set[int] = set()
         for t in reachable:
             g = flow.pop(t._id, None)
             if g is None:
                 continue
             if t.node is None:
-                if t.grad is None:
-                    t.grad = g if t._id in owned else g.copy()
-                else:
-                    t.grad = t.grad + g
+                t.grad = g if t.grad is None else t.grad + g
                 continue
-            parent_grads = t.node.backward(g)
-            for p, gp in zip(t.node.parents, parent_grads):
-                if gp is None or not p.requires_grad:
-                    continue
-                pid = p._id
-                if pid in owned:
-                    flow[pid] += gp
-                elif pid in flow:
-                    flow[pid] = flow[pid] + gp
-                    owned.add(pid)
-                else:
-                    flow[pid] = gp
+            for p, gp in zip(t.node.parents, t.node.backward(g)):
+                if gp is not None and p.requires_grad:
+                    flow[p._id] = flow[p._id] + gp if p._id in flow else gp
+        self.node = None
 
     # -- operator sugar ------------------------------------------------------
 

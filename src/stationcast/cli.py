@@ -317,11 +317,15 @@ def cmd_eval(args) -> int:
     pred, truth = descaled_predictions(model, windows, scaler)
     table = csv_text(("city", "mse"), eval_table(pred, truth, windows))
     target = out_dir / "eval_table.csv"
-    # Without --out that is the table train wrote and its manifest hashes.
-    if args.out is None and target.is_file() and target.read_bytes() != table.encode():
+    # In a run directory that is the table train wrote and its manifest hashes.
+    in_run = (
+        out_dir.resolve() == Path(args.checkpoint).parent.resolve()
+        or (out_dir / "manifest.txt").is_file()
+    )
+    if in_run and target.is_file() and target.read_bytes() != table.encode():
         raise UsageError(
             f"{target} holds another table, which the run manifest hashes; "
-            "pass --out to write this one elsewhere"
+            "pass --out with another directory to write this one elsewhere"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text(target, table)
@@ -341,6 +345,12 @@ def cmd_occlude(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
     model, scaler, windows, run, out_dir = _load_run(args)
+    if args.samples > len(windows):
+        print(
+            f"warning: --samples {args.samples} exceeds the {len(windows)} "
+            f"test windows; the maps average over {len(windows)}",
+            file=sys.stderr,
+        )
     if args.aggregate:
         requested = [None]
     elif args.city is not None:

@@ -309,10 +309,10 @@ def score_maximize(
         current = Tensor(sample, requires_grad=True)
         for iteration in range(1, iterations + 1):
             current.zero_grad()
-            pred = model.forward(
-                ad.reshape(current, (1,) + current.shape), mode="infer"
+            h = 1.0 / mse(
+                model.forward(ad.reshape(current, (1,) + current.shape), mode="infer"),
+                truth_row,
             )
-            h = 1.0 / mse(pred, truth_row)
             value = h.item()
             if not np.isfinite(value):
                 raise InfiniteScoreError(
@@ -321,9 +321,6 @@ def score_maximize(
                 )
             history.append(value)
             h.backward()
-            # Release this iteration's tape (and the old ``current`` it
-            # holds) before the next forward pass.
-            del pred, h
             grad = current.grad
             if grad is None or not np.isfinite(grad).all():
                 raise NumericalError(

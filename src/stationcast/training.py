@@ -158,10 +158,7 @@ def train(
     Batches that would reach batch norm with fewer than 2 samples (a trailing
     remainder of 1) are dropped, so a set of 1 window is rejected.  The
     validation set needs at least 1 window.  The best-validation parameter
-    snapshot is restored before returning.  Each batch's tape is released
-    once its backward pass and Adam step are done, before the next batch's
-    forward pass or the epoch's validation pass, so at most one tape is
-    alive at a time.
+    snapshot is restored before returning.
     """
     if len(train_set) < 2:
         raise ContractError(f"training set needs 2 windows, has {len(train_set)}")
@@ -198,9 +195,6 @@ def train(
             model.zero_grad()
             loss.backward()
             optimizer.step()
-            # The loss holds the batch's whole tape; drop it before the next
-            # forward pass, so only one tape is ever alive.
-            del loss
             total += value * yb.size
             count += yb.size
         train_mse = total / count

@@ -248,6 +248,9 @@ class TestBackward:
             (x * 2).backward()
         with pytest.raises(ContractError):
             Tensor(np.array(1.0)).backward()
+        # A tracked leaf is not on the tape either.
+        with pytest.raises(ContractError, match="not on the tape"):
+            Tensor(np.array(1.0), requires_grad=True).backward()
 
     def test_only_leaves_keep_gradients(self):
         w = Tensor(rand(3, 4, seed=28), requires_grad=True)
@@ -257,10 +260,12 @@ class TestBackward:
         loss = total(act * act)
         loss.backward()
         assert hidden.grad is None and act.grad is None and loss.grad is None
+        assert loss.node is None
         first_w, first_x = w.grad.copy(), x.grad.copy()
-        loss.backward()
-        np.testing.assert_array_equal(w.grad, 2 * first_w)
-        np.testing.assert_array_equal(x.grad, 2 * first_x)
+        with pytest.raises(ContractError, match="already walked"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, first_w)
+        np.testing.assert_array_equal(x.grad, first_x)
         assert hidden.grad is None and act.grad is None
 
     def test_no_grad_suppresses_taping(self):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -164,6 +165,20 @@ def test_eval_on_other_data_keeps_the_hashed_table(demo, tmp_path, capsys):
     assert main(["eval", "--checkpoint", checkpoint, "--data", str(other)]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "pass --out" in err
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+    # Naming the run directory as --out, under any spelling, is refused too.
+    run_dir = demo["run"].parent / ".." / demo["run"].parent.name / demo["run"].name
+    argv = ["eval", "--checkpoint", checkpoint, "--data", str(other), "--out", str(run_dir)]
+    assert main(argv) == 1
+    assert "pass --out" in capsys.readouterr().err
+    # So is any directory that holds a run manifest.
+    copy = tmp_path / "copy"
+    shutil.copytree(demo["run"], copy)
+    (copy / "manifest.txt").unlink()
+    argv = ["eval", "--checkpoint", str(copy / "checkpoint.wxtn"), "--data", str(other),
+            "--out", str(demo["run"])]
+    assert main(argv) == 1
+    assert "pass --out" in capsys.readouterr().err
     assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
     out = tmp_path / "elsewhere"
     argv = ["eval", "--checkpoint", checkpoint, "--data", str(other), "--out", str(out)]
@@ -803,6 +818,31 @@ def test_occlude_city_and_aggregate_are_exclusive(demo, tmp_path, capsys):
     assert code == 1
     assert "usage error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_occlude_warns_when_samples_exceed_the_test_windows(demo, tmp_path, capsys):
+    args = argparse.Namespace(
+        checkpoint=demo["run"] / "checkpoint.wxtn", data=demo["data"], scaler=None,
+        out=None,
+    )
+    n = len(cli._load_run(args)[2])
+    outputs = []
+    for samples in (n, n + 5):
+        out = tmp_path / str(samples)
+        argv = ["occlude", *run_inputs(demo, ["--out", str(out)]),
+                "--mode", "temporal", "--aggregate", "--samples", str(samples)]
+        assert main(argv) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        err = capsys.readouterr().err
+        if samples == n:
+            assert "warning" not in err
+        else:
+            (warning,) = err.splitlines()
+            assert warning == (
+                f"warning: --samples {n + 5} exceeds the {n} test windows; "
+                f"the maps average over {n}"
+            )
+    assert outputs[0] == outputs[1]
 
 
 def test_occlude_needs_a_positive_sample_budget(demo, tmp_path, capsys):

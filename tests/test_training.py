@@ -288,6 +288,24 @@ def test_each_batch_tape_is_released_before_the_next_pass(monkeypatch):
     assert passes == epoch * 2
 
 
+def test_backward_frees_the_tape_while_the_loss_is_still_bound():
+    # With the cycle collector off, the model output's node dies only once
+    # reference counts free it: the walk itself must let go of the tape.
+    model = tiny_model()
+    windows = toy_windows(n=4)
+    gc.disable()
+    try:
+        pred = model.forward(Tensor(windows.inputs), mode="train")
+        output = weakref.ref(pred.node)
+        loss = mse(pred, Tensor(windows.targets))
+        del pred
+        loss.backward()
+        assert output() is None
+    finally:
+        gc.enable()
+    assert loss.node is None
+
+
 def test_trailing_single_sample_batch_is_dropped():
     model = tiny_model()
     # 5 samples, batch 4: the leftover singleton would break batch norm.
