@@ -483,19 +483,19 @@ def conv2d(x, kernel) -> Tensor:
     # column keeps its 8-column block of the half's undivided product.
     step = -(-COLUMN_IMAGES // unit) * unit
 
-    def block_buffer(channels: int, lo: int, hi: int) -> Array:
-        """A flat buffer for ``channels`` rows of one block's columns."""
-        return np.empty(channels * min(step, hi - lo) * hw)
+    def block_buffer(lo: int, hi: int) -> Array:
+        """A flat buffer for the columns of one block of ``[lo, hi)``."""
+        return np.empty(rows * min(step, hi - lo) * hw)
 
-    def front(buffer: Array, channels: int, b: int) -> Array:
-        """The buffer's first ``channels x b·H·W`` entries, as a matrix."""
-        return buffer[: channels * b * hw].reshape(channels, b * hw)
+    def front(buffer: Array, b: int) -> Array:
+        """The buffer's first ``rows x b·H·W`` entries, as a matrix."""
+        return buffer[: rows * b * hw].reshape(rows, b * hw)
 
     def forward(lo: int, hi: int) -> None:
-        buffer = block_buffer(rows, lo, hi)
+        buffer = block_buffer(lo, hi)
         for b0 in range(lo, hi, step):
             b = min(step, hi - b0)
-            cols = _columns(x.data[b0 : b0 + b], kh, kw, out=front(buffer, rows, b))
+            cols = _columns(x.data[b0 : b0 + b], kh, kw, out=front(buffer, b))
             np.matmul(
                 flat_kernel,
                 cols.reshape(rows, b, hw).transpose(1, 0, 2),
@@ -509,16 +509,15 @@ def conv2d(x, kernel) -> Tensor:
         padded = np.empty((cin, nb, h + kh - 1, w + kw - 1)) if need_x else None
 
         def half(lo: int, hi: int) -> Optional[Array]:
-            g_buffer, cols_buffer = (block_buffer(c, lo, hi) for c in (cout, rows))
+            cols_buffer = block_buffer(lo, hi)
             gk = np.zeros_like(flat_kernel) if need_k else None
             product = np.empty_like(flat_kernel) if need_k else None
             for b0 in range(lo, hi, step):
                 b = min(step, hi - b0)
-                g_rows = front(g_buffer, cout, b)
-                grid = g_rows.reshape(cout, b, h, w)
-                grid[...] = g[b0 : b0 + b].transpose(1, 0, 2, 3)
+                # A view when ``g`` is channel-major, as ConvLSTM's is.
+                g_rows = g[b0 : b0 + b].transpose(1, 0, 2, 3).reshape(cout, b * hw)
                 # The columns of the block's images, then their gradient.
-                cols = front(cols_buffer, rows, b)
+                cols = front(cols_buffer, b)
                 if need_k:
                     _columns(x.data[b0 : b0 + b], kh, kw, out=cols)
                     gk += np.matmul(g_rows, cols.T, out=product)

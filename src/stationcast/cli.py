@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     trainer.add_argument(
         "--config", default=None, help="key = value run configuration file"
     )
-    for key, (_, help_text) in RUN_KEYS.items():
+    for key, (_, _, help_text) in RUN_KEYS.items():
         flag = "--target" if key == "target_feature" else "--" + key.replace("_", "-")
         trainer.add_argument(flag, dest=key, default=None, help=help_text)
     trainer.set_defaults(func=cmd_train)
@@ -206,6 +206,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.config and not Path(args.config).is_file():
+        raise UsageError(f"config not found: {args.config}")
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {
         key: getattr(args, key) for key in RUN_KEYS if getattr(args, key) is not None
@@ -232,8 +234,8 @@ def cmd_train(args) -> int:
         cfg.horizon,
         cfg.target_feature,
         cfg.target_cities,
-        cfg.split_ratio,
-        cfg.val_fraction,
+        ratio=cfg.split_ratio,
+        val_fraction=cfg.val_fraction,
     )
     model = ModelGraph(model_cfg)
     log = train(model, train_set, val_set, train_cfg)

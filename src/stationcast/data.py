@@ -410,7 +410,7 @@ class WindowedSet:
         return self.inputs.shape[0]
 
 
-def split_days(total: int, ratio: float = 0.9, val_fraction: float = 0.1):
+def split_days(total: int, ratio: float, val_fraction: float):
     """Chronological (train, val, test) day ranges.
 
     The first ``ratio`` of days form the train+validation block, of which the
@@ -438,8 +438,9 @@ def prepare(
     horizon: int,
     target_feature: str,
     target_cities: Sequence[str] = TARGET_CITIES,
-    ratio: float = 0.9,
-    val_fraction: float = 0.1,
+    *,
+    ratio: float,
+    val_fraction: float,
 ) -> tuple[WindowedSet, WindowedSet, WindowedSet, Scaler]:
     """Split chronologically, fit the scaler on train days only, window each
     block; returns ``(train, val, test, scaler)``.

@@ -84,6 +84,11 @@ class ModelConfig:
             self.dense = _DEFAULT_DENSE[self.variant]
         self.dense = tuple(int(d) for d in self.dense)
         self.kernel = tuple(int(k) for k in self.kernel)
+        for name in ("lags", "features", "cities", "n_targets", "filters",
+                     "key_dim", "ff_dim"):
+            value = getattr(self, name)  # only key_dim and ff_dim may be None
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be positive")
         if self.multistream:
             if self.streams < 2:
                 raise ConfigurationError(
@@ -102,11 +107,6 @@ class ModelConfig:
             raise ConfigurationError(
                 f"cannot target {self.n_targets} of {self.cities} cities"
             )
-        for name in ("lags", "features", "cities", "n_targets", "filters",
-                     "key_dim", "ff_dim"):
-            value = getattr(self, name)  # only key_dim and ff_dim may be None
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if any(d < 1 for d in self.dense):

@@ -9,13 +9,14 @@ than ignored — a typo should fail loudly, not silently train the default.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional
 
 from .data import TARGET_CITIES
 from .errors import ConfigurationError
+from .models import ModelConfig
 from .serialize import parse_key_values
+from .training import TrainConfig
 
 
 def _optional(parser):
@@ -33,32 +34,38 @@ def _parse_strs(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-# Every run key: its parser and the help text of its ``train`` flag, in flag
-# order.  The flag is the key with ``-`` for ``_``, except ``target_feature``,
-# whose flag is ``--target``.  Flags, config files and checkpoint run meta all
-# parse their raw text through this table.
+# Every run key: its parser, its default and the help text of its ``train``
+# flag, in flag order.  A model or training key's default is the field of
+# ModelConfig or TrainConfig it fills.  The flag is the key with ``-`` for
+# ``_``, except ``target_feature``, whose flag is ``--target``.  Flags, config
+# files and checkpoint run meta all parse their raw text through this table.
 RUN_KEYS = {
-    "data": (_optional(str), "long-form dataset CSV"),
-    "variant": (str, "unistream | att_unistream | multistream | att_multistream"),
-    "horizon": (int, "days ahead to predict"),
-    "target_feature": (str, "target weather feature (e.g. avg_temp, wind_speed)"),
-    "target_cities": (_parse_strs, "comma-separated target city list"),
-    "lags": (int, "input window length in days"),
-    "seed": (int, "run seed"),
-    "lr": (float, "learning rate"),
-    "batch_size": (int, "training batch size"),
-    "max_epochs": (int, "epoch budget"),
-    "patience": (int, "early-stop patience in epochs"),
-    "filters": (_optional(int), "ConvLSTM filter count"),
-    "dense": (_optional(_parse_ints), "comma-separated dense-layer widths"),
-    "streams": (_optional(int), "stream count (multistream variants)"),
-    "kernel": (_parse_ints, "convolution kernel, e.g. 3,3"),
-    "key_dim": (_optional(int), "attention key dimension"),
-    "ff_dim": (_optional(int), "encoder feed-forward width"),
-    "split_ratio": (float, "train+val fraction of days"),
-    "val_fraction": (float, "validation fraction of the train block"),
-    "stop_train_mse": (_optional(float), "stop once train MSE dips below this"),
-    "out": (str, "output directory root"),
+    "data": (_optional(str), None, "long-form dataset CSV"),
+    "variant": (str, ModelConfig.variant,
+                "unistream | att_unistream | multistream | att_multistream"),
+    "horizon": (int, 2, "days ahead to predict"),
+    "target_feature": (str, "avg_temp",
+                       "target weather feature (e.g. avg_temp, wind_speed)"),
+    "target_cities": (_parse_strs, TARGET_CITIES, "comma-separated target city list"),
+    "lags": (int, ModelConfig.lags, "input window length in days"),
+    "seed": (int, ModelConfig.seed, "run seed"),
+    "lr": (float, TrainConfig.lr, "learning rate"),
+    "batch_size": (int, TrainConfig.batch_size, "training batch size"),
+    "max_epochs": (int, TrainConfig.max_epochs, "epoch budget"),
+    "patience": (int, TrainConfig.patience, "early-stop patience in epochs"),
+    "filters": (_optional(int), ModelConfig.filters, "ConvLSTM filter count"),
+    "dense": (_optional(_parse_ints), ModelConfig.dense,
+              "comma-separated dense-layer widths"),
+    "streams": (_optional(int), ModelConfig.streams,
+                "stream count (multistream variants)"),
+    "kernel": (_parse_ints, ModelConfig.kernel, "convolution kernel, e.g. 3,3"),
+    "key_dim": (_optional(int), ModelConfig.key_dim, "attention key dimension"),
+    "ff_dim": (_optional(int), ModelConfig.ff_dim, "encoder feed-forward width"),
+    "split_ratio": (float, 0.9, "train+val fraction of days"),
+    "val_fraction": (float, 0.1, "validation fraction of the train block"),
+    "stop_train_mse": (_optional(float), TrainConfig.stop_train_mse,
+                       "stop once train MSE dips below this"),
+    "out": (str, "runs", "output directory root"),
 }
 
 # The run keys a checkpoint records so that eval, occlude and scoremax cut
@@ -66,31 +73,12 @@ RUN_KEYS = {
 RUN_META = ("horizon", "target_feature", "target_cities", "split_ratio", "val_fraction")
 
 
-@dataclass
 class RunConfig:
-    """Every knob of the pipeline, with the reference defaults."""
+    """Every run key, set to its ``RUN_KEYS`` default."""
 
-    data: Optional[str] = None
-    lags: int = 10
-    horizon: int = 2
-    target_feature: str = "avg_temp"
-    target_cities: tuple[str, ...] = TARGET_CITIES
-    split_ratio: float = 0.9
-    val_fraction: float = 0.1
-    variant: str = "unistream"
-    filters: Optional[int] = None
-    kernel: tuple[int, ...] = (3, 3)
-    dense: Optional[tuple[int, ...]] = None
-    key_dim: Optional[int] = None
-    ff_dim: Optional[int] = None
-    streams: Optional[int] = None
-    lr: float = 1e-4
-    batch_size: int = 16
-    max_epochs: int = 100
-    patience: int = 10
-    seed: int = 0
-    stop_train_mse: Optional[float] = None
-    out: str = "runs"
+    def __init__(self):
+        for key, (_, default, _) in RUN_KEYS.items():
+            setattr(self, key, default)
 
     def apply(self, assignments: dict[str, str], source: str) -> None:
         """Parse and set ``key -> raw text`` pairs; unknown keys are fatal."""
@@ -139,13 +127,13 @@ class RunConfig:
         return cls(**shared, **given)
 
     def to_text(self) -> str:
-        """Canonical form: every field but the output root, sorted by name.
+        """Canonical form: every run key but the output root, sorted by name.
 
         The output root is a destination, not part of the experiment, so the
         same configuration written anywhere keeps the same digest (and the
         recorded config stays byte-identical across destinations).
         """
-        keys = sorted(f.name for f in fields(self) if f.name != "out")
+        keys = sorted(key for key in RUN_KEYS if key != "out")
         return "".join(f"{k} = {v}\n" for k, v in self.texts(keys).items())
 
     def digest(self) -> str:

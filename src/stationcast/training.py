@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import TABLE_CITY_ORDER, Scaler, WindowedSet
 from .errors import ConfigurationError, ContractError, DimensionError, NumericalError
-from .models import ModelGraph
+from .models import ModelConfig, ModelGraph
 
 
 def mse(pred, truth) -> Tensor:
@@ -51,7 +51,7 @@ class Adam:
     # b1, b2 and eps above: the defaults of Kingma & Ba (2015).
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float = 1e-4):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         if not self.params:
             raise ContractError("optimizer needs at least one parameter")
@@ -104,7 +104,7 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 100
     patience: int = 10
-    seed: int = 0
+    seed: int = ModelConfig.seed
     stop_train_mse: Optional[float] = None
 
     def __post_init__(self):

@@ -221,9 +221,45 @@ def test_train_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+def test_train_rejects_a_config_that_is_not_a_file(tmp_path, capsys):
+    for config in (tmp_path / "missing.cfg", tmp_path):
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: config not found: {config}\n"
+
+
+def test_default_run_config_text_and_digest_are_pinned():
+    """The digest names every run directory; a refactor must not move it."""
+    cfg = RunConfig()
+    assert cfg.to_text() == (
+        "batch_size = 16\n"
+        "data = none\n"
+        "dense = none\n"
+        "ff_dim = none\n"
+        "filters = none\n"
+        "horizon = 2\n"
+        "kernel = 3,3\n"
+        "key_dim = none\n"
+        "lags = 10\n"
+        "lr = 0.0001\n"
+        "max_epochs = 100\n"
+        "patience = 10\n"
+        "seed = 0\n"
+        "split_ratio = 0.9\n"
+        "stop_train_mse = none\n"
+        "streams = none\n"
+        "target_cities = Paris,Luxembourg,London,Brussels,Frankfurt,Rotterdam\n"
+        "target_feature = avg_temp\n"
+        "val_fraction = 0.1\n"
+        "variant = unistream\n"
+    )
+    assert cfg.digest() == "ae9fcf2171f8"
+    cfg.data, cfg.variant = "demo.csv", "att_multistream"
+    assert cfg.digest() == "eda278d5e7d4"
+
+
 def test_config_keys_are_exactly_the_train_flags():
     """A config key that no train flag mirrors is a key nothing reads."""
-    assert set(RUN_KEYS) == {f.name for f in dataclasses.fields(RunConfig)}
     (sub,) = [
         action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)

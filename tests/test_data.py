@@ -429,26 +429,27 @@ def test_windows_carry_and_check_the_grid_labels_of_their_cube():
 
 
 def test_split_1000_days():
-    train, val, test = split_days(1000)
+    train, val, test = split_days(1000, 0.9, 0.1)
     assert (train, val, test) == (range(0, 810), range(810, 900), range(900, 1000))
 
 
 def test_split_validation():
     with pytest.raises(ConfigurationError):
-        split_days(100, ratio=1.0)
+        split_days(100, 1.0, 0.1)
     for fraction in (0.0, 1.0):
         with pytest.raises(ConfigurationError, match=r"in \(0, 1\)"):
-            split_days(100, val_fraction=fraction)
-    train, val, test = split_days(100, val_fraction=0.5)
+            split_days(100, 0.9, fraction)
+    train, val, test = split_days(100, 0.9, 0.5)
     assert len(val) == 45 and len(train) == 45 and len(test) == 10
 
 
 def test_prepare_blocks_do_not_straddle_boundaries():
     cube = index_cube(60, f=1, c=1)
     train, val, test, _ = prepare(
-        cube, lags=3, horizon=1, target_feature="f0", target_cities=("c0",)
+        cube, lags=3, horizon=1, target_feature="f0", target_cities=("c0",),
+        ratio=0.9, val_fraction=0.1,
     )
-    train_days, val_days, test_days = split_days(cube.days)
+    train_days, val_days, test_days = split_days(cube.days, 0.9, 0.1)
     assert (len(train_days), len(val_days), len(test_days)) == (49, 5, 6)
     assert (len(train), len(val), len(test)) == (46, 2, 3)
     # Every sample's input days and target day stay inside its own block; the
@@ -470,21 +471,28 @@ def test_prepare_scaler_sees_only_training_days():
     values = cube.values.copy()
     values[49:] = 1e6  # validation and test blocks carry an absurd spike
     spiked = replace(cube, values=values)
-    _, _, _, scaler = prepare(spiked, 3, 1, "f0", ("c0",))
+    _, _, _, scaler = prepare(
+        spiked, 3, 1, "f0", ("c0",), ratio=0.9, val_fraction=0.1
+    )
     assert scaler.maxs.max() < 1e5
     np.testing.assert_array_equal(scaler.maxs, fit_scaler(spiked, range(0, 49)).maxs)
 
 
 def test_prepare_reports_which_block_is_too_short():
     with pytest.raises(ConfigurationError, match="validation block too short"):
-        prepare(index_cube(60, f=1, c=1), 10, 2, "f0", ("c0",))
+        prepare(
+            index_cube(60, f=1, c=1), 10, 2, "f0", ("c0",), ratio=0.9, val_fraction=0.1
+        )
 
 
 def test_window_validation_rejects_a_repeated_target_city():
     with pytest.raises(ConfigurationError, match="target cities repeat"):
         window_block(index_cube(20), range(20), 3, 1, "f0", ("c0", "c1", "c0"))
     with pytest.raises(ConfigurationError, match="target cities repeat") as caught:
-        prepare(index_cube(60, f=1, c=2), 3, 1, "f0", ("c1", "c1"))
+        prepare(
+            index_cube(60, f=1, c=2), 3, 1, "f0", ("c1", "c1"),
+            ratio=0.9, val_fraction=0.1,
+        )
     assert "block too short" not in str(caught.value)
 
 

@@ -245,6 +245,9 @@ def test_config_validation_errors():
         ModelConfig(filters=0)
     with pytest.raises(ConfigurationError, match="seed must be >= 0"):
         ModelConfig(seed=-1)
+    # Sign comes before divisibility: -3 is not positive, not "undivided".
+    with pytest.raises(ConfigurationError, match="lags must be positive"):
+        ModelConfig(variant="multistream", lags=-3)
 
 
 def test_config_defaults():

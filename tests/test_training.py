@@ -175,7 +175,7 @@ def test_chunked_adam_in_halves_is_bitwise_the_written_out_formula(halves, monke
 
 def test_adam_requires_parameters():
     with pytest.raises(ContractError):
-        Adam([])
+        Adam([], lr=1e-4)
 
 
 # -- config ------------------------------------------------------------------
