@@ -177,12 +177,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() requires a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- gradient bookkeeping ------------------------------------------------
 
@@ -230,9 +225,7 @@ class Tensor:
 
         flow: dict[int, Array] = {self._id: np.ones_like(self.data)}
         for t in reachable:
-            g = flow.pop(t._id, None)
-            if g is None:
-                continue
+            g = flow.pop(t._id)
             if t.node is None:
                 t.grad = g if t.grad is None else t.grad + g
                 continue
@@ -459,8 +452,6 @@ def conv2d(x, kernel) -> Tensor:
     part, then over the parts.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if kernel.ndim != 4:
-        raise DimensionError(f"conv2d kernel must be 4-D, got shape {kernel.shape}")
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
     cout, cin, kh, kw = kernel.shape
@@ -565,12 +556,7 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     """
     xpre, w_h, bias = as_tensor(xpre), as_tensor(w_h), as_tensor(bias)
     n, kh, kw = w_h.shape[1:]
-    nvb, rows, h, w = xpre.shape
-    if steps < 1 or nvb % steps or rows != 4 * n or w_h.shape[0] != rows:
-        raise DimensionError(
-            f"convlstm pre-activations {xpre.shape} and hidden kernel "
-            f"{w_h.shape} do not hold {steps} lags of 4 x {n} gate channels"
-        )
+    nvb, _, h, w = xpre.shape
     nb = nvb // steps
     hw = h * w
     shape = (nb, n, h, w)

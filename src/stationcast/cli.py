@@ -27,8 +27,8 @@ from .data import (
     load_dataset,
     prepare,
     scale_cube,
+    split_block,
     split_days,
-    window_block,
 )
 from .errors import (
     ConfigurationError,
@@ -305,8 +305,8 @@ def _load_run(args):
     _warn_on_other_data(ckpt.parent / "manifest.txt", Path(args.data))
     scaled = scale_cube(cube, scaler)
     _, _, test_days = split_days(cube.days, run.split_ratio, run.val_fraction)
-    windows = window_block(
-        scaled, test_days, model.cfg.lags, run.horizon, run.target_feature,
+    windows = split_block(
+        "test", scaled, test_days, model.cfg.lags, run.horizon, run.target_feature,
         run.target_cities,
     )
     # Commands create the directory at their first write, so a refused run

@@ -18,7 +18,7 @@ import csv
 import datetime
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -451,21 +451,23 @@ def prepare(
     train_days, val_days, test_days = split_days(cube.days, ratio, val_fraction)
     scaler = fit_scaler(cube, train_days)
     scaled = scale_cube(cube, scaler)
-
-    def block(days: range, name: str) -> WindowedSet:
-        try:
-            return window_block(
-                scaled, days, lags, horizon, target_feature, target_cities
-            )
-        except TooFewDaysError as exc:
-            raise ConfigurationError(f"{name} block too short: {exc}") from None
-
+    window = (lags, horizon, target_feature, target_cities)
     return (
-        block(train_days, "train"),
-        block(val_days, "validation"),
-        block(test_days, "test"),
+        split_block("train", scaled, train_days, *window),
+        split_block("validation", scaled, val_days, *window),
+        split_block("test", scaled, test_days, *window),
         scaler,
     )
+
+
+def split_block(name: str, scaled: WeatherCube, days: range, *window) -> WindowedSet:
+    """:func:`window_block` of the ``name`` split's days; ``window`` is its
+    lags, horizon, target feature and target cities.  A split too short for
+    one window is named in the error."""
+    try:
+        return window_block(scaled, days, *window)
+    except TooFewDaysError as exc:
+        raise ConfigurationError(f"{name} block too short: {exc}") from None
 
 
 def window_block(

@@ -160,10 +160,6 @@ class BatchNorm(Layer):
                 f"batchnorm expects (B, C, H, W), got shape {x.shape}"
             )
         channels = x.shape[1]
-        if channels != self.gamma.size:
-            raise DimensionError(
-                f"batchnorm has {self.gamma.size} channels, input has {channels}"
-            )
         axes = (0, 2, 3)
         param_shape = (1, channels, 1, 1)
 

@@ -182,7 +182,8 @@ class ModelGraph(Layer):
 
     def __init__(self, cfg: ModelConfig, state: Optional[dict] = None):
         """Draw the initial weights from ``cfg.seed``, or draw none and load
-        ``state``, which :meth:`Layer.load_state` refuses if it misses a slot."""
+        ``state``, which :meth:`Layer.load_state` refuses if it misses a slot:
+        ``eval`` on such a checkpoint exits 1 and names the slot."""
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed) if state is None else None
         kernel = cfg.kernel

@@ -31,7 +31,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_strs(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not names:
+        raise ValueError("no names")
+    return names
 
 
 # Every run key: its parser, its default and the help text of its ``train``

@@ -1,8 +1,43 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the ``--lines`` session check."""
 
 import pytest
 
+import linetrace
 from stationcast import autodiff as ad
+
+_TRACER = pytest.StashKey()
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--lines",
+        action="store_true",
+        help="trace src/ over the whole session and fail on any statement "
+        "no test runs (see tests/linetrace.py)",
+    )
+
+
+def pytest_sessionstart(session):
+    if session.config.getoption("lines"):
+        tracer = session.config.stash[_TRACER] = linetrace.LineTracer()
+        tracer.__enter__()
+        linetrace.reexecute_package()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    tracer = session.config.stash.get(_TRACER, None)
+    if tracer is None:
+        return
+    tracer.__exit__()
+    missed, stale = linetrace.unrun(tracer)
+    if missed or stale:
+        report = session.config.pluginmanager.get_plugin("terminalreporter")
+        report.write_sep("=", "statements of src/ that no test runs")
+        for line in missed:
+            report.write_line(line)
+        for line in stale:
+            report.write_line(f"linetrace.UNRUN names one that ran or is gone: {line}")
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])

@@ -93,6 +93,17 @@ def test_ingest_names_the_missing_dates(tmp_path, capsys):
     assert "missing dates" in err and "2005-05-10" in err
 
 
+def test_ingest_skips_blank_lines(tmp_path):
+    raw = tmp_path / "raw.csv"
+    write_demo_csv(raw, days=10, seed=5)
+    lines = raw.read_text().splitlines(keepends=True)
+    blanked = tmp_path / "blanked.csv"
+    blanked.write_text("".join([*lines[:3], "\n", *lines[3:], "\n"]))
+    out = tmp_path / "canonical.csv"
+    assert main(["ingest", str(blanked), str(out)]) == 0
+    assert out.read_bytes() == raw.read_bytes()
+
+
 # -- train -------------------------------------------------------------------
 
 
@@ -374,6 +385,19 @@ def test_a_diverging_run_reports_one_numerical_failure_line(tmp_path, demo):
     assert not out.exists()
 
 
+def test_a_numerical_failure_exits_3_in_process(tmp_path, demo, capsys):
+    # The run above, in process: train keeps numpy's overflow warnings off,
+    # and main() maps the failure to exit 3.
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(demo["data"]), "--out", str(out),
+            *TRAIN_FLAGS, "--lr", "1e300"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite training loss at epoch 1, batch 1\n"
+    )
+    assert not out.exists()
+
+
 def test_train_rejects_a_zero_validation_fraction(tmp_path, demo, capsys):
     out = tmp_path / "o"
     argv = ["train", "--data", str(demo["data"]), "--out", str(out),
@@ -443,6 +467,19 @@ def test_window_errors_that_no_block_length_mends_are_not_called_short(
     err = capsys.readouterr().err
     assert "configuration error: " + message in err
     assert "too short" not in err
+
+
+@pytest.mark.parametrize("value", ["", ","])
+def test_train_rejects_an_empty_target_city_list(tmp_path, capsys, value):
+    config = tmp_path / "run.txt"
+    config.write_text(f"target_cities = {value}\n")
+    for flags, source in (
+        (["--target-cities", value], "command line"),
+        (["--config", str(config)], str(config)),
+    ):
+        assert main(["train", "--data", "unread.csv", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{source}: bad value {value!r} for key 'target_cities'" in err
 
 
 def test_train_rejects_a_repeated_target_city(tmp_path, demo, capsys):
@@ -667,6 +704,31 @@ def test_eval_rejects_a_checkpoint_without_a_run_meta_key(demo, tmp_path, capsys
                  "--out", str(out)])
     assert code == 1
     assert f"checkpoint meta lacks {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_names_a_slot_the_checkpoint_lacks(demo, tmp_path, capsys):
+    arrays, meta = load_arrays(demo["run"] / "checkpoint.wxtn")
+    del arrays["norm.running_var"]
+    ckpt = tmp_path / "checkpoint.wxtn"
+    save_arrays(ckpt, arrays, meta)
+    (tmp_path / "scaler.wxtn").write_bytes((demo["run"] / "scaler.wxtn").read_bytes())
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(demo["data"])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "missing parameters in container: ['norm.running_var']" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "occlude", "scoremax"])
+def test_a_test_block_too_short_is_named(demo, tmp_path, capsys, command):
+    # At the run's 0.9 split, 8 days leave 1 test day: short of 4 lags + 1.
+    data = tmp_path / "short.csv"
+    write_demo_csv(data, days=8, seed=0)
+    out = tmp_path / "out"
+    argv = [command, *run_inputs(demo)[:2], "--data", str(data), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: test block too short: 1 days cannot fit" in err
     assert not out.exists()
 
 

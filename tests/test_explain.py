@@ -22,6 +22,7 @@ from stationcast.errors import (
     ContractError,
     DimensionError,
     InfiniteScoreError,
+    NumericalError,
 )
 from stationcast.explain import (
     OCCLUSION_MODES,
@@ -850,6 +851,40 @@ def test_perfect_initial_prediction_is_rejected():
             score_maximize(
                 model, np.full((2, 4, 4), 0.5), truth, iterations=3, lr=0.01
             )
+
+
+def test_a_non_finite_input_gradient_is_rejected():
+    # The model always predicts 1e-100 against a truth of 0: h = 1/MSE =
+    # 1e200 is finite, but its gradient divides by MSE**2, which underflows
+    # to 0.
+    model = tiny_model()
+    model.head[-1].weight.data[...] = 0.0
+    model.head[-1].bias.data[...] = 1e-100
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite input gradient"):
+            score_maximize(model, np.full((2, 4, 4), 0.5), np.zeros(2))
+
+
+def test_a_final_map_that_predicts_the_truth_exactly_is_rejected():
+    # One hidden unit carries the whole prediction and is barely alive at
+    # the start; the first step switches it off, so the final map predicts
+    # the output bias, which is the truth, exactly.
+    model = tiny_model()
+    sample = np.full((2, 4, 4), 0.5)
+    hidden, out = model.head
+    hidden.weight.data[:, 0] *= -1  # its input at the sample is then positive
+    hidden.weight.data[:, 1:] = 0.0
+    hidden.bias.data[...] = 0.0
+    out.weight.data[...] = 1.0
+    out.bias.data[...] = 0.0
+    unit = model.predict(sample[None])[0, 0]
+    assert unit > 0
+    hidden.bias.data[0] = -0.999 * unit
+    truth = np.array([0.3, 0.7])
+    out.bias.data[...] = truth
+    with np.errstate(divide="ignore"):
+        with pytest.raises(InfiniteScoreError, match="final map"):
+            score_maximize(model, sample, truth, iterations=1, lr=0.05)
 
 
 def test_score_maximize_validation():

@@ -3,6 +3,7 @@
 import builtins
 import errno
 import io
+import os
 import struct
 import tracemalloc
 
@@ -156,6 +157,23 @@ class _DiskFull:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.room -= len(data)
         return len(data)
+
+
+def test_a_container_cut_after_its_size_was_taken_is_truncated(tmp_path, monkeypatch):
+    # The size comes from one fstat; a file cut after it runs short in the
+    # payload read itself.
+    path = tmp_path / "c.wxtn"
+    save_arrays(path, {"w": np.arange(6.0)})
+    fstat = os.fstat
+
+    def fstat_then_cut(fd):
+        stat = fstat(fd)
+        os.truncate(path, stat.st_size - 8)
+        return stat
+
+    monkeypatch.setattr(os, "fstat", fstat_then_cut)
+    with pytest.raises(IngestionError, match="truncated payload for entry 'w'"):
+        load_arrays(path)
 
 
 def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
