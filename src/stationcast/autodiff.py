@@ -6,9 +6,9 @@ in reverse creation order, and accumulates ``d loss / d t`` into ``t.grad``
 for every tracked leaf that the loss was computed from: a tensor with no tape
 node, such as a parameter or an input.  Gradients of intermediate tensors
 flow through the walk and are dropped; their ``.grad`` stays ``None``.  The
-walk ends by taking the loss off the tape, so a loss is walked at most once.
-Leaf gradients keep accumulating across losses until cleared with
-:meth:`Tensor.zero_grad`.
+walk releases each node as it passes it, so a node is walked at most once:
+a later loss that reaches a walked tensor raises.  Leaf gradients keep
+accumulating across losses until cleared with :meth:`Tensor.zero_grad`.
 
 All data is stored as float64; convolution is cross-correlation with zero
 same-padding, computed as one matrix product with a column matrix.
@@ -148,6 +148,10 @@ class TapeNode:
     backward: Callable[[Array], Sequence[Optional[Array]]]
 
 
+# An intermediate's node once a walk has passed it; its rule is never called.
+_SPENT = TapeNode((), None)
+
+
 class Tensor:
     """A dense n-dimensional float64 array, optionally on the gradient tape."""
 
@@ -193,9 +197,9 @@ class Tensor:
         ``.grad``; intermediate gradients are dropped once propagated.  The
         array that reaches a leaf becomes its ``.grad``, or is added to the
         one it has.  A backward rule may hand one array to several leaves,
-        so ``.grad`` is read-only.  When the walk ends, ``self`` drops its
-        tape node, so the tape is freed unless the caller still holds a
-        tensor on it, and a second call raises.
+        so ``.grad`` is read-only.  The walk drops each tensor and node once
+        past it, so the tape is freed as it goes; a second call, or a loss
+        from a walked intermediate, raises before any ``.grad`` changes.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -214,6 +218,8 @@ class Tensor:
         stack = [self]
         while stack:
             t = stack.pop()
+            if t.node is _SPENT:
+                raise ContractError("backward has already walked an intermediate")
             if t.node is None:
                 continue
             for p in t.node.parents:
@@ -221,15 +227,17 @@ class Tensor:
                     seen.add(p._id)
                     reachable.append(p)
                     stack.append(p)
-        reachable.sort(key=lambda t: t._id, reverse=True)
+        reachable.sort(key=lambda t: t._id)
 
         flow: dict[int, Array] = {self._id: np.ones_like(self.data)}
-        for t in reachable:
+        while reachable:
+            t = reachable.pop()
             g = flow.pop(t._id)
             if t.node is None:
                 t.grad = g if t.grad is None else t.grad + g
                 continue
-            for p, gp in zip(t.node.parents, t.node.backward(g)):
+            node, t.node = t.node, _SPENT
+            for p, gp in zip(node.parents, node.backward(g)):
                 if gp is not None and p.requires_grad:
                     flow[p._id] = flow[p._id] + gp if p._id in flow else gp
         self.node = None
@@ -545,9 +553,10 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     states go straight into the output, where the next lag's columns are
     read from.  One ``tanh`` covers the whole gate block, with
     ``sigmoid(x) = (1 + tanh(x/2)) / 2`` on the i, f, o rows.  Backward is
-    backpropagation through time over the saved gates and cell states,
-    recomputing ``tanh(c_t)``.  It never reads ``xpre``; the gradient it
-    returns for ``xpre`` is the gate-gradient block.
+    backpropagation through time over the saved gates, one ``(4n, steps,
+    B*H*W)`` block, and cell states, recomputing ``tanh(c_t)``; it writes
+    each lag's gate gradient over that lag's gates, so a second call raises.
+    It never reads ``xpre``, whose gradient is a view of that block.
 
     Samples never mix in the recurrence, so past the split gate the forward
     pass and the backward pass each run per half of the samples
@@ -586,6 +595,7 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
     bias_column = bias.data[:, np.newaxis, np.newaxis]
     xpre_lags = xpre.data.reshape(steps, nb, 4 * n, hw)
     out = np.empty((nb, steps + 1, n, h, w))
+    gates = np.empty((4 * n, steps, nb * hw)) if record else None
     work = steps * nb * hw * wh.size
     unit = _block_unit(hw)
 
@@ -593,19 +603,19 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
         """Samples ``lo:hi`` of the hidden state lag ``t`` starts from."""
         return out[lo:hi, t - 1] if t else state[0].data[lo:hi]
 
-    def forward(lo: int, hi: int) -> tuple[list, list]:
-        """Run samples ``lo:hi``; when recording, return every lag's
-        activated gates and the cell states ``c_0 .. c_steps``."""
+    def forward(lo: int, hi: int) -> list:
+        """Run samples ``lo:hi``; when recording, write their columns of
+        ``gates`` and return the cell states ``c_0 .. c_steps``."""
         m = (hi - lo) * hw
         c = np.zeros((n, m)) if state is None else channel_major(state[1].data[lo:hi])
-        gates, cells = [], [c]
-        # One column buffer, one product buffer and one tanh(c) buffer serve
-        # every lag.
+        cells = [c]
+        # One gate buffer, one column buffer, one product buffer and one
+        # tanh(c) buffer serve every lag.
+        a = np.empty((4 * n, m))
         cols = np.empty((wh.shape[1], m))
         product = np.empty((4 * n, m))
         tanh_c = np.empty((n, m))
         for t in range(steps):
-            a = np.empty((4 * n, m))
             np.add(
                 xpre_lags[t, lo:hi].transpose(1, 0, 2),
                 bias_column,
@@ -624,23 +634,24 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             np.tanh(c_new, out=tanh_c)
             np.multiply(grid(o), grid(tanh_c), out=out[lo:hi, t])
             if record:
-                gates.append(a)
+                gates[:, t, lo * hw : hi * hw] = a
                 cells.append(c_new)
             c = c_new
         out[lo:hi, steps] = grid(c)
-        return gates, cells
+        return cells
 
     halves = run_halves(nb, work, forward, unit)
     need_w, need_b = w_h.requires_grad, bias.requires_grad
 
     def backward(gout):
-        dpre = np.empty((4 * n, steps * nb * hw))
-        dpre_lags = dpre.reshape(4 * n, steps, nb * hw)
+        if not halves:
+            raise ContractError("conv_lstm's backward has already used its gates")
+        saved, halves[:] = halves[:], []
         dstate = np.empty((2,) + shape) if state is not None else None
 
         def half(lo: int, hi: int) -> Optional[Array]:
             """BPTT over samples ``lo:hi``; returns their share of ``dW_h``."""
-            gates, cells = halves[0 if lo == 0 else 1]
+            cells = saved[0 if lo == 0 else 1]
             m = (hi - lo) * hw
             dw = np.zeros_like(wh) if need_w else None
             dc = channel_major(gout[lo:hi, steps])
@@ -648,11 +659,12 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             cols = np.empty((wh.shape[1], m))  # columns of h_t, then their gradient
             padded = np.empty((n, hi - lo, h + kh - 1, w + kw - 1))
             tanh_c = np.empty((n, m))
+            a = np.empty((4 * n, m))  # the lag's gates, read before d overwrites them
             for t in reversed(range(steps)):
-                a, c_prev = gates[t], cells[t]
+                d = gates[:, t, lo * hw : hi * hw]
+                a[...] = d
                 np.tanh(cells[t + 1], out=tanh_c)
                 i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
-                d = dpre_lags[:, t, lo * hw : hi * hw]
                 dht = channel_major(gout[lo:hi, t])
                 if dh is not None:
                     grid(dht)[...] += dh
@@ -661,11 +673,14 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
                 dht *= 1.0 - tanh_c * tanh_c
                 dc += dht
                 np.multiply(dc, g, out=d[:n])
-                np.multiply(dc, c_prev, out=d[n : 2 * n])
+                np.multiply(dc, cells[t], out=d[n : 2 * n])
                 np.multiply(dc, i, out=d[3 * n :])
                 dc *= f
-                d[: 3 * n] *= a[: 3 * n] * (1.0 - a[: 3 * n])
-                d[3 * n :] *= 1.0 - g * g
+                # The derivatives, a(1 - a) on i, f, o and 1 - g² on g, in the copy.
+                a[: 3 * n] *= 1.0 - a[: 3 * n]
+                g *= g
+                np.subtract(1.0, g, out=g)
+                d *= a
                 if t > 0 or state is not None:
                     if need_w:
                         dw += d @ _columns(h_before(t, lo, hi), kh, kw, out=cols).T
@@ -676,9 +691,9 @@ def conv_lstm(xpre, steps: int, w_h, bias, state=None) -> Tensor:
             return dw
 
         parts = run_halves(nb, work, half, unit)
-        dxpre = dpre.reshape(4 * n, steps * nb, h, w).transpose(1, 0, 2, 3)
+        dxpre = gates.reshape(4 * n, steps * nb, h, w).transpose(1, 0, 2, 3)
         dw_h = sum(parts[1:], parts[0]).reshape(w_h.shape) if need_w else None
-        db = dpre.sum(axis=1) if need_b else None
+        db = gates.reshape(4 * n, -1).sum(axis=1) if need_b else None
         return (dxpre, dw_h, db, *(() if dstate is None else dstate))
 
     return _record(out, parents, backward)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, IngestionError, TooFewDaysError
 from .serialize import load_arrays, parse_key_values, save_arrays
@@ -483,7 +484,7 @@ def window_block(
 
     Window i has input days s+i..s+i+L-1 and its target on day s+i+L-1+horizon,
     where s = ``days.start``, so a range of T days yields N = T - L - horizon + 1
-    windows.
+    windows.  The inputs are a read-only view of the cube: no day is copied.
     """
     if lags < 1 or horizon < 1:
         raise ConfigurationError(
@@ -505,9 +506,9 @@ def window_block(
     c_idx = [index(scaled.cities, c, "city") for c in target_cities]
     if len(set(c_idx)) < len(c_idx):
         raise ConfigurationError(f"target cities repeat: {list(target_cities)}")
-    starts = np.arange(days.start, days.start + n)
-    inputs = scaled.values[starts[:, None] + np.arange(lags)[None, :]]
-    targets = scaled.values[starts + lags - 1 + horizon][:, f_idx][:, c_idx]
+    block = scaled.values[days.start : days.stop]
+    inputs = np.moveaxis(sliding_window_view(block[: n + lags - 1], lags, axis=0), -1, 1)
+    targets = block[lags - 1 + horizon :, f_idx][:, c_idx]
     return WindowedSet(
         inputs, targets, target_feature, tuple(target_cities), scaled.features,
         scaled.cities,

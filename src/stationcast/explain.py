@@ -266,6 +266,7 @@ def check_ascent(iterations: int, lr: float) -> None:
         raise ConfigurationError(f"--lr: ascent rate must be finite and >= 0, got {lr}")
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def score_maximize(
     model: ModelGraph,
     sample: np.ndarray,

@@ -103,10 +103,11 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], str]:
 
         def read(size):
             nonlocal left
-            if size > left:
-                raise IngestionError(f"{path}: truncated container")
             left -= size
-            return f.read(size)
+            data = f.read(size) if left >= 0 else b""
+            if len(data) != size:
+                raise IngestionError(f"{path}: truncated container")
+            return data
 
         def unpack(fmt):
             return struct.unpack(fmt, read(struct.calcsize(fmt)))

@@ -185,6 +185,8 @@ def train(
                 continue
             xb = Tensor(train_set.inputs[chosen])
             yb = Tensor(train_set.targets[chosen])
+            # The last step's gradients go before this step's tape is built.
+            model.zero_grad()
             loss = mse(model.forward(xb, mode="train"), yb)
             value = loss.item()
             if not np.isfinite(value):
@@ -192,7 +194,6 @@ def train(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch {batch_index}"
                 )
-            model.zero_grad()
             loss.backward()
             optimizer.step()
             total += value * yb.size

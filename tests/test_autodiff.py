@@ -268,6 +268,19 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, first_x)
         assert hidden.grad is None and act.grad is None
 
+    def test_a_loss_through_a_walked_intermediate_raises_and_keeps_gradients(self):
+        w = Tensor(rand(3, 4, seed=30), requires_grad=True)
+        x = Tensor(rand(2, 3, seed=31), requires_grad=True)
+        act = tanh(ad.matmul(x, w))
+        total(act * act).backward()
+        first_w, first_x = w.grad.copy(), x.grad.copy()
+        v = Tensor(rand(2, 4, seed=32), requires_grad=True)
+        with pytest.raises(ContractError, match="already walked an intermediate"):
+            total(act * v).backward()
+        np.testing.assert_array_equal(w.grad, first_w)
+        np.testing.assert_array_equal(x.grad, first_x)
+        assert v.grad is None
+
     def test_no_grad_suppresses_taping(self):
         x = Tensor(rand(2, 2), requires_grad=True)
         with no_grad():
@@ -412,6 +425,28 @@ def test_conv2d_builds_columns_a_few_images_at_a_time(halves):
     assert forward_peak < out.data.nbytes + 4 * mb, forward_peak / mb
     assert backward_peak < 12 * mb, backward_peak / mb
     assert halves
+
+
+def test_conv_lstm_backward_writes_its_gate_gradient_over_its_gates(halves):
+    # The default one-stream shape at batch 16: 16 samples x 10 lags, 32
+    # filters on the 18 x 18 grid, whose gates take 53 MB.
+    xpre = Tensor(rand(160, 128, 18, 18, seed=83), requires_grad=True)
+    w_h = Tensor(rand(128, 32, 3, 3, seed=84, lo=-0.1, hi=0.1), requires_grad=True)
+    b = Tensor(rand(128, seed=85), requires_grad=True)
+    out = ad.conv_lstm(xpre, 10, w_h, b)
+    g = rand(*out.shape, seed=86)
+    gates = 8 * xpre.size
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        grads = out.node.backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert backward_peak < gates, backward_peak / (1 << 20)
+    assert grads[0].shape == xpre.shape and halves
+    with pytest.raises(ContractError, match="already used its gates"):
+        out.node.backward(g)
 
 
 def test_run_halves_splits_only_from_the_gate(monkeypatch):

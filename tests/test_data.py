@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stationcast import data
 from stationcast.data import (
     CITIES,
     CONDITIONS,
@@ -483,6 +484,31 @@ def test_prepare_reports_which_block_is_too_short():
         prepare(
             index_cube(60, f=1, c=1), 10, 2, "f0", ("c0",), ratio=0.9, val_fraction=0.1
         )
+
+
+def test_prepare_windows_are_read_only_views_of_one_scaled_cube(monkeypatch):
+    scaled = []
+
+    def keep_scaled(cube, scaler):
+        scaled.append(scale_cube(cube, scaler))
+        return scaled[-1]
+
+    monkeypatch.setattr(data, "scale_cube", keep_scaled)
+    cube = index_cube(60)
+    splits = prepare(cube, 3, 2, "f1", ("c2", "c0"), ratio=0.6, val_fraction=0.25)
+    (cube_values,) = [c.values for c in scaled]
+    days = split_days(cube.days, 0.6, 0.25)
+    for windows, block in zip(splits, days):
+        assert np.shares_memory(windows.inputs, cube_values)
+        starts = np.arange(block.start, block.stop - 3 - 2 + 1)
+        np.testing.assert_array_equal(
+            windows.inputs, cube_values[starts[:, None] + np.arange(3)]
+        )
+        np.testing.assert_array_equal(
+            windows.targets, cube_values[starts + 4][:, 1][:, [2, 0]]
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            windows.inputs[0, 0, 0, 0] = 1.0
 
 
 def test_window_validation_rejects_a_repeated_target_city():

@@ -846,11 +846,8 @@ def test_perfect_initial_prediction_is_rejected():
     truth = np.array([0.3, 0.7])
     model.head[-1].weight.data[...] = 0.0
     model.head[-1].bias.data[...] = truth  # the model now always hits exactly
-    with np.errstate(divide="ignore"):
-        with pytest.raises(InfiniteScoreError, match="iteration 1"):
-            score_maximize(
-                model, np.full((2, 4, 4), 0.5), truth, iterations=3, lr=0.01
-            )
+    with pytest.raises(InfiniteScoreError, match="iteration 1"):
+        score_maximize(model, np.full((2, 4, 4), 0.5), truth, iterations=3, lr=0.01)
 
 
 def test_a_non_finite_input_gradient_is_rejected():
@@ -860,9 +857,8 @@ def test_a_non_finite_input_gradient_is_rejected():
     model = tiny_model()
     model.head[-1].weight.data[...] = 0.0
     model.head[-1].bias.data[...] = 1e-100
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="non-finite input gradient"):
-            score_maximize(model, np.full((2, 4, 4), 0.5), np.zeros(2))
+    with pytest.raises(NumericalError, match="non-finite input gradient"):
+        score_maximize(model, np.full((2, 4, 4), 0.5), np.zeros(2))
 
 
 def test_a_final_map_that_predicts_the_truth_exactly_is_rejected():
@@ -882,9 +878,8 @@ def test_a_final_map_that_predicts_the_truth_exactly_is_rejected():
     hidden.bias.data[0] = -0.999 * unit
     truth = np.array([0.3, 0.7])
     out.bias.data[...] = truth
-    with np.errstate(divide="ignore"):
-        with pytest.raises(InfiniteScoreError, match="final map"):
-            score_maximize(model, sample, truth, iterations=1, lr=0.05)
+    with pytest.raises(InfiniteScoreError, match="final map"):
+        score_maximize(model, sample, truth, iterations=1, lr=0.05)
 
 
 def test_score_maximize_validation():

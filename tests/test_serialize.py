@@ -176,6 +176,26 @@ def test_a_container_cut_after_its_size_was_taken_is_truncated(tmp_path, monkeyp
         load_arrays(path)
 
 
+@pytest.mark.parametrize("size", [6, 10, 20, 27])
+def test_a_container_cut_inside_a_header_after_its_size_was_taken_is_truncated(
+    tmp_path, monkeypatch, size
+):
+    # Cut inside the version, the metadata length, the entry count and the
+    # entry's name length: each header read runs short of its fstat count.
+    path = tmp_path / "c.wxtn"
+    save_arrays(path, {"w": np.arange(6.0)})
+    fstat = os.fstat
+
+    def fstat_then_cut(fd):
+        stat = fstat(fd)
+        os.truncate(path, size)
+        return stat
+
+    monkeypatch.setattr(os, "fstat", fstat_then_cut)
+    with pytest.raises(IngestionError, match="truncated container"):
+        load_arrays(path)
+
+
 def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "c.wxtn"
     save_arrays(path, {"old": np.ones(3)}, "v = 1\n")

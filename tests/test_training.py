@@ -3,6 +3,7 @@ deterministic runs, early stopping with best-snapshot restore, one tape
 alive at a time, and the descaled per-city evaluation table."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -304,6 +305,44 @@ def test_backward_frees_the_tape_while_the_loss_is_still_bound():
     finally:
         gc.enable()
     assert loss.node is None
+
+
+def test_backward_of_a_default_size_step_frees_the_tape_as_it_walks():
+    # One batch-16 att_multistream step: the walk lets go of the encoder,
+    # dense and batch-norm saves before the recurrences' backward runs, and
+    # each recurrence writes its gate gradient over its gates.
+    cfg = ModelConfig(variant="att_multistream", seed=3)
+    model = ModelGraph(cfg)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.uniform(0, 1, (16, cfg.lags, cfg.features, cfg.cities)))
+    y = Tensor(rng.uniform(0, 1, (16, cfg.n_targets)))
+    # Traced from the forward pass on, so that freeing the tape counts.
+    tracemalloc.start()
+    try:
+        loss = mse(model.forward(x, mode="train"), y)
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert rise < 30 << 20, rise / (1 << 20)
+
+
+def test_gradients_are_cleared_before_each_forward_pass(monkeypatch):
+    model = tiny_model()
+    forward = model.forward
+    held = []
+
+    def recording_forward(batch, mode="infer"):
+        if mode == "train":
+            held.append(sum(p.grad is not None for p in model.parameters()))
+        return forward(batch, mode)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    config = TrainConfig(batch_size=4, max_epochs=2)
+    train(model, toy_windows(n=12), toy_windows(n=4), config)
+    assert held == [0] * 6
 
 
 def test_trailing_single_sample_batch_is_dropped():
