@@ -234,7 +234,8 @@ class Tensor:
             t = reachable.pop()
             g = flow.pop(t._id)
             if t.node is None:
-                t.grad = g if t.grad is None else t.grad + g
+                t.grad = np.asarray(g if t.grad is None else t.grad + g)
+                t.grad.flags.writeable = False
                 continue
             node, t.node = t.node, _SPENT
             for p, gp in zip(node.parents, node.backward(g)):

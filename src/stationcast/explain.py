@@ -290,21 +290,10 @@ def score_maximize(
             f"range [{sample.min()}, {sample.max()}]"
         )
 
-    cfg = model.cfg
-    if sample.shape != (cfg.lags, cfg.features, cfg.cities):
-        raise ConfigurationError(
-            f"sample shape {sample.shape} does not match the model input "
-            f"({cfg.lags}, {cfg.features}, {cfg.cities})"
-        )
-    if truth.shape != (cfg.n_targets,):
-        raise ConfigurationError(
-            f"truth must have shape ({cfg.n_targets},), got {truth.shape}"
-        )
-
     flags = [(p, p.requires_grad) for p in model.parameters()]
     for p, _ in flags:
         p.requires_grad = False
-    truth_row = truth[None, :]
+    truth_row = truth[None]
     history = []
     try:
         current = Tensor(sample, requires_grad=True)

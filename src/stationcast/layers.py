@@ -99,12 +99,6 @@ class Dense(Layer):
         self.relu = relu
 
     def __call__(self, x) -> Tensor:
-        x = ad.as_tensor(x)
-        if x.shape[-1] != self.weight.shape[0]:
-            raise DimensionError(
-                f"dense input width {x.shape[-1]} does not match "
-                f"weight shape {self.weight.shape}"
-            )
         y = ad.matmul(x, self.weight) + self.bias
         return ad.relu(y) if self.relu else y
 
@@ -297,7 +291,6 @@ class AttentionHead(Layer):
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, key_dim: int):
-        self.embed_dim = embed_dim
         self.key_dim = key_dim
         for name in ("w_q", "w_k", "w_v"):
             setattr(
@@ -310,12 +303,6 @@ class AttentionHead(Layer):
             )
 
     def __call__(self, tokens) -> Tensor:
-        tokens = ad.as_tensor(tokens)
-        if tokens.shape[-1] != self.embed_dim:
-            raise DimensionError(
-                f"attention expects embedding width {self.embed_dim}, "
-                f"got token shape {tokens.shape}"
-            )
         q = ad.matmul(tokens, self.w_q)
         k = ad.matmul(tokens, self.w_k)
         v = ad.matmul(tokens, self.w_v)

@@ -18,8 +18,22 @@ def pytest_addoption(parser):
 
 
 def pytest_sessionstart(session):
-    if session.config.getoption("lines"):
-        tracer = session.config.stash[_TRACER] = linetrace.LineTracer()
+    config = session.config
+    if config.getoption("lines"):
+        # A narrowed run would report the statements other tests cover.
+        narrowing = {
+            "test paths or node IDs": config.args_source == config.ArgsSource.ARGS,
+            "-k": config.option.keyword,
+            "-m": config.option.markexpr,
+            "--deselect": config.option.deselect,
+            "--lf": getattr(config.option, "lf", False),
+        }
+        used = [name for name, on in narrowing.items() if on]
+        if used:
+            raise pytest.UsageError(
+                f"--lines checks the whole suite; it refuses {', '.join(used)}"
+            )
+        tracer = config.stash[_TRACER] = linetrace.LineTracer()
         tracer.__enter__()
         linetrace.reexecute_package()
 

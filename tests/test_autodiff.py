@@ -281,6 +281,24 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, first_x)
         assert v.grad is None
 
+    def test_leaf_gradients_are_read_only(self):
+        # add hands one array to both leaves: a write through one .grad
+        # would change the other.
+        p = Tensor(rand(3, seed=33), requires_grad=True)
+        q = Tensor(rand(3, seed=34), requires_grad=True)
+        (p + q).mean().backward()
+        assert np.shares_memory(p.grad, q.grad)
+        before = q.grad.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            p.grad[0] = 99.0
+        np.testing.assert_array_equal(q.grad, before)
+        # A 0-d product's gradient comes back as a numpy scalar.
+        x = Tensor(np.array(2.0), requires_grad=True)
+        (x * x).backward()
+        with pytest.raises(ValueError, match="read-only"):
+            x.grad[...] = 0.0
+        assert x.grad == 4.0
+
     def test_no_grad_suppresses_taping(self):
         x = Tensor(rand(2, 2), requires_grad=True)
         with no_grad():

@@ -884,16 +884,23 @@ def test_a_final_map_that_predicts_the_truth_exactly_is_rejected():
 
 def test_score_maximize_validation():
     model = tiny_model()
+    # Mixed flags, so that restoring them is more than setting them all.
+    next(model.parameters()).requires_grad = False
+    flags = [p.requires_grad for p in model.parameters()]
     good = np.full((2, 4, 4), 0.5)
     truth = np.array([0.1, 0.2])
-    with pytest.raises(ConfigurationError, match="exceeds bounds"):
-        score_maximize(model, good + 2.0, truth)
-    with pytest.raises(ConfigurationError, match="iterations"):
-        score_maximize(model, good, truth, iterations=0)
-    with pytest.raises(ConfigurationError, match="ascent rate"):
-        score_maximize(model, good, truth, lr=-0.1)
-    with pytest.raises(ConfigurationError, match="sample shape"):
-        score_maximize(model, np.full((3, 4, 4), 0.5), truth)
-    with pytest.raises(ConfigurationError, match="truth"):
-        score_maximize(model, good, np.zeros(3))
+    refusals = [
+        (ConfigurationError, "exceeds bounds", good + 2.0, truth, {}),
+        (ConfigurationError, "iterations", good, truth, {"iterations": 0}),
+        (ConfigurationError, "ascent rate", good, truth, {"lr": -0.1}),
+        # The shape refusals come from the forward pass and the MSE, inside
+        # the ascent, after the flags were cleared.
+        (DimensionError, "expected batch of shape", np.full((3, 4, 4), 0.5), truth, {}),
+        (DimensionError, "mse shapes differ", good, np.zeros(3), {}),
+        (DimensionError, "mse shapes differ", good, np.float64(0.1), {}),
+    ]
+    for error, match, sample, target, kwargs in refusals:
+        with pytest.raises(error, match=match):
+            score_maximize(model, sample, target, **kwargs)
+        assert [p.requires_grad for p in model.parameters()] == flags
 

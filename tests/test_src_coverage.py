@@ -6,7 +6,10 @@ any function of the package that none of them reached.  The statement-level
 check over the whole suite is ``pytest --lines`` (see ``conftest.py``).
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +87,18 @@ def test_the_tracer_tells_a_skipped_branch_from_a_run_one():
         ("check_ascent", "if iterations < 1:"),
         ("check_ascent", "if not (np.isfinite(lr) and lr >= 0):"),
     }
+
+
+def test_lines_refuses_a_narrowed_run(tmp_path):
+    # A narrowed run would report the statements other tests cover as unrun.
+    root = Path(__file__).resolve().parents[1]
+    argv = ["--lines", "tests/test_heatmap.py", "-k", "svg", "-m", "slow",
+            "--deselect", "tests/test_heatmap.py::x", "--lf"]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-o", f"cache_dir={tmp_path}", *argv],
+        capture_output=True, text=True, timeout=120, cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert done.returncode == pytest.ExitCode.USAGE_ERROR
+    assert "refuses test paths or node IDs, -k, -m, --deselect, --lf" in done.stderr
+    assert "passed" not in done.stdout
